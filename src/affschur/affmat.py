@@ -39,11 +39,6 @@ class AffMatrix:
         return AffMatrix(n, {(i + 1, i + 1): parts[i] for i in range(n)})
 
     @staticmethod
-    def e_delta(n, i, j, mult=1):
-        """mult * E^Delta_{i,j}."""
-        return AffMatrix(n, {(i, j): mult})
-
-    @staticmethod
     def identity_e(n):
         """E = (delta_{i,j}), the periodic identity matrix."""
         return AffMatrix.diag(n, (1,) * n)
@@ -76,9 +71,6 @@ class AffMatrix:
 
     def is_nonnegative(self):
         return all(a >= 0 for a in self._e.values())
-
-    def offdiag_nonnegative(self):
-        return all(a >= 0 for (i, j), a in self._e.items() if i != j)
 
     def is_upper(self):
         """Membership in Theta^+ (zero at and below the diagonal)."""

@@ -202,27 +202,6 @@ def _bruhat_leq_wr(y, w):
     return res
 
 
-def lower_interval(w):
-    """All y <= w, as distinct subwords of one reduced word of the W_r part.
-
-    The interval is taken inside the coset rho^a W_r of w.
-    """
-    a, x = strip_rho(w)
-    r = w.r
-    word = reduced_word(x)
-    current = {identity(r)}
-    for i in word:
-        s = simple(r, i)
-        nxt = set(current)
-        for y in current:
-            nxt.add(y * s)
-        current = nxt
-    if a == 0:
-        return current
-    shift = rho(r, a)
-    return {shift * y for y in current}
-
-
 class Composition:
     """A weight in Lambda(n, r): n nonnegative parts, extended n-periodically."""
 
@@ -296,16 +275,6 @@ class Composition:
         """Length of the longest element w_{0,lambda}."""
         return sum(p * (p - 1) // 2 for p in self.parts)
 
-    def longest_element(self):
-        r = self.sigma()
-        w = list(range(1, r + 1))
-        pos = 0
-        for p in self.parts:
-            for t in range(p):
-                w[pos + t] = pos + p - t
-            pos += p
-        return AffPerm(w)
-
     def __eq__(self, other):
         if not isinstance(other, Composition):
             return NotImplemented
@@ -319,40 +288,6 @@ class Composition:
 
     def to_json(self):
         return {"n": self.n, "parts": list(self.parts)}
-
-
-def coset_decompose(w, lam, side):
-    """Split w = u * d (side='left', u in S_lambda) or w = d * u (side='right').
-
-    The distinguished factor d satisfies l(w) = l(u) + l(d) and is the
-    minimal-length element of its coset.
-    """
-    gens = lam.young_generators()
-    d = w
-    u = identity(w.r)
-    if side == "left":
-        changed = True
-        while changed:
-            changed = False
-            for i in gens:
-                if d.left_descent(i):
-                    s = simple(w.r, i)
-                    d = s * d
-                    u = u * s
-                    changed = True
-        return u, d
-    elif side == "right":
-        changed = True
-        while changed:
-            changed = False
-            for i in gens:
-                if d.right_descent(i):
-                    s = simple(w.r, i)
-                    d = d * s
-                    u = s * u
-                    changed = True
-        return u, d
-    raise ValueError("side must be 'left' or 'right'")
 
 
 def is_left_minimal(w, lam):

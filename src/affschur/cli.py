@@ -2,22 +2,23 @@
 constant tables, and run the verification suites.
 
 Every command emits one deterministic JSON report (sorted keys, fixed
-enumeration order) and exits nonzero when a verification fails or an
-input is rejected.
+enumeration order).  The exit code is 1 when a verification fails and 2
+when an input is rejected or a check inside the library fails, with an
+"error:" line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
 
-from .laurent import LaurentPoly
 from .affmat import AffMatrix
 from .affweyl import AffPerm, jdelta_inv, double_coset
 from .heckekl import KLCache, kl_poly, default_cache
-from .schur import SchurElt, theta, mult, g_constants, canonical_expand
+from .schur import SchurElt, theta, mult
 from . import transfer
 from . import hall
 from .verify import DRIVERS
@@ -182,10 +183,7 @@ def cmd_h_table(args, cache):
     _check_rank(args.n)
     a_mat = _load_matrix(args.a, args.n)
     b_mat = _load_matrix(args.b, args.n)
-    try:
-        table = transfer.h_constants(a_mat, b_mat)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    table = transfer.h_constants(a_mat, b_mat)
     return {"command": "h-table", "violations": [], **table.to_json()}
 
 
@@ -197,12 +195,7 @@ def cmd_hall(args, cache):
     for m in (a_mat, b_mat, c_mat):
         if not m.is_upper():
             raise InputError("hall inputs must be strictly upper matrices")
-    try:
-        phi = hall.hall_poly(a_mat, b_mat, c_mat, cap_dim=args.cap_dim)
-    except hall.SizeCapError as exc:
-        raise InputError(str(exc))
-    except ValueError as exc:
-        raise InputError(str(exc))
+    phi = hall.hall_poly(a_mat, b_mat, c_mat, cap_dim=args.cap_dim)
     return {
         "command": "hall",
         "n": args.n,
@@ -214,6 +207,19 @@ def cmd_hall(args, cache):
     }
 
 
+# verify flag -> driver keyword; a driver receives the flags its
+# signature names, and an explicit flag it does not name is refused
+_VERIFY_KWARGS = {
+    "n": "n",
+    "r": "r",
+    "N": "big_n",
+    "k": "ks",
+    "samples": "samples",
+    "cap_dim": "cap_dim",
+    "cache": "cache",
+}
+
+
 def cmd_verify(args, cache):
     name = args.target
     if name not in DRIVERS:
@@ -221,33 +227,21 @@ def cmd_verify(args, cache):
             "unknown verification target %r (choose from: %s)"
             % (name, ", ".join(sorted(DRIVERS)))
         )
+    params = inspect.signature(DRIVERS[name]).parameters
     kwargs = {}
-    if name in ("lemma-3.1", "prop-3.8"):
+    for flag, param in _VERIFY_KWARGS.items():
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        if param not in params:
+            raise InputError(
+                "verify %s does not take --%s" % (name, flag.replace("_", "-"))
+            )
+        kwargs[param] = value
+    if "cache" in kwargs:
         kwargs["cache"] = cache
-    if name in (
-        "lemma-3.1",
-        "lemma-3.6",
-        "lemma-3.7",
-        "prop-3.8",
-        "cor-4.9",
-        "lemma-4.6",
-        "thm-4.8",
-        "thm-6.3",
-    ):
-        if args.n is not None:
-            kwargs["n"] = args.n
-        if args.r is not None:
-            kwargs["r"] = args.r
-    if name in ("thm-5.4", "thm-5.5") and args.n is not None:
-        kwargs["n"] = args.n
-    if name in ("thm-4.8", "thm-4.10") and args.N is not None:
-        kwargs["big_n"] = args.N
-    if name == "thm-4.8" and args.k is not None:
-        kwargs["ks"] = (args.k,)
-    if name in ("thm-4.8", "thm-5.4", "thm-5.5") and args.samples is not None:
-        kwargs["samples"] = args.samples
-    if name == "zeta" and args.cap_dim is not None:
-        kwargs["cap_dim"] = args.cap_dim
+    if "ks" in kwargs:
+        kwargs["ks"] = (kwargs["ks"],)
     _check_rank(kwargs.get("n"), kwargs.get("r"))
     report = DRIVERS[name](**kwargs)
     report["command"] = "verify"
@@ -331,16 +325,19 @@ def build_parser():
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("target", help="|".join(sorted(DRIVERS)))
     common(p)
+    # unset unless given, so the driver's own default applies
+    p.set_defaults(cap_dim=None)
     return parser
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    cache = KLCache(args.cache) if args.cache else default_cache()
     try:
+        cache = KLCache(args.cache) if args.cache else default_cache()
         report = COMMANDS[args.command](args, cache)
-    except InputError as exc:
+    except (ValueError, AssertionError) as exc:
+        # InputError, a malformed --cache file, or a check inside the library
         sys.stderr.write("error: %s\n" % exc)
         return 2
     if args.cache:

@@ -10,51 +10,13 @@ the Schur algebra through A(0, r).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 import itertools
 
-from .laurent import LaurentPoly, IntPoly, poly_interpolate
-from .affmat import AffMatrix, dim_vector, theta_plus_by_dim
+from .laurent import poly_interpolate
+from .affmat import dim_vector, theta_plus_by_dim
 from .schur import SchurElt, mult as schur_mult, a_block
-
-
-@dataclass(frozen=True)
-class SegmentRep:
-    """A nilpotent representation given by segment multiplicities.
-
-    segments is a sorted tuple of (start vertex 1..n, length, mult).
-    """
-
-    n: int
-    segments: tuple
-
-    @staticmethod
-    def from_matrix(a_mat):
-        if not a_mat.is_upper():
-            raise ValueError("segment data requires a strictly upper matrix")
-        segs = tuple(
-            (i, j - i, m) for (i, j), m in a_mat.entries()
-        )
-        return SegmentRep(a_mat.n, segs)
-
-    def matrix(self):
-        return AffMatrix(self.n, {(i, i + ln): m for i, ln, m in self.segments})
-
-    def dim_vector(self):
-        d = [0] * self.n
-        for i, ln, m in self.segments:
-            for t in range(i, i + ln):
-                d[(t - 1) % self.n] += m
-        return tuple(d)
-
-    def total_dim(self):
-        return sum(m * ln for _, ln, m in self.segments)
-
-
-def _as_matrix(a):
-    return a.matrix() if isinstance(a, SegmentRep) else a
 
 
 def euler(lam, mu):
@@ -298,7 +260,6 @@ class ModuleRealization:
     """
 
     def __init__(self, a_mat):
-        a_mat = _as_matrix(a_mat)
         if not a_mat.is_upper():
             raise ValueError("module realization requires Theta^+")
         n = a_mat.n
@@ -364,10 +325,9 @@ class SizeCapError(ValueError):
     """Total module dimension exceeds the configured enumeration cap."""
 
 
-def hall_count(c_rep, a_rep, b_rep, q, cap_dim=10):
+def hall_count(c_mat, a_mat, b_mat, q, cap_dim=10):
     """phi^C_{A,B}(q): submodules N of M(C) over F_q with N of type B
     and M(C)/N of type A, counted by exhaustive enumeration."""
-    c_mat, a_mat, b_mat = map(_as_matrix, (c_rep, a_rep, b_rep))
     da, db = dim_vector(a_mat), dim_vector(b_mat)
     dc = dim_vector(c_mat)
     if tuple(x + y for x, y in zip(da, db)) != dc:
@@ -450,14 +410,13 @@ def _transpose_int(mat, ncols):
 _PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31]
 
 
-def hall_poly(a_rep, b_rep, c_rep, cap_dim=10):
+def hall_poly(a_mat, b_mat, c_mat, cap_dim=10):
     """The Hall polynomial phi^C_{A,B} in q, by interpolation.
 
     Degree bound: sum_i d(B)_i d(A)_i (the submodule locus sits in a
     product of Grassmannians of that dimension).  Every sampled count
     must be reproduced by the interpolant.
     """
-    a_mat, b_mat, c_mat = map(_as_matrix, (a_rep, b_rep, c_rep))
     da, db = dim_vector(a_mat), dim_vector(b_mat)
     if tuple(x + y for x, y in zip(da, db)) != dim_vector(c_mat):
         raise ValueError("d(C) != d(A) + d(B)")
@@ -471,13 +430,13 @@ def hall_poly(a_rep, b_rep, c_rep, cap_dim=10):
     return poly_interpolate(samples, bound)
 
 
-def utilde_exponent(a_rep):
+def utilde_exponent(a_mat):
     """dim End(M(A)) - dim M(A), by exact linear algebra over Q.
 
     An endomorphism is a tuple (f_v) with f_{v+1} x_v = x_v f_v; the
     dimension of the solution space is read off a rational kernel.
     """
-    mod = ModuleRealization(a_rep)
+    mod = ModuleRealization(a_mat)
     n = mod.n
     dims = mod.dims
     offsets = [0] * n
@@ -527,12 +486,11 @@ def _rational_rank(rows):
     return rank
 
 
-def hall_mult_utilde(a_rep, b_rep, cap_dim=10):
+def hall_mult_utilde(a_mat, b_mat, cap_dim=10):
     """The product utilde^+_A utilde^+_B expanded in the utilde basis.
 
     Coefficient of C: v^{<d(A), d(B)> + eps_A + eps_B - eps_C} phi(v^2).
     """
-    a_mat, b_mat = _as_matrix(a_rep), _as_matrix(b_rep)
     if a_mat.n != b_mat.n:
         raise ValueError("mismatched n")
     n = a_mat.n
@@ -550,14 +508,13 @@ def hall_mult_utilde(a_rep, b_rep, cap_dim=10):
     return out
 
 
-def zeta_check(a_rep, b_rep, r, cap_dim=10):
+def zeta_check(a_mat, b_mat, r, cap_dim=10):
     """Cross-engine bridge: does zeta_r(utilde_A utilde_B) computed in the
     Hall algebra match A(0,r) B(0,r) computed in the Schur algebra?"""
-    a_mat, b_mat = _as_matrix(a_rep), _as_matrix(b_rep)
     n = a_mat.n
     j0 = (0,) * n
     lhs = schur_mult(a_block(a_mat, j0, r), a_block(b_mat, j0, r))
     rhs = SchurElt.zero(n, r)
     for c_mat, coeff in hall_mult_utilde(a_mat, b_mat, cap_dim=cap_dim).items():
-        rhs = rhs + a_block(c_mat, j0, r).scale(coeff)
+        rhs.add_scaled(a_block(c_mat, j0, r), coeff)
     return lhs == rhs

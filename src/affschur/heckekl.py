@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 
-from .laurent import LaurentPoly, IntPoly, LP_ONE
+from .laurent import Combination, LaurentPoly, IntPoly, LP_ONE, accumulate
 from . import affweyl
 from .affweyl import AffPerm, identity, simple, rho, strip_rho, reduced_word
 
@@ -22,25 +22,18 @@ _T_INV_LOW = LaurentPoly({-2: 1, 0: -1})  # v^-2 - 1
 _T_INV_HIGH = LaurentPoly({-2: 1})
 
 
-class HeckeElt:
+class HeckeElt(Combination):
     """Finitely supported LaurentPoly-combination of {T_w}."""
 
-    __slots__ = ("r", "terms")
+    __slots__ = ("r",)
 
     def __init__(self, r, terms=None):
         self.r = r
-        t = {}
-        if terms:
-            for w, c in (terms.items() if isinstance(terms, dict) else terms):
-                if w.r != r:
-                    raise ValueError("period mismatch in HeckeElt")
-                c0 = t.get(w)
-                c = c if c0 is None else c0 + c
-                if c:
-                    t[w] = c
-                elif w in t:
-                    del t[w]
-        self.terms = t
+        super().__init__(terms)
+
+    def _check_key(self, w):
+        if w.r != self.r:
+            raise ValueError("period mismatch in HeckeElt")
 
     @staticmethod
     def basis(w):
@@ -49,42 +42,6 @@ class HeckeElt:
     @staticmethod
     def zero(r):
         return HeckeElt(r)
-
-    def __eq__(self, other):
-        if not isinstance(other, HeckeElt):
-            return NotImplemented
-        return self.r == other.r and self.terms == other.terms
-
-    def __add__(self, other):
-        t = dict(self.terms)
-        for w, c in other.terms.items():
-            c0 = t.get(w)
-            c = c if c0 is None else c0 + c
-            if c:
-                t[w] = c
-            elif w in t:
-                del t[w]
-        out = HeckeElt.__new__(HeckeElt)
-        out.r = self.r
-        out.terms = t
-        return out
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        if isinstance(c, int):
-            c = LaurentPoly({0: c})
-        out = HeckeElt.__new__(HeckeElt)
-        out.r = self.r
-        out.terms = {w: a * c for w, a in self.terms.items() if a * c}
-        return out
-
-    def coeff(self, w):
-        return self.terms.get(w, LaurentPoly())
-
-    def is_zero(self):
-        return not self.terms
 
     def __repr__(self):
         parts = [
@@ -99,18 +56,13 @@ _simple_step_memo = {}
 
 def _mul_simple(h, i):
     """h * T_{s_i}, one quadratic-rule step."""
+    return h._new(accumulate({}, _simple_steps(h, i)))
+
+
+def _simple_steps(h, i):
+    """The (key, coefficient) pairs of h * T_{s_i}, before collection."""
     r = h.r
     memo = _simple_step_memo
-    t = {}
-
-    def acc(w, c):
-        c0 = t.get(w)
-        c = c if c0 is None else c0 + c
-        if c:
-            t[w] = c
-        elif w in t:
-            del t[w]
-
     for w, c in h.terms.items():
         step = memo.get((w, i))
         if step is None:
@@ -119,14 +71,10 @@ def _mul_simple(h, i):
             memo[(w, i)] = step
         ws, length_up = step
         if length_up:
-            acc(ws, c)
+            yield ws, c
         else:
-            acc(w, c * _V2_MINUS_1)
-            acc(ws, c * _V2)
-    out = HeckeElt.__new__(HeckeElt)
-    out.r = r
-    out.terms = t
-    return out
+            yield w, c * _V2_MINUS_1
+            yield ws, c * _V2
 
 
 def _mul_rho(h, a):
@@ -134,10 +82,7 @@ def _mul_rho(h, a):
     if a == 0:
         return h
     shift = rho(h.r, a)
-    out = HeckeElt.__new__(HeckeElt)
-    out.r = h.r
-    out.terms = {w * shift: c for w, c in h.terms.items()}
-    return out
+    return h._new({w * shift: c for w, c in h.terms.items()})
 
 
 def mul_basis(h, w):
@@ -154,18 +99,9 @@ def t_mul(h1, h2):
     """Product in the T-basis, bilinear over the quadratic/braid rules."""
     if h1.r != h2.r:
         raise ValueError("mismatched periods")
-    acc = {}
+    out = HeckeElt.zero(h1.r)
     for w, c in h2.terms.items():
-        for y, d in mul_basis(h1, w).terms.items():
-            c0 = acc.get(y)
-            val = c * d if c0 is None else c0 + c * d
-            if val:
-                acc[y] = val
-            elif y in acc:
-                del acc[y]
-    out = HeckeElt.__new__(HeckeElt)
-    out.r = h1.r
-    out.terms = acc
+        out.add_scaled(mul_basis(h1, w), c)
     return out
 
 
@@ -197,7 +133,7 @@ def t_bar(h):
     """
     out = HeckeElt.zero(h.r)
     for w, c in h.terms.items():
-        out = out + t_inverse(w.inverse()).scale(c.bar())
+        out.add_scaled(t_inverse(w.inverse()), c.bar())
     return out
 
 
@@ -217,34 +153,63 @@ class KLCache:
             self.load(path)
 
     def load(self, path):
+        """Read a saved P-table; a malformed or invalid record raises
+        ValueError naming its line."""
         with open(path) as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
-                r_s, ywin, wwin, coeffs = line.split("|")
-                r = int(r_s)
-                y = tuple(int(t) for t in ywin.split(",")) if ywin else ()
-                w = tuple(int(t) for t in wwin.split(",")) if wwin else ()
-                p = IntPoly(tuple(int(t) for t in coeffs.split(",")) if coeffs else ())
-                _validate_entry(r, y, w, p)
-                self.p_table[(r, y, w)] = p
+                try:
+                    key, p = _parse_record(line)
+                    _validate_entry(*key, p)
+                except ValueError as exc:
+                    msg = "%s line %d: %s" % (path, lineno, exc)
+                    raise ValueError(msg) from None
+                self.p_table[key] = p
 
     def save(self, path=None):
+        """Write the P-table atomically: a temporary file in the same
+        directory replaces path only once it is complete."""
         path = path or self.path
         if path is None:
             raise ValueError("no cache path configured")
-        with open(path, "w") as fh:
-            for (r, ywin, wwin), p in sorted(self.p_table.items()):
-                fh.write(
-                    "%d|%s|%s|%s\n"
-                    % (
-                        r,
-                        ",".join(map(str, ywin)),
-                        ",".join(map(str, wwin)),
-                        ",".join(map(str, p.coeffs)),
+        tmp = "%s.%d.tmp" % (path, os.getpid())
+        try:
+            with open(tmp, "w") as fh:
+                for (r, ywin, wwin), p in sorted(self.p_table.items()):
+                    fh.write(
+                        "%d|%s|%s|%s\n"
+                        % (
+                            r,
+                            ",".join(map(str, ywin)),
+                            ",".join(map(str, wwin)),
+                            ",".join(map(str, p.coeffs)),
+                        )
                     )
-                )
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+
+
+def _parse_record(line):
+    """(r, y.window, w.window), IntPoly from one r|y|w|coeffs record."""
+    fields = line.split("|")
+    if len(fields) != 4:
+        raise ValueError(
+            "expected 4 '|'-separated fields, got %d" % len(fields)
+        )
+    r_s, ywin, wwin, coeffs = fields
+    r = int(r_s)
+    y = tuple(int(t) for t in ywin.split(",")) if ywin else ()
+    w = tuple(int(t) for t in wwin.split(",")) if wwin else ()
+    if len(y) != r or len(w) != r:
+        raise ValueError(
+            "window lengths %d, %d differ from r = %d" % (len(y), len(w), r)
+        )
+    p = IntPoly(tuple(int(t) for t in coeffs.split(",")) if coeffs else ())
+    return (r, y, w), p
 
 
 def _validate_entry(r, ywin, wwin, p):
@@ -285,10 +250,7 @@ def cprime(w, cache=None):
     if a == 0:
         return c
     shift = rho(w.r, a)
-    out = HeckeElt.__new__(HeckeElt)
-    out.r = w.r
-    out.terms = {shift * y: coeff for y, coeff in c.terms.items()}
-    return out
+    return c._new({shift * y: coeff for y, coeff in c.terms.items()})
 
 
 def _cprime_wr(x, cache):
@@ -318,7 +280,7 @@ def _cprime_wr(x, cache):
         if mu:
             corrections.append((z, mu))
     for z, mu in corrections:
-        h = h - cprime(z, cache).scale(mu)
+        h.add_scaled(cprime(z, cache), -mu)
     _record_p(h, x, cache)
     return h
 
@@ -347,7 +309,7 @@ def kl_poly(y, w, cache=None):
     p = cache.p_table.get(key)
     if p is not None:
         return p
-    c = cprime(w0, cache)
+    cprime(w0, cache)
     return cache.p_table.get(key, IntPoly(()))
 
 

@@ -12,6 +12,28 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+def accumulate(terms, items, scale=None):
+    """Add each (key, coefficient) pair of items into the dict terms.
+
+    Coefficients are multiplied by scale first when one is given.  A key
+    whose coefficient cancels is dropped, so terms never holds a zero.
+    This is the one sparse-accumulation loop shared by LaurentPoly and by
+    every Combination.  Returns terms.
+    """
+    get = terms.get
+    for key, c in items:
+        if scale is not None:
+            c = c * scale
+        c0 = get(key)
+        if c0 is not None:
+            c = c0 + c
+        if c:
+            terms[key] = c
+        elif c0 is not None:
+            del terms[key]
+    return terms
+
+
 class LaurentPoly:
     """Integer-coefficient Laurent polynomial in v.
 
@@ -24,14 +46,19 @@ class LaurentPoly:
     def __init__(self, coeffs=None):
         c = {}
         if coeffs:
-            for e, a in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
-                a = c.get(e, 0) + a
-                if a:
-                    c[e] = a
-                elif e in c:
-                    del c[e]
+            if isinstance(coeffs, dict):
+                coeffs = coeffs.items()
+            accumulate(c, coeffs)
         self._c = c
         self._hash = None
+
+    @staticmethod
+    def _wrap(c):
+        """The polynomial with coefficient dict c, which must hold no zero."""
+        out = LaurentPoly.__new__(LaurentPoly)
+        out._c = c
+        out._hash = None
+        return out
 
     @staticmethod
     def v_power(e, coeff=1):
@@ -49,9 +76,6 @@ class LaurentPoly:
     def is_nonneg(self):
         """True iff every coefficient is >= 0 (membership in N[v, v^-1])."""
         return all(a >= 0 for a in self._c.values())
-
-    def support(self):
-        return set(self._c)
 
     def __bool__(self):
         return bool(self._c)
@@ -71,25 +95,12 @@ class LaurentPoly:
     def __add__(self, other):
         if isinstance(other, int):
             other = LaurentPoly({0: other})
-        c = dict(self._c)
-        for e, a in other._c.items():
-            b = c.get(e, 0) + a
-            if b:
-                c[e] = b
-            elif e in c:
-                del c[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = c
-        out._hash = None
-        return out
+        return LaurentPoly._wrap(accumulate(dict(self._c), other._c.items()))
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {e: -a for e, a in self._c.items()}
-        out._hash = None
-        return out
+        return LaurentPoly._wrap({e: -a for e, a in self._c.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -100,10 +111,9 @@ class LaurentPoly:
         if isinstance(other, int):
             if other == 0:
                 return LaurentPoly()
-            out = LaurentPoly.__new__(LaurentPoly)
-            out._c = {e: a * other for e, a in self._c.items()}
-            out._hash = None
-            return out
+            return LaurentPoly._wrap(
+                {e: a * other for e, a in self._c.items()}
+            )
         c = {}
         for e1, a1 in self._c.items():
             for e2, a2 in other._c.items():
@@ -113,26 +123,17 @@ class LaurentPoly:
                     c[e] = b
                 elif e in c:
                     del c[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = c
-        out._hash = None
-        return out
+        return LaurentPoly._wrap(c)
 
     __rmul__ = __mul__
 
     def bar(self):
         """The involution v -> v^-1 (negate every exponent)."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {-e: a for e, a in self._c.items()}
-        out._hash = None
-        return out
+        return LaurentPoly._wrap({-e: a for e, a in self._c.items()})
 
     def shift(self, e):
         """Multiply by v^e."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {k + e: a for k, a in self._c.items()}
-        out._hash = None
-        return out
+        return LaurentPoly._wrap({k + e: a for k, a in self._c.items()})
 
     def evaluate(self, x):
         """Evaluate at a nonzero rational value of v (exact)."""
@@ -141,9 +142,6 @@ class LaurentPoly:
         for e, a in self._c.items():
             val += a * fx ** e
         return val
-
-    def min_exp(self):
-        return min(self._c) if self._c else None
 
     def max_exp(self):
         return max(self._c) if self._c else None
@@ -190,6 +188,69 @@ class LaurentPoly:
 
 LP_ZERO = LaurentPoly()
 LP_ONE = LaurentPoly({0: 1})
+
+
+class Combination:
+    """Finitely supported LaurentPoly-combination of hashable keys.
+
+    terms maps each key to its nonzero coefficient.  A subclass lists the
+    attributes that fix its ambient module (the period r of a Hecke
+    algebra, say) as its __slots__: equality compares them, and every
+    element derived from another copies them.  It validates keys in
+    _check_key and supplies its basis constructors, __repr__ and, where
+    needed, to_json.  All arithmetic lives here.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        t = {}
+        if terms:
+            items = terms.items() if isinstance(terms, dict) else list(terms)
+            for key, _ in items:
+                self._check_key(key)
+            accumulate(t, items)
+        self.terms = t
+
+    def _check_key(self, key):
+        pass
+
+    def _new(self, terms):
+        """An element of the same module with the given terms, unchecked."""
+        out = object.__new__(type(self))
+        for name in self.__slots__:
+            setattr(out, name, getattr(self, name))
+        out.terms = terms
+        return out
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.terms == other.terms and all(
+            getattr(self, name) == getattr(other, name) for name in self.__slots__
+        )
+
+    def __add__(self, other):
+        return self._new(accumulate(dict(self.terms), other.terms.items()))
+
+    def __sub__(self, other):
+        return self._new(accumulate(dict(self.terms), other.terms.items(), -1))
+
+    def scale(self, c):
+        """c times this element, for c a LaurentPoly or an int."""
+        return self._new(accumulate({}, self.terms.items(), c))
+
+    def add_scaled(self, other, c=None):
+        """In place: add c * other (other itself when c is omitted) to this
+        element, without copying its terms.  Returns self."""
+        accumulate(self.terms, other.terms.items(), c)
+        return self
+
+    def coeff(self, key):
+        return self.terms.get(key, LP_ZERO)
+
+    def is_zero(self):
+        return not self.terms
 
 
 class IntPoly:

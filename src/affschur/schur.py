@@ -10,41 +10,33 @@ independent bar-triangular elimination is kept as an oracle.
 
 from __future__ import annotations
 
-from .laurent import LaurentPoly, LP_ONE
+from .laurent import Combination, LaurentPoly, LP_ONE, accumulate
 from .affmat import AffMatrix, sqsubseteq, compositions
-from . import affweyl
 from .affweyl import (
-    Composition,
     double_coset,
     jdelta,
     jdelta_inv,
     is_left_minimal,
     bruhat_leq,
 )
-from . import heckekl
 from .heckekl import HeckeElt, t_mul, t_bar, x_lambda, double_coset_sum, cprime
 
 
-class SchurElt:
+class SchurElt(Combination):
     """Finitely supported combination of {[A] : A in Theta(n, r)}."""
 
-    __slots__ = ("n", "r", "terms")
+    __slots__ = ("n", "r")
 
     def __init__(self, n, r, terms=None):
         self.n = n
         self.r = r
-        t = {}
-        if terms:
-            for a, c in (terms.items() if isinstance(terms, dict) else terms):
-                if a.n != n or a.sigma() != r:
-                    raise ValueError("matrix outside Theta(%d, %d): %r" % (n, r, a))
-                c0 = t.get(a)
-                c = c if c0 is None else c0 + c
-                if c:
-                    t[a] = c
-                elif a in t:
-                    del t[a]
-        self.terms = t
+        super().__init__(terms)
+
+    def _check_key(self, a):
+        if a.n != self.n or a.sigma() != self.r:
+            raise ValueError(
+                "matrix outside Theta(%d, %d): %r" % (self.n, self.r, a)
+            )
 
     @staticmethod
     def bracket(a_mat, r=None):
@@ -54,41 +46,6 @@ class SchurElt:
     @staticmethod
     def zero(n, r):
         return SchurElt(n, r)
-
-    def __add__(self, other):
-        t = dict(self.terms)
-        for a, c in other.terms.items():
-            c0 = t.get(a)
-            c = c if c0 is None else c0 + c
-            if c:
-                t[a] = c
-            elif a in t:
-                del t[a]
-        out = SchurElt.__new__(SchurElt)
-        out.n, out.r, out.terms = self.n, self.r, t
-        return out
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        if isinstance(c, int):
-            c = LaurentPoly({0: c})
-        out = SchurElt.__new__(SchurElt)
-        out.n, out.r = self.n, self.r
-        out.terms = {a: x * c for a, x in self.terms.items() if x * c}
-        return out
-
-    def coeff(self, a_mat):
-        return self.terms.get(a_mat, LaurentPoly())
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, SchurElt):
-            return NotImplemented
-        return (self.n, self.r, self.terms) == (other.n, other.r, other.terms)
 
     def __repr__(self):
         parts = [
@@ -187,12 +144,11 @@ def e_basis_mult(a_mat, b_mat):
 
 def _bracket_mult(a_mat, b_mat):
     """[A][B] expanded in the bracket basis."""
-    da, db = a_mat.d_exponent(), b_mat.d_exponent()
-    out = {}
-    for c_mat, nu_c in e_basis_mult(a_mat, b_mat).items():
-        coeff = nu_c.shift(c_mat.d_exponent() - da - db)
-        out[c_mat] = out.get(c_mat, LaurentPoly()) + coeff
-    return out
+    d_ab = a_mat.d_exponent() + b_mat.d_exponent()
+    return {
+        c_mat: nu_c.shift(c_mat.d_exponent() - d_ab)
+        for c_mat, nu_c in e_basis_mult(a_mat, b_mat).items()
+    }
 
 
 def mult(x, y):
@@ -202,11 +158,7 @@ def mult(x, y):
     out = SchurElt.zero(x.n, x.r)
     for a_mat, ca in x.terms.items():
         for b_mat, cb in y.terms.items():
-            c = ca * cb
-            if not c:
-                continue
-            for c_mat, coeff in _bracket_mult(a_mat, b_mat).items():
-                out = out + SchurElt(x.n, x.r, {c_mat: coeff * c})
+            accumulate(out.terms, _bracket_mult(a_mat, b_mat).items(), ca * cb)
     return out
 
 
@@ -278,16 +230,13 @@ def bar(x):
     """The bar involution on the Schur algebra."""
     out = SchurElt.zero(x.n, x.r)
     for b_mat, c in x.terms.items():
-        out = out + bar_bracket(b_mat).scale(c.bar())
+        out.add_scaled(bar_bracket(b_mat), c.bar())
     return out
 
 
 def tau(x):
     """The anti-involution [A] -> [transpose(A)]."""
-    out = SchurElt.zero(x.n, x.r)
-    for a_mat, c in x.terms.items():
-        out = out + SchurElt(x.n, x.r, {a_mat.transpose(): c})
-    return out
+    return SchurElt(x.n, x.r, {a.transpose(): c for a, c in x.terms.items()})
 
 
 def a_block(a_mat, j, r):
@@ -300,15 +249,13 @@ def a_block(a_mat, j, r):
         raise ValueError("a_block requires a zero-diagonal matrix")
     n = a_mat.n
     rem = r - a_mat.sigma()
-    out = SchurElt.zero(n, r)
     if rem < 0:
-        return out
+        return SchurElt.zero(n, r)
+    terms = {}
     for lam in compositions(n, rem):
         dot = sum(l * ji for l, ji in zip(lam, j))
-        out = out + SchurElt(
-            n, r, {a_mat + AffMatrix.diag(n, lam): LaurentPoly.v_power(dot)}
-        )
-    return out
+        terms[a_mat + AffMatrix.diag(n, lam)] = LaurentPoly.v_power(dot)
+    return SchurElt(n, r, terms)
 
 
 def _pick_maximal(mats):
@@ -330,14 +277,7 @@ def canonical_expand(x):
         c_mat = _pick_maximal(list(remaining))
         g = remaining[c_mat]
         out[c_mat] = g
-        th = theta(c_mat, x.r)
-        for b_mat, cb in th.terms.items():
-            c0 = remaining.get(b_mat, LaurentPoly())
-            c0 = c0 - cb * g
-            if c0:
-                remaining[b_mat] = c0
-            elif b_mat in remaining:
-                del remaining[b_mat]
+        accumulate(remaining, theta(c_mat, x.r).terms.items(), -g)
     return out
 
 
@@ -372,7 +312,7 @@ def theta_by_elimination(a_mat, r=None):
         if c.coeff(0) != 0 or c != -(c.bar()):
             raise AssertionError("non-antisymmetric correction at %r" % b_mat)
         p = LaurentPoly({e: a for e, a in c.items() if e < 0})
-        x = x + SchurElt(x.n, r, {b_mat: p})
+        x.add_scaled(SchurElt(x.n, r, {b_mat: p}))
     raise AssertionError("bar-triangular elimination did not converge")
 
 

@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 
 from .laurent import LaurentPoly
 from .affmat import AffMatrix, theta_plus_by_dim, dim_vector
-from .affweyl import Composition, jdelta, rho
-from . import schur
-from .schur import SchurElt, theta, g_constants, mult
+from .affweyl import jdelta, rho
+from .schur import SchurElt, g_constants
 
 
 def eta(a_mat, m):
@@ -36,19 +35,11 @@ def tilde(a_mat, big_n):
     return AffMatrix(big_n, entries)
 
 
-def tilde_comp(lam, big_n):
-    """Pad a composition with zeros up to length N."""
-    if big_n < lam.n:
-        raise ValueError("N must be >= n")
-    return Composition(lam.parts + (0,) * (big_n - lam.n))
-
-
 def iota(x, big_n):
     """iota_{n,N}: [A] -> [A-tilde], extended linearly."""
-    out = SchurElt.zero(big_n, x.r)
-    for a_mat, c in x.terms.items():
-        out = out + SchurElt(big_n, x.r, {tilde(a_mat, big_n): c})
-    return out
+    return SchurElt(
+        big_n, x.r, {tilde(a_mat, big_n): c for a_mat, c in x.terms.items()}
+    )
 
 
 def rho_idempotent(mu, m, r):
@@ -356,7 +347,3 @@ def _h_at_level(a_mat, b_mat, r):
             return None  # two keys collapsed under stripping
         table[c_mat] = val
     return table
-
-
-def is_aperiodic(a_mat):
-    return a_mat.is_aperiodic()

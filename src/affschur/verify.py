@@ -13,17 +13,13 @@ from __future__ import annotations
 import itertools
 import random
 
-from .laurent import LaurentPoly
 from .affmat import AffMatrix, enumerate_theta_band, sqsubseteq
 from .affweyl import Composition, jdelta_inv, double_coset, bruhat_leq
 from .heckekl import cprime, kl_poly
-from . import schur
 from .schur import (
-    SchurElt,
     theta,
     mult,
     bar,
-    tau,
     g_constants,
     theta_by_elimination,
     is_triangular,
@@ -457,7 +453,7 @@ def verify_thm_55(n=2, sigma_cap=2, band=1, samples=20, seed=0):
     )
 
 
-def verify_thm_63(n=2, r=2, band=1, max_pairs=10, seed=0):
+def verify_thm_63(n=2, r=2, band=1, samples=10, seed=0):
     """Fixed-level instance of the modified-algebra positivity: each
     g-key at level r strips to an h-key with the same coefficient, and
     all coefficients are nonnegative."""
@@ -471,8 +467,8 @@ def verify_thm_63(n=2, r=2, band=1, max_pairs=10, seed=0):
         if a.co() == b.ro()
     ]
     rng = random.Random(seed)
-    if max_pairs is not None and max_pairs < len(pairs):
-        pairs = rng.sample(pairs, max_pairs)
+    if samples is not None and samples < len(pairs):
+        pairs = rng.sample(pairs, samples)
     violations = []
     checked = 0
     for a_mat, b_mat in pairs:
@@ -497,7 +493,7 @@ def verify_thm_63(n=2, r=2, band=1, max_pairs=10, seed=0):
                 )
     return _report(
         "thm-6.3",
-        {"n": n, "r": r, "band": band, "max_pairs": max_pairs, "seed": seed},
+        {"n": n, "r": r, "band": band, "samples": samples, "seed": seed},
         checked,
         violations,
     )

@@ -7,12 +7,10 @@ from affschur.affweyl import (
     AffPerm,
     Composition,
     bruhat_leq,
-    coset_decompose,
     double_coset,
     identity,
     jdelta,
     jdelta_inv,
-    lower_interval,
     reduced_word,
     rho,
     simple,
@@ -67,23 +65,6 @@ def test_bruhat_bottom():
 def test_bruhat_subword():
     s1, s2 = simple(3, 1), simple(3, 2)
     assert bruhat_leq(s1, s1 * s2 * s1)
-
-
-def test_lower_interval_examples():
-    assert lower_interval(identity(3)) == {identity(3)}
-    s1, s2 = simple(3, 1), simple(3, 2)
-    assert lower_interval(s1) == {identity(3), s1}
-    assert lower_interval(s1 * s2) == {identity(3), s1, s2, s1 * s2}
-
-
-def test_coset_decompose_examples():
-    s1 = simple(2, 1)
-    u, d = coset_decompose(identity(2), Composition((1, 1)), "left")
-    assert u == identity(2) and d == identity(2)
-    u, d = coset_decompose(s1, Composition((2, 0)), "left")
-    assert u == s1 and d == identity(2)
-    u, d = coset_decompose(s1, Composition((1, 1)), "left")
-    assert u == identity(2) and d == s1
 
 
 def test_double_coset_examples():
@@ -192,19 +173,3 @@ def test_bruhat_is_partial_order_on_small_ball():
     for a, b in itertools.product(elems, repeat=2):
         if bruhat_leq(a, b) and bruhat_leq(b, a):
             assert a == b
-
-
-def test_coset_decompose_length_additive():
-    lam = Composition((2, 1))
-    for w in (
-        simple(3, 1) * simple(3, 2),
-        rho(3) * simple(3, 1),
-        simple(3, 2) * simple(3, 1) * simple(3, 2),
-    ):
-        for side in ("left", "right"):
-            u, d = coset_decompose(w, lam, side)
-            assert u.length() + d.length() == w.length()
-            if side == "left":
-                assert u * d == w
-            else:
-                assert d * u == w

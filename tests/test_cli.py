@@ -1,8 +1,14 @@
+import functools
+import inspect
 import json
+import pathlib
+import re
+import shlex
 
 import pytest
 
 from affschur import cli
+from affschur.verify import DRIVERS
 
 CROSS = '{"n": 2, "entries": [[1, 2, 1], [2, 1, 1]]}'
 DIAG = '{"n": 2, "entries": [[1, 1, 1], [2, 2, 1]]}'
@@ -202,3 +208,94 @@ def test_missing_matrix_file(capsys):
     )
     assert code == 2
     assert "not found" in err
+
+
+def test_library_value_error_exits_2(capsys):
+    bad = '{"entries": [[1, 2]]}'  # an entry without its value
+    code, out, err = run(capsys, "theta", "--n", "2", "--r", "2", "--a", bad)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        "2|1,2|2,1",  # truncated: three fields
+        "3|1,2|2,1|1",  # r = 3 but windows of length 2
+    ],
+)
+def test_bad_cache_file_exits_2_and_is_kept(tmp_path, capsys, record):
+    path = tmp_path / "kl.txt"
+    text = "2|1,2|1,2|1\n" + record + "\n"
+    path.write_text(text)
+    code, _, err = run(
+        capsys, "kl", "--r", "2", "--y", "1,2", "--w", "2,1",
+        "--cache", str(path),
+    )
+    assert code == 2
+    assert err.startswith("error: ") and "line 2" in err
+    assert path.read_text() == text
+
+
+# (flag, its text, the driver keyword, the value the driver receives)
+VERIFY_FLAGS = [
+    ("--n", "3", "n", 3),
+    ("--r", "3", "r", 3),
+    ("--N", "4", "big_n", 4),
+    ("--k", "2", "ks", (2,)),
+    ("--samples", "5", "samples", 5),
+    ("--cap-dim", "7", "cap_dim", 7),
+]
+
+
+@pytest.mark.parametrize("target", sorted(DRIVERS))
+def test_verify_passes_exactly_the_flags_a_driver_takes(
+    target, tmp_path, monkeypatch, capsys
+):
+    real = DRIVERS[target]
+    calls = []
+
+    @functools.wraps(real)  # keeps the signature the CLI inspects
+    def fake(**kwargs):
+        calls.append(kwargs)
+        return {"name": target, "violations": [], "pass": True}
+
+    monkeypatch.setitem(DRIVERS, target, fake)
+    params = inspect.signature(real).parameters
+    flags = [f for f in VERIFY_FLAGS if f[2] in params]
+    argv = ["verify", target] + [x for f in flags for x in f[:2]]
+    cache_path = tmp_path / "kl.txt"
+    if "cache" in params:
+        argv += ["--cache", str(cache_path)]
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    (kwargs,) = calls
+    if "cache" in params:
+        assert kwargs.pop("cache").path == str(cache_path)
+    assert kwargs == {kw: value for _, _, kw, value in flags}
+
+    refused = [f[:2] for f in VERIFY_FLAGS if f[2] not in params]
+    if "cache" not in params:
+        refused.append(("--cache", str(cache_path)))
+    for flag, text in refused:
+        code, _, err = run(capsys, "verify", target, flag, text)
+        assert code == 2
+        assert "does not take %s" % flag in err
+    assert len(calls) == 1
+
+
+def test_readme_examples_run(capsys):
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```\n(.*?)```", readme.read_text(), re.S)
+    lines = [
+        line
+        for block in blocks
+        for line in block.splitlines()
+        if line.startswith("affschur ")
+    ]
+    assert len(lines) >= 6
+    for line in lines:
+        code, out, err = run(capsys, *shlex.split(line)[1:])
+        assert code == 0, (line, err)
+        json.loads(out)

@@ -5,7 +5,6 @@ import pytest
 from affschur.affmat import AffMatrix, dim_vector, theta_plus_by_dim
 from affschur.hall import (
     GF,
-    SegmentRep,
     euler,
     hall_count,
     hall_mult_utilde,
@@ -41,13 +40,6 @@ def test_gf_field_axioms_small():
             for b in range(q):
                 assert f.add[a][b] == f.add[b][a]
                 assert f.mul[a][b] == f.mul[b][a]
-
-
-def test_segment_rep_round_trip():
-    rep = SegmentRep.from_matrix(M13)
-    assert rep.matrix() == M13
-    assert rep.dim_vector() == (1, 1)
-    assert rep.total_dim() == 2
 
 
 def test_hall_count_socle():

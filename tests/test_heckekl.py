@@ -1,3 +1,6 @@
+import os
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from affschur.affweyl import (
@@ -146,6 +149,54 @@ def test_cache_round_trip(tmp_path):
     reloaded = KLCache(str(path))
     assert reloaded.p_table
     assert reloaded.p_table == cache.p_table
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ("2|1,2|2,1", "4 '|'-separated fields"),
+        ("3|1,2|2,1|1", "differ from r = 3"),
+        ("2|1,2|2,x|1", "invalid literal"),
+        ("2|1,2|2,1|1,1", "degree bound"),
+    ],
+)
+def test_cache_load_rejects_bad_records(tmp_path, record, message):
+    path = tmp_path / "kl.txt"
+    path.write_text("2|1,2|1,2|1\n\n" + record + "\n")
+    with pytest.raises(ValueError, match="line 3: .*" + message):
+        KLCache(str(path))
+
+
+def test_cache_save_is_atomic(tmp_path):
+    path = tmp_path / "kl.txt"
+    cache = KLCache(str(path))
+    kl_poly(identity(3), simple(3, 1) * simple(3, 2), cache)
+    cache.save()
+    saved = path.read_text()
+
+    class Unwritable:
+        @property
+        def coeffs(self):
+            raise OSError("disk full")
+
+    # sorts before every real record: a save in place would have
+    # truncated the file when this record fails
+    cache.p_table[(1, (1,), (1,))] = Unwritable()
+    with pytest.raises(OSError):
+        cache.save()
+    assert path.read_text() == saved
+    assert os.listdir(tmp_path) == ["kl.txt"]
+
+
+def test_add_scaled_accumulates_in_place():
+    s1 = simple(2, 1)
+    h = T(s1) + T(identity(2))
+    other = T(s1)
+    assert h.add_scaled(other, lp({0: -1})) is h
+    assert h == T(identity(2))
+    assert other == T(s1)
+    assert h.add_scaled(T(identity(2)), -1).is_zero()
+    assert h != HeckeElt.zero(3)
 
 
 def test_kl_degree_bound_and_constant_term():

@@ -12,11 +12,9 @@ from affschur.transfer import (
     iota,
     strip_E,
     tilde,
-    tilde_comp,
     verify_thm48,
     verify_thm48_part2,
 )
-from affschur.affweyl import Composition
 
 A_CROSS = AffMatrix(2, {(1, 2): 1, (2, 1): 1})
 S1 = AffMatrix(2, {(1, 2): 1})
@@ -60,10 +58,6 @@ def test_tilde_requires_larger_rank():
 def test_tilde_image_is_aperiodic():
     for a in enumerate_theta_band(2, 2, band=1):
         assert tilde(a, 3).is_aperiodic()
-
-
-def test_tilde_comp():
-    assert tilde_comp(Composition((1, 1)), 3).parts == (1, 1, 0)
 
 
 def test_iota_preserves_theta():
