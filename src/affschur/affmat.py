@@ -89,18 +89,10 @@ class AffMatrix:
     def __add__(self, other):
         if self.n != other.n:
             raise ValueError("mismatched n")
-        e = dict(self._e)
-        for k, a in other._e.items():
-            e[k] = e.get(k, 0) + a
-        return AffMatrix(self.n, e)
+        return AffMatrix(self.n, [*self._e.items(), *other._e.items()])
 
     def __sub__(self, other):
-        if self.n != other.n:
-            raise ValueError("mismatched n")
-        e = dict(self._e)
-        for k, a in other._e.items():
-            e[k] = e.get(k, 0) - a
-        return AffMatrix(self.n, e)
+        return self + other.scale(-1)
 
     def scale(self, m):
         return AffMatrix(self.n, {k: m * a for k, a in self._e.items()})

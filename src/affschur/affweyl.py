@@ -10,6 +10,7 @@ and double-coset calculus, and the bijection with periodic matrices.
 from __future__ import annotations
 
 import itertools
+import math
 
 from .affmat import AffMatrix
 
@@ -233,19 +234,9 @@ class Composition:
         start = k * r + sum(self.parts[: i - 1])
         return list(range(start + 1, start + self.parts[i - 1] + 1))
 
-    def block_of(self, x):
-        """The index m with x in R^lambda_m."""
-        r = self.sigma()
-        if r == 0:
-            raise ValueError("empty composition has no blocks")
-        k = (x - 1) // r
-        x0 = x - k * r
-        run = 0
-        for i, p in enumerate(self.parts, start=1):
-            run += p
-            if x0 <= run:
-                return i + k * self.n
-        raise AssertionError
+    def block_indices(self):
+        """The index i of the block R^lambda_i holding each of 1..r."""
+        return [i for i, p in enumerate(self.parts, start=1) for _ in range(p)]
 
     def young_generators(self):
         """Indices i with s_i in the Young subgroup (block interiors)."""
@@ -300,10 +291,6 @@ def is_right_minimal(w, mu):
     return not any(w.right_descent(i) for i in mu.young_generators())
 
 
-def is_distinguished(lam, w, mu):
-    return is_left_minimal(w, lam) and is_right_minimal(w, mu)
-
-
 _double_coset_memo = {}
 
 
@@ -332,23 +319,42 @@ def double_coset(lam, w, mu):
     return res
 
 
-def jdelta(lam, d, mu):
-    """The matrix A = (|R^lambda_k  intersect  d R^mu_l|) in Theta(n, r)."""
+def coset_size(a_mat):
+    """|S_lambda d S_mu| for (lambda, d, mu) = J_Delta^-1(A): the product
+    of ro(A)_i! and co(A)_j! over the product of a_ij! in one period."""
+    size = math.prod(map(math.factorial, a_mat.ro() + a_mat.co()))
+    return size // math.prod(math.factorial(a) for _, a in a_mat.entries())
+
+
+def coset_longest(lam, w, mu):
+    """The longest element of S_lambda w S_mu: climb along left
+    lambda-ascents and right mu-ascents until there are none, which
+    happens only at the unique maximal element."""
+    r = w.r
+    left, right = lam.young_generators(), mu.young_generators()
+    while True:
+        up = [simple(r, i) * w for i in left if not w.left_descent(i)]
+        up += [w * simple(r, j) for j in right if not w.right_descent(j)]
+        if not up:
+            return w
+        w = up[0]
+
+
+def jdelta(lam, w, mu):
+    """The matrix A = (|R^lambda_k  intersect  w R^mu_l|) in Theta(n, r),
+    one and the same for every w in the double coset S_lambda w S_mu."""
     r = lam.sigma()
     if mu.sigma() != r:
         raise ValueError("sigma(lambda) != sigma(mu)")
-    if not is_distinguished(lam, d, mu):
-        raise ValueError("d is not a minimal double-coset representative")
     n = lam.n
-    entries = {}
-    for l in range(1, n + 1):
-        for a in mu.block(l):
-            x = d.apply(a)
-            k = lam.block_of(x)
-            # normalize row to 1..n, shifting the column index with it
-            s = (k - 1) // n
-            key = (k - s * n, l - s * n)
-            entries[key] = entries.get(key, 0) + 1
+    row, col = lam.block_indices(), mu.block_indices()
+    # a = 1..r lies in R^mu_l with l = col[a - 1], and x = w(a) lies in
+    # R^lambda_k with k = row[(x - 1) mod r] + n * floor((x - 1) / r); the
+    # constructor moves each (k, l) into rows 1..n and adds up the repeats
+    entries = [
+        ((row[(x - 1) % r] + (x - 1) // r * n, l), 1)
+        for x, l in zip(w.window, col)
+    ]
     return AffMatrix(n, entries)
 
 
@@ -405,7 +411,8 @@ def jdelta_inv(a_mat):
             raise AssertionError("periodic strip too narrow in jdelta_inv")
         window.append(images[j])
     d = AffPerm(window)
-    if not is_distinguished(lam, d, mu) or jdelta(lam, d, mu) != a_mat:
+    minimal = is_left_minimal(d, lam) and is_right_minimal(d, mu)
+    if not minimal or jdelta(lam, d, mu) != a_mat:
         raise AssertionError("monotone filling failed round-trip for %r" % a_mat)
     res = (lam, d, mu)
     _jdelta_inv_memo[a_mat] = res
@@ -425,10 +432,3 @@ def enumerate_wr(r, max_length):
                     layer.add(ws)
         by_len.append(layer)
     return by_len
-
-
-def clear_caches():
-    _bruhat_memo.clear()
-    _double_coset_memo.clear()
-    _jdelta_inv_memo.clear()
-    _reduced_word_memo.clear()

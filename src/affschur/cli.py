@@ -16,7 +16,7 @@ import os
 import sys
 
 from .affmat import AffMatrix
-from .affweyl import AffPerm, jdelta_inv, double_coset
+from .affweyl import AffPerm, Composition
 from .heckekl import KLCache, kl_poly, default_cache
 from .schur import SchurElt, theta, mult
 from . import transfer
@@ -28,13 +28,13 @@ class InputError(ValueError):
     """Malformed or out-of-range command input."""
 
 
-def _load_matrix(spec, n):
-    """A matrix argument: inline JSON or a path to a JSON file."""
-    if spec is None:
-        raise InputError("missing matrix argument")
+def _load_matrix(args, name):
+    """The matrix argument --name: inline JSON or a path to a JSON file."""
+    _require(args, name)
+    spec, n, flag = getattr(args, name), args.n, "--" + name
     text = spec
     if not spec.lstrip().startswith("{"):
-        if not os.path.exists(spec):
+        if not os.path.isfile(spec):
             raise InputError("matrix file not found: %s" % spec)
         with open(spec) as fh:
             text = fh.read()
@@ -42,9 +42,18 @@ def _load_matrix(spec, n):
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError("matrix is not valid JSON: %s" % exc)
-    if "entries" not in data:
-        raise InputError("matrix JSON must have an 'entries' field")
+    data = data if isinstance(data, dict) else {}
     data.setdefault("n", n)
+    entries = data.get("entries")
+    if not (
+        type(data["n"]) is int
+        and data["n"] >= 1
+        and isinstance(entries, list)
+        and all(isinstance(e, list) and len(e) == 3 for e in entries)
+        and all(type(x) is int for e in entries for x in e)
+    ):
+        fmt = '{"n": n >= 1, "entries": [[i, j, a], ...]} with integer i, j, a'
+        raise InputError("%s must be %s" % (flag, fmt))
     if data["n"] != n and n is not None:
         raise InputError("matrix n=%d does not match --n %d" % (data["n"], n))
     mat = AffMatrix.from_json(data)
@@ -66,16 +75,16 @@ def _check_rank(n=None, r=None):
         raise InputError("r must be >= 2")
 
 
-def _check_length_cap(a_mat, cap):
-    if cap is None:
-        return
-    lam, d, mu = jdelta_inv(a_mat)
-    _, d_plus, _ = double_coset(lam, d, mu)
-    if d_plus.length() > cap:
-        raise InputError(
-            "longest double-coset element has length %d, above --cap-length %d"
-            % (d_plus.length(), cap)
-        )
+def _check_length_cap(cap, *mats):
+    """Refuse a matrix whose longest double-coset element y_A+ is longer
+    than cap, by Lemma 3.7: l(y_A+) = d_A + l(w_{0,co(A)})."""
+    for a_mat in mats:
+        length = a_mat.d_exponent() + Composition(a_mat.co()).longest_length()
+        if length > cap:
+            raise InputError(
+                "longest double-coset element has length %d, above "
+                "--cap-length %d" % (length, cap)
+            )
 
 
 def _schur_terms_json(x):
@@ -97,6 +106,9 @@ def cmd_kl(args, cache):
     w = _parse_window(args.w)
     if y.r != args.r or w.r != args.r:
         raise InputError("window length must equal r")
+    if w.length() > args.cap_length:
+        msg = "w has length %d, above --cap-length %d"
+        raise InputError(msg % (w.length(), args.cap_length))
     p = kl_poly(y, w, cache)
     return {
         "command": "kl",
@@ -108,12 +120,21 @@ def cmd_kl(args, cache):
     }
 
 
-def cmd_theta(args, cache):
+def _level_matrices(args, *names):
+    """The matrix arguments of a fixed-level command: each in Theta(n, r)
+    and within --cap-length."""
+    _require(args, "r")
     _check_rank(args.n, args.r)
-    a_mat = _load_matrix(args.a, args.n)
-    if a_mat.sigma() != args.r:
-        raise InputError("sigma(A) = %d != r = %d" % (a_mat.sigma(), args.r))
-    _check_length_cap(a_mat, args.cap_length)
+    mats = [_load_matrix(args, name) for name in names]
+    for m in mats:
+        if m.sigma() != args.r:
+            raise InputError("matrix sigma %d != r %d" % (m.sigma(), args.r))
+    _check_length_cap(args.cap_length, *mats)
+    return mats
+
+
+def cmd_theta(args, cache):
+    (a_mat,) = _level_matrices(args, "a")
     th = theta(a_mat, args.r, cache)
     return {
         "command": "theta",
@@ -126,13 +147,7 @@ def cmd_theta(args, cache):
 
 
 def cmd_mult(args, cache):
-    _check_rank(args.n, args.r)
-    a_mat = _load_matrix(args.a, args.n)
-    b_mat = _load_matrix(args.b, args.n)
-    for m in (a_mat, b_mat):
-        if m.sigma() != args.r:
-            raise InputError("matrix sigma %d != r %d" % (m.sigma(), args.r))
-        _check_length_cap(m, args.cap_length)
+    a_mat, b_mat = _level_matrices(args, "a", "b")
     if args.basis == "theta":
         x = mult(theta(a_mat, args.r, cache), theta(b_mat, args.r, cache))
     else:
@@ -152,13 +167,7 @@ def cmd_mult(args, cache):
 
 
 def cmd_g_table(args, cache):
-    _check_rank(args.n, args.r)
-    a_mat = _load_matrix(args.a, args.n)
-    b_mat = _load_matrix(args.b, args.n)
-    for m in (a_mat, b_mat):
-        if m.sigma() != args.r:
-            raise InputError("matrix sigma %d != r %d" % (m.sigma(), args.r))
-        _check_length_cap(m, args.cap_length)
+    a_mat, b_mat = _level_matrices(args, "a", "b")
     return {
         "command": "g-table",
         "violations": [],
@@ -168,10 +177,11 @@ def cmd_g_table(args, cache):
 
 def cmd_f_table(args, cache):
     _check_rank(args.n)
-    a_mat = _load_matrix(args.a, args.n)
-    b_mat = _load_matrix(args.b, args.n)
+    a_mat = _load_matrix(args, "a")
+    b_mat = _load_matrix(args, "b")
     if not (a_mat.is_upper() and b_mat.is_upper()):
         raise InputError("f-table inputs must be strictly upper matrices")
+    _check_length_cap(args.cap_length, a_mat, b_mat)
     return {
         "command": "f-table",
         "violations": [],
@@ -181,17 +191,18 @@ def cmd_f_table(args, cache):
 
 def cmd_h_table(args, cache):
     _check_rank(args.n)
-    a_mat = _load_matrix(args.a, args.n)
-    b_mat = _load_matrix(args.b, args.n)
+    a_mat = _load_matrix(args, "a")
+    b_mat = _load_matrix(args, "b")
+    _check_length_cap(args.cap_length, a_mat, b_mat)
     table = transfer.h_constants(a_mat, b_mat)
     return {"command": "h-table", "violations": [], **table.to_json()}
 
 
 def cmd_hall(args, cache):
     _check_rank(args.n)
-    a_mat = _load_matrix(args.a, args.n)
-    b_mat = _load_matrix(args.b, args.n)
-    c_mat = _load_matrix(args.c, args.n)
+    a_mat = _load_matrix(args, "a")
+    b_mat = _load_matrix(args, "b")
+    c_mat = _load_matrix(args, "c")
     for m in (a_mat, b_mat, c_mat):
         if not m.is_upper():
             raise InputError("hall inputs must be strictly upper matrices")
@@ -216,6 +227,7 @@ _VERIFY_KWARGS = {
     "k": "ks",
     "samples": "samples",
     "cap_dim": "cap_dim",
+    "cap_length": "cap_length",
     "cache": "cache",
 }
 
@@ -279,7 +291,9 @@ def build_parser():
             "--cap-length",
             type=int,
             default=40,
-            help="refuse double-coset computations beyond this length",
+            help="refuse a matrix argument whose longest double-coset "
+            "element, or a kl window w, is longer than this (not used by "
+            "hall or verify)",
         )
         p.add_argument(
             "--cap-dim",
@@ -325,8 +339,9 @@ def build_parser():
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("target", help="|".join(sorted(DRIVERS)))
     common(p)
-    # unset unless given, so the driver's own default applies
-    p.set_defaults(cap_dim=None)
+    # unset unless given, so the driver's own default applies and a cap
+    # the driver does not take is refused
+    p.set_defaults(cap_dim=None, cap_length=None)
     return parser
 
 

@@ -138,7 +138,7 @@ def t_bar(h):
 
 
 class KLCache:
-    """Shared cache of C'-expansions and Kazhdan-Lusztig polynomials.
+    """Shared cache of C'-expansions, KL polynomials and theta elements.
 
     The P-table persists to disk as one record per line:
     r|window(y)|window(w)|coeffs(P), coefficients in decimal from degree
@@ -149,6 +149,7 @@ class KLCache:
         self.path = path
         self.cprime_table = {}  # (r, window) -> HeckeElt
         self.p_table = {}  # (r, y.window, w.window) -> IntPoly
+        self.theta_table = {}  # AffMatrix -> SchurElt, filled by schur.theta
         if path and os.path.exists(path):
             self.load(path)
 
@@ -320,18 +321,6 @@ def x_lambda(lam, r=None):
 
 
 def double_coset_sum(lam, d, mu):
-    """T_{S_lambda d S_mu} = sum of T_w over the double coset of d.
-
-    d must be the minimal double-coset representative.
-    """
-    if not affweyl.is_distinguished(lam, d, mu):
-        raise ValueError("d is not a minimal double-coset representative")
+    """T_{S_lambda d S_mu} = sum of T_w over the double coset of d."""
     _, _, elems = affweyl.double_coset(lam, d, mu)
     return HeckeElt(d.r, {w: LP_ONE for w in elems})
-
-
-def clear_caches():
-    _t_inverse_memo.clear()
-    _simple_step_memo.clear()
-    _default_cache.cprime_table.clear()
-    _default_cache.p_table.clear()

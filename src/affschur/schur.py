@@ -14,12 +14,15 @@ from .laurent import Combination, LaurentPoly, LP_ONE, accumulate
 from .affmat import AffMatrix, sqsubseteq, compositions
 from .affweyl import (
     double_coset,
+    coset_longest,
+    coset_size,
     jdelta,
     jdelta_inv,
     is_left_minimal,
     bruhat_leq,
 )
-from .heckekl import HeckeElt, t_mul, t_bar, x_lambda, double_coset_sum, cprime
+from .heckekl import HeckeElt, t_mul, t_bar, x_lambda, double_coset_sum
+from .heckekl import cprime, default_cache
 
 
 class SchurElt(Combination):
@@ -99,21 +102,19 @@ def _decompose_invariant(h, lam, nu):
     """Write a (left-S_lambda, right-S_nu)-invariant element as a sum of
     double-coset sums; returns {matrix: coefficient} over e_A'' = T-coset sums.
 
-    Coefficients are checked to be constant on each double coset.
+    Terms are grouped by the J_Delta matrix of their coset; each group
+    must carry one coefficient on all coset_size(A'') elements.
     """
+    groups = {}
+    for w, c in h.terms.items():
+        groups.setdefault(jdelta(lam, w, nu), []).append(c)
     out = {}
-    remaining = dict(h.terms)
-    while remaining:
-        w = next(iter(remaining))
-        d_min, _, elems = double_coset(lam, w, nu)
-        c = remaining[w]
-        for x in elems:
-            cx = remaining.pop(x, None)
-            if cx is None or cx != c:
-                raise AssertionError(
-                    "coefficient not constant on double coset of %r" % w
-                )
-        out[jdelta(lam, d_min, nu)] = c
+    for a_mat, cs in groups.items():
+        if len(cs) != coset_size(a_mat) or any(c != cs[0] for c in cs):
+            raise AssertionError(
+                "coefficient not constant on the double coset of %r" % a_mat
+            )
+        out[a_mat] = cs[0]
     return out
 
 
@@ -162,41 +163,35 @@ def mult(x, y):
     return out
 
 
-_theta_memo = {}
-
-
 def theta(a_mat, r=None, cache=None):
-    """The canonical basis element theta_{A,r}.
+    """The canonical basis element theta_{A,r}, kept in cache.theta_table.
 
     Reads the C'-expansion of the longest double-coset element d+: the
     T-support of C'_{d+} is a union of (S_lambda, S_mu) double cosets,
     and the coefficient at the longest element y+ of each gives the
-    bracket coefficient v^{l(y+) - l(d+)} P_{y+, d+}.
+    bracket coefficient v^{l(y+) - l(d+)} P_{y+, d+}.  The y+ are the
+    support elements with every lambda- and mu-generator a descent.
     """
     r = a_mat.sigma() if r is None else r
     if a_mat.sigma() != r:
         raise ValueError("sigma(A) != r")
-    res = _theta_memo.get(a_mat)
+    cache = cache or default_cache()
+    res = cache.theta_table.get(a_mat)
     if res is not None:
         return res
     lam, d, mu = jdelta_inv(a_mat)
-    _, d_plus, _ = double_coset(lam, d, mu)
-    c = cprime(d_plus, cache)
-    l_dp = d_plus.length()
-    terms = {}
-    visited = set()
-    for w in c.terms:
-        if w in visited:
-            continue
-        y_min, y_plus, elems = double_coset(lam, w, mu)
-        visited |= elems
-        coeff = c.coeff(y_plus).shift(y_plus.length())
-        if coeff:
-            terms[jdelta(lam, y_min, mu)] = coeff
+    c = cprime(coset_longest(lam, d, mu), cache)
+    left, right = lam.young_generators(), mu.young_generators()
+    terms = {
+        jdelta(lam, y, mu): coeff.shift(y.length())
+        for y, coeff in c.terms.items()
+        if all(y.left_descent(i) for i in left)
+        and all(y.right_descent(j) for j in right)
+    }
     res = SchurElt(a_mat.n, r, terms)
     if res.coeff(a_mat) != LP_ONE:
         raise AssertionError("theta leading coefficient not 1 for %r" % a_mat)
-    _theta_memo[a_mat] = res
+    cache.theta_table[a_mat] = res
     return res
 
 
@@ -334,5 +329,5 @@ def is_triangular(th, a_mat):
 def clear_caches():
     _coset_factor_memo.clear()
     _e_mult_memo.clear()
-    _theta_memo.clear()
     _bar_basis_memo.clear()
+    default_cache().theta_table.clear()

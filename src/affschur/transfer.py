@@ -151,6 +151,8 @@ def _f_from_lambda(a_mat, b_mat, lam, extract):
 # rechecking a group means one more g-table at a level one higher; past
 # this level the KL recursion dominates everything else in a run
 _F_RECHECK_LEVEL_CAP = 6
+_K0_SCAN_LIMIT = 12  # find_k0 tries k = -1, ..., -_K0_SCAN_LIMIT
+_H_MAX_TRIES = 3  # levels h_constants tries before giving up
 
 _f_memo = {}
 
@@ -240,10 +242,6 @@ def f_constants(a_mat, b_mat, keys=None, check=True, cover=False):
     return result
 
 
-def clear_caches():
-    _f_memo.clear()
-
-
 def g_table(a_mat, b_mat, r):
     return StructTable("g", a_mat, b_mat, r, g_constants(a_mat, b_mat, r))
 
@@ -261,11 +259,11 @@ def verify_thm48(a_mat, b_mat, r, k, big_n):
     return g_big == expected
 
 
-def find_k0(a_mat, b_mat, r, limit=12):
+def find_k0(a_mat, b_mat, r):
     """The largest k <= -1 making the shifted triple strictly upper:
     eta_k(A), eta_k(B) and eta_{2k}(X) for every X in the g-support."""
     support = list(g_constants(a_mat, b_mat, r))
-    for k in range(-1, -limit - 1, -1):
+    for k in range(-1, -_K0_SCAN_LIMIT - 1, -1):
         if not (eta(a_mat, k).is_upper() and eta(b_mat, k).is_upper()):
             continue
         if all(eta(x_mat, 2 * k).is_upper() for x_mat in support):
@@ -273,12 +271,11 @@ def find_k0(a_mat, b_mat, r, limit=12):
     raise AssertionError("no admissible k found within the scan limit")
 
 
-def verify_thm48_part2(a_mat, b_mat, r, big_n, check=True):
+def verify_thm48_part2(a_mat, b_mat, r, big_n):
     """g_{A,B,C,r} = f of the eta_k-shifted, tilde-embedded triple.
 
     Only the support keys of the g-table are pushed through the
-    f-extraction; with check=True each is recomputed at a strictly
-    larger padding weight.
+    f-extraction, at one padding weight each.
     """
     g_small = g_constants(a_mat, b_mat, r)
     if not g_small:
@@ -291,7 +288,7 @@ def verify_thm48_part2(a_mat, b_mat, r, big_n, check=True):
         tilde(eta(a_mat, k), big_n),
         tilde(eta(b_mat, k), big_n),
         keys=list(expected),
-        check=check,
+        check=False,
     ).table
     return f_tab == expected
 
@@ -304,7 +301,7 @@ def strip_E(c_mat):
     return c_mat - AffMatrix.identity_e(c_mat.n).scale(m), m
 
 
-def h_constants(a_mat, b_mat, max_tries=3):
+def h_constants(a_mat, b_mat):
     """Structure constants of b_A b_B in the modified algebra.
 
     Both inputs must be aperiodic with minimal diagonal zero.  The
@@ -323,7 +320,7 @@ def h_constants(a_mat, b_mat, max_tries=3):
     r0 = max(a_mat.sigma(), b_mat.sigma(), 2)
     if (r0 - a_mat.sigma()) % n:
         r0 += n - (r0 - a_mat.sigma()) % n
-    for _ in range(max_tries):
+    for _ in range(_H_MAX_TRIES):
         t1 = _h_at_level(a_mat, b_mat, r0)
         t2 = _h_at_level(a_mat, b_mat, r0 + n)
         if t1 is not None and t1 == t2:

@@ -7,6 +7,8 @@ from affschur.affweyl import (
     AffPerm,
     Composition,
     bruhat_leq,
+    coset_longest,
+    coset_size,
     double_coset,
     identity,
     jdelta,
@@ -111,6 +113,18 @@ def test_jdelta_bijective_on_band():
             key = (triple[0].parts, triple[1], triple[2].parts)
             assert key not in seen
             seen[key] = a
+
+
+def test_coset_calculus_matches_enumeration_on_band():
+    # the closed forms against the enumerated coset: its size, its
+    # longest element, and J_Delta read off at every one of its elements
+    for n, r in itertools.product((2, 3), (2, 3, 4)):
+        for a in enumerate_theta_band(n, r, band=1):
+            lam, d, mu = jdelta_inv(a)
+            _, d_plus, elems = double_coset(lam, d, mu)
+            assert coset_size(a) == len(elems)
+            assert coset_longest(lam, d, mu) == d_plus
+            assert all(jdelta(lam, w, mu) == a for w in elems)
 
 
 @given(affperms())

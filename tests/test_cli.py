@@ -4,6 +4,7 @@ import json
 import pathlib
 import re
 import shlex
+import sys
 
 import pytest
 
@@ -61,6 +62,12 @@ def test_theta_sigma_mismatch(capsys):
     code, _, err = run(capsys, "theta", "--n", "2", "--r", "3", "--a", CROSS)
     assert code == 2
     assert "sigma" in err
+
+
+def test_theta_requires_r(capsys):
+    code, _, err = run(capsys, "theta", "--n", "2", "--a", CROSS)
+    assert code == 2
+    assert "--r is required" in err
 
 
 def test_theta_rejects_small_rank(capsys):
@@ -210,12 +217,73 @@ def test_missing_matrix_file(capsys):
     assert "not found" in err
 
 
+def test_matrix_path_to_a_directory(tmp_path, capsys):
+    code, _, err = run(capsys, "theta", "--n", "2", "--r", "2", "--a", str(tmp_path))
+    assert code == 2
+    assert "not found" in err
+
+
 def test_library_value_error_exits_2(capsys):
-    bad = '{"entries": [[1, 2]]}'  # an entry without its value
+    # h_constants, not the CLI, refuses a matrix with an E-multiple
+    code, out, err = run(capsys, "h-table", "--n", "2", "--a", DIAG, "--b", DIAG)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "E-multiple" in err
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        '{"entries": [[1, 2]]}',  # an entry without its value
+        '{"n": 0, "entries": []}',
+        '{"n": 2, "entries": [[1, 2, "1"]]}',
+        '{"n": 2, "entries": {"1": 2}}',
+    ],
+)
+def test_malformed_matrix_names_flag_and_format(capsys, bad):
     code, out, err = run(capsys, "theta", "--n", "2", "--r", "2", "--a", bad)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+    assert "--a" in err and "[i, j, a]" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kl", "--r", "2", "--y", "1,2", "--w", "2,1"],
+        ["theta", "--n", "2", "--r", "2", "--a", CROSS],
+        ["mult", "--n", "2", "--r", "2", "--a", DIAG, "--b", CROSS],
+        ["g-table", "--n", "2", "--r", "2", "--a", CROSS, "--b", DIAG],
+        ["f-table", "--n", "2", "--a", '{"n": 2, "entries": [[1, 2, 2]]}',
+         "--b", SEG],
+        ["h-table", "--n", "2", "--a", CROSS, "--b", CROSS],
+    ],
+)
+def test_cap_length_applies_to_every_command(capsys, argv):
+    code, out, err = run(capsys, *argv, "--cap-length", "0")
+    assert code == 2
+    assert out == ""
+    assert "above --cap-length 0" in err
+
+
+def test_cap_length_refuses_without_enumerating(capsys, monkeypatch):
+    # y_A+ of diag(7, 0) has length 21; building its coset of 7! * 7!
+    # products first takes minutes
+    def enumerate_coset(*args):
+        raise RuntimeError("double coset enumerated")
+
+    # every module binding of the name, not only the defining one
+    for mod in list(sys.modules.values()):
+        name = getattr(mod, "__name__", "")
+        if name.startswith("affschur") and hasattr(mod, "double_coset"):
+            monkeypatch.setattr(mod, "double_coset", enumerate_coset)
+    a = '{"n": 2, "entries": [[1, 1, 7]]}'
+    code, _, err = run(
+        capsys, "theta", "--n", "2", "--r", "7", "--a", a, "--cap-length", "1"
+    )
+    assert code == 2
+    assert "length 21, above --cap-length 1" in err
 
 
 @pytest.mark.parametrize(
@@ -246,6 +314,7 @@ VERIFY_FLAGS = [
     ("--k", "2", "ks", (2,)),
     ("--samples", "5", "samples", 5),
     ("--cap-dim", "7", "cap_dim", 7),
+    ("--cap-length", "5", "cap_length", 5),
 ]
 
 

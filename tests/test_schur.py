@@ -1,6 +1,11 @@
 import random
 
+import pytest
+
+from affschur import schur
 from affschur.affmat import AffMatrix, enumerate_theta_band
+from affschur.affweyl import jdelta_inv
+from affschur.heckekl import KLCache, double_coset_sum
 from affschur.laurent import LP_ONE, LaurentPoly
 from affschur.schur import (
     SchurElt,
@@ -57,6 +62,28 @@ def test_theta_worked_value():
     assert th.coeff(A_CROSS) == LP_ONE
     assert th.coeff(DIAG_11) == lp({-1: 1})
     assert len(th.terms) == 2
+
+
+def test_theta_fills_the_cache_it_is_given():
+    c1, c2 = KLCache(), KLCache()
+    th = theta(A_CROSS, 2, c1)
+    assert theta(A_CROSS, 2, c2) == th
+    assert c1.p_table and c2.p_table == c1.p_table
+
+
+def test_decompose_invariant_reads_cosets_without_enumerating(monkeypatch):
+    a = AffMatrix(2, {(1, 1): 1, (1, 2): 1, (2, 1): 1})  # coset of 4 elements
+    lam, d, mu = jdelta_inv(a)
+    h = double_coset_sum(lam, d, mu).scale(lp({1: 1}))
+
+    def enumerate_coset(*args):
+        raise RuntimeError("double coset enumerated")
+
+    monkeypatch.setattr(schur, "double_coset", enumerate_coset)
+    assert schur._decompose_invariant(h, lam, mu) == {a: lp({1: 1})}
+    partial = h._new(dict(list(h.terms.items())[1:]))
+    with pytest.raises(AssertionError, match="not constant"):
+        schur._decompose_invariant(partial, lam, mu)
 
 
 def test_theta_of_diagonal_is_bracket():
