@@ -3,8 +3,9 @@ constant tables, and run the verification suites.
 
 Every command emits one deterministic JSON report (sorted keys, fixed
 enumeration order).  The exit code is 1 when a verification fails and 2
-when an input is rejected or a check inside the library fails, with an
-"error:" line on stderr.
+when an input is rejected, a --cache or --out path cannot be read or
+written, or a check inside the library fails, with an "error:" line on
+stderr.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import inspect
 import json
 import os
+import pathlib
 import sys
 
 from .affmat import AffMatrix
@@ -345,24 +347,36 @@ def build_parser():
     return parser
 
 
+def _file_op(flag, path, action, *args):
+    """action(*args), with an OSError turned into an InputError that
+    names the flag and its path."""
+    try:
+        return action(*args)
+    except OSError as exc:
+        raise InputError("%s %s: %s" % (flag, path, exc.strerror or exc))
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cache = KLCache(args.cache) if args.cache else default_cache()
+        if args.cache:
+            cache = _file_op("--cache", args.cache, KLCache, args.cache)
+        else:
+            cache = default_cache()
         report = COMMANDS[args.command](args, cache)
+        if args.cache:
+            _file_op("--cache", args.cache, cache.save)
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        if args.out:
+            _file_op("--out", args.out, pathlib.Path(args.out).write_text, text)
+        else:
+            sys.stdout.write(text)
     except (ValueError, AssertionError) as exc:
-        # InputError, a malformed --cache file, or a check inside the library
+        # InputError, an unreadable or malformed --cache file, an
+        # unwritable --cache or --out path, or a check inside the library
         sys.stderr.write("error: %s\n" % exc)
         return 2
-    if args.cache:
-        cache.save()
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
     return 1 if report.get("violations") else 0
 
 

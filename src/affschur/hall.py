@@ -3,9 +3,10 @@
 Nilpotent representations are direct sums of segment modules M^{i,j}
 (top S_i, length j - i), matched with strictly upper periodic matrices
 by a_{i,i+len} = multiplicity.  Hall polynomials are recovered from
-brute-force submodule counts over small finite fields by Lagrange
-interpolation; the zeta comparison replays the same products inside
-the Schur algebra through A(0, r).
+exhaustive submodule counts over small finite fields by Lagrange
+interpolation, once per process and triple; triples that path ranks
+prove zero are not counted.  The zeta comparison replays the same
+products inside the Schur algebra through A(0, r).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 import itertools
 
-from .laurent import poly_interpolate
+from .laurent import IntPoly, poly_interpolate
 from .affmat import dim_vector, theta_plus_by_dim
 from .schur import SchurElt, mult as schur_mult, a_block
 
@@ -247,6 +248,28 @@ def _subspaces(dim, k, field):
             yield rows
 
 
+def _subspaces_containing(rows, dim, k, field):
+    """All k-dimensional subspaces of F_q^dim that contain the span U of
+    rows, each once, as basis row-lists.
+
+    They are U plus the (k - dim U)-dimensional subspaces of V/U, and
+    V/U is identified with the coordinates outside the pivot columns of
+    rref(U).
+    """
+    basis, pivots = _rref(rows, field)
+    if len(basis) > k:
+        return
+    free = [c for c in range(dim) if c not in pivots]
+    for sub in _subspaces(len(free), k - len(basis), field):
+        lifted = []
+        for row in sub:
+            vec = [0] * dim
+            for c, x in zip(free, row):
+                vec[c] = x
+            lifted.append(vec)
+        yield basis + lifted
+
+
 # ---------------------------------------------------------------------------
 # module realization
 
@@ -289,15 +312,15 @@ class ModuleRealization:
             self.arrows.append(mat)
         self.total = sum(self.dims)
 
-    def path_matrices(self, field, max_len=None):
-        """paths[v][l] = matrix of the length-l arrow composite out of v."""
-        max_len = self.total if max_len is None else max_len
+    def path_matrices(self, field):
+        """paths[v][l - 1] = matrix of the length-l arrow composite out of
+        v, for l = 1..total."""
         n = self.n
         paths = []
         for v in range(n):
             chain = []
             cur = None
-            for l in range(1, max_len + 1):
+            for l in range(1, self.total + 1):
                 step = self.arrows[(v + l - 1) % n]
                 cur = (
                     step
@@ -308,17 +331,26 @@ class ModuleRealization:
             paths.append(chain)
         return paths
 
-    def fingerprint(self, field, max_len=None):
-        """(dims, path ranks): a complete isomorphism invariant.
 
-        max_len fixes the number of path lengths inspected so that
-        fingerprints of modules of different sizes stay comparable.
-        """
-        paths = self.path_matrices(field, max_len)
-        ranks = tuple(
-            tuple(_rank(m, field) for m in chain) for chain in paths
-        )
-        return (tuple(self.dims), ranks)
+def _path_ranks(a_mat, max_len):
+    """(dims, ranks) of M(A): ranks[v][l - 1] is the rank of the length-l
+    path map out of vertex v, for l = 1..max_len.
+
+    Together they are a complete isomorphism invariant.  A segment
+    module's path maps send basis slots to basis slots or to zero (0/1
+    partial permutations), so each rank counts the slots at v that lie
+    at least l steps above the socle of their segment, over every field.
+    """
+    n = a_mat.n
+    dims = [0] * n
+    ranks = [[0] * max_len for _ in range(n)]
+    for (i, j), m in a_mat.entries():
+        for t in range(i, j):
+            v = (t - 1) % n
+            dims[v] += m
+            for l in range(1, min(j - 1 - t, max_len) + 1):
+                ranks[v][l - 1] += m
+    return tuple(dims), tuple(tuple(chain) for chain in ranks)
 
 
 class SizeCapError(ValueError):
@@ -340,14 +372,11 @@ def hall_count(c_mat, a_mat, b_mat, q, cap_dim=10):
         )
     n = mod_c.n
     max_len = mod_c.total
-    target_sub = ModuleRealization(b_mat).fingerprint(field, max_len)
-    target_quot = ModuleRealization(a_mat).fingerprint(field, max_len)
+    target_sub = _path_ranks(b_mat, max_len)
+    target_quot = _path_ranks(a_mat, max_len)
     paths = mod_c.path_matrices(field)
     count = 0
-    choices = [list(_subspaces(mod_c.dims[v], db[v], field)) for v in range(n)]
-    for combo in itertools.product(*choices):
-        if not _is_stable(combo, mod_c.arrows, field):
-            continue
+    for combo in _submodules(mod_c, db, field):
         if _sub_fingerprint(combo, paths, db, max_len, n, field) != target_sub:
             continue
         if (
@@ -359,18 +388,33 @@ def hall_count(c_mat, a_mat, b_mat, q, cap_dim=10):
     return count
 
 
-def _is_stable(combo, arrows, field):
-    n = len(combo)
-    for v in range(n):
-        w = (v + 1) % n
-        target_rows, _ = _rref(list(combo[w]), field)
-        tr = len(target_rows)
-        for basis_vec in combo[v]:
-            img = _mat_apply(arrows[v], basis_vec, field)
-            if any(img):
-                if _rank(target_rows + [img], field) > tr:
-                    return False
-    return True
+def _submodules(mod, dvec, field):
+    """Every subrepresentation of mod with dimension vector dvec, once
+    each, as a tuple (S_0, ..., S_{n-1}) of basis row-lists.
+
+    S_0 is free, each S_{v+1} runs over the subspaces of V_{v+1} that
+    contain x_v(S_v), and the wrap x_{n-1}(S_{n-1}) in S_0 is checked
+    last.
+    """
+    n, arrows = mod.n, mod.arrows
+
+    def image(v, basis):
+        return [_mat_apply(arrows[v], b, field) for b in basis]
+
+    def extend(combo):
+        v = len(combo) - 1
+        if v == n - 1:
+            s_0 = combo[0]
+            if _rank(s_0 + image(v, combo[v]), field) == len(s_0):
+                yield tuple(combo)
+            return
+        for s in _subspaces_containing(
+            image(v, combo[v]), mod.dims[v + 1], dvec[v + 1], field
+        ):
+            yield from extend(combo + [s])
+
+    for s_0 in _subspaces(mod.dims[0], dvec[0], field):
+        yield from extend([s_0])
 
 
 def _sub_fingerprint(combo, paths, db, max_len, n, field):
@@ -410,24 +454,64 @@ def _transpose_int(mat, ncols):
 _PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31]
 
 
+def _ranks_forbid(a_mat, b_mat, c_mat, max_len):
+    """True when some path rank of M(C) is below the sum of the same
+    ranks of M(B) and M(A), so that phi^C_{A,B} = 0.
+
+    For an exact sequence 0 -> N -> M -> M/N -> 0 and a path map p, p(N)
+    lies in N, so dim p(M) = dim p(N) + dim p(M)/p(N) >= dim p(N) +
+    dim p(M)/(p(M) & N) = dim p(N) + dim pbar(M/N).  Segment modules have
+    0/1 path maps, so the ranks are the same over every field.  The test
+    is necessary, not sufficient: a triple that passes may still be zero.
+    """
+    ranks_a, ranks_b, ranks_c = (
+        _path_ranks(m, max_len)[1] for m in (a_mat, b_mat, c_mat)
+    )
+    return any(
+        z < x + y
+        for row in zip(ranks_a, ranks_b, ranks_c)
+        for x, y, z in zip(*row)
+    )
+
+
+_hall_poly_memo = {}  # (A, B, C) -> IntPoly, filled by hall_poly
+
+
 def hall_poly(a_mat, b_mat, c_mat, cap_dim=10):
     """The Hall polynomial phi^C_{A,B} in q, by interpolation.
 
     Degree bound: sum_i d(B)_i d(A)_i (the submodule locus sits in a
     product of Grassmannians of that dimension).  Every sampled count
-    must be reproduced by the interpolant.
+    must be reproduced by the interpolant.  Both size caps are checked
+    before the per-process memo is read, so a smaller cap_dim still
+    refuses a triple that is already known.  A triple that
+    _ranks_forbid rules out is zero without counting.
     """
     da, db = dim_vector(a_mat), dim_vector(b_mat)
-    if tuple(x + y for x, y in zip(da, db)) != dim_vector(c_mat):
+    dc = dim_vector(c_mat)
+    if tuple(x + y for x, y in zip(da, db)) != dc:
         raise ValueError("d(C) != d(A) + d(B)")
     bound = sum(x * y for x, y in zip(db, da))
     if bound + 1 > len(_PRIME_POWERS):
         raise SizeCapError("degree bound %d too large to sample" % bound)
-    samples = [
-        (q, hall_count(c_mat, a_mat, b_mat, q, cap_dim=cap_dim))
-        for q in _PRIME_POWERS[: bound + 1]
-    ]
-    return poly_interpolate(samples, bound)
+    total = sum(dc)
+    if total > cap_dim:
+        raise SizeCapError(
+            "total dimension %d exceeds cap %d" % (total, cap_dim)
+        )
+    key = (a_mat, b_mat, c_mat)
+    phi = _hall_poly_memo.get(key)
+    if phi is None:
+        if _ranks_forbid(a_mat, b_mat, c_mat, total):
+            phi = IntPoly(())
+        else:
+            samples = [
+                (q, hall_count(c_mat, a_mat, b_mat, q, cap_dim=cap_dim))
+                for q in _PRIME_POWERS[: bound + 1]
+            ]
+            phi = poly_interpolate(samples, bound)
+        _hall_poly_memo[key] = phi
+    return phi
 
 
 def utilde_exponent(a_mat):

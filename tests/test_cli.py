@@ -199,6 +199,27 @@ def test_out_file_and_cache(tmp_path, capsys):
     assert cache_path.exists()
 
 
+@pytest.mark.parametrize(
+    "flag, make_path",
+    [
+        ("--out", lambda tmp: tmp / "missing" / "report.json"),
+        ("--cache", lambda tmp: tmp / "missing" / "kl.txt"),
+        ("--cache", lambda tmp: tmp),  # a directory: refused at load
+    ],
+    ids=["out-in-missing-dir", "cache-in-missing-dir", "cache-is-a-dir"],
+)
+def test_unusable_out_or_cache_path_exits_2(tmp_path, capsys, flag, make_path):
+    path = make_path(tmp_path)
+    code, out, err = run(
+        capsys, "kl", "--r", "2", "--y", "1,2", "--w", "2,1", flag, str(path)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: %s %s: " % (flag, path))
+    assert err.count("\n") == 1
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
 def test_matrix_from_file(tmp_path, capsys):
     mat_path = tmp_path / "a.json"
     mat_path.write_text(CROSS)

@@ -3,9 +3,13 @@ import itertools
 import pytest
 
 from affschur.affmat import AffMatrix, dim_vector, theta_plus_by_dim
+from affschur import hall
 from affschur.hall import (
     GF,
+    ModuleRealization,
+    SizeCapError,
     euler,
+    gf,
     hall_count,
     hall_mult_utilde,
     hall_poly,
@@ -13,6 +17,7 @@ from affschur.hall import (
     zeta_check,
 )
 from affschur.laurent import LaurentPoly
+from affschur.verify import enumerate_theta_plus
 
 S1 = AffMatrix(2, {(1, 2): 1})
 S2 = AffMatrix(2, {(2, 3): 1})
@@ -143,3 +148,161 @@ def test_zeta_bridge_examples():
     assert zeta_check(S1, S1, 2)
     assert zeta_check(S1, S2, 3)
     assert zeta_check(S1, AffMatrix(2, {}), 2)
+
+
+def zeta_slice():
+    """(A, B, C) for the Theta^+ pairs of verify_zeta (n in {2, 3},
+    entry sum <= 3, segments of length <= 2) with total dimension <= 5,
+    and every C of dimension d(A) + d(B)."""
+    out = []
+    for n in (2, 3):
+        mats = enumerate_theta_plus(n, 3, 2)
+        for a, b in itertools.product(mats, mats):
+            if a.sigma() + b.sigma() > 3:
+                continue
+            d = tuple(x + y for x, y in zip(dim_vector(a), dim_vector(b)))
+            if sum(d) <= 5:
+                out.extend((a, b, c) for c in theta_plus_by_dim(n, d))
+    return out
+
+
+def test_path_ranks_match_path_matrices():
+    mats = {c for _, _, c in zeta_slice()}
+    assert len(mats) > 200
+    for c in mats:
+        mod = ModuleRealization(c)
+        for q in (2, 3):
+            field = gf(q)
+            ranks = tuple(
+                tuple(hall._rank(m, field) for m in chain)
+                for chain in mod.path_matrices(field)
+            )
+            assert hall._path_ranks(c, mod.total) == (tuple(mod.dims), ranks)
+
+
+def test_rank_test_is_sound_but_not_sufficient():
+    pruned = passed_but_zero = 0
+    for a, b, c in zeta_slice():
+        if hall._ranks_forbid(a, b, c, sum(dim_vector(c))):
+            pruned += 1
+            assert hall_count(c, a, b, 2) == 0
+            assert hall_count(c, a, b, 3) == 0
+        elif hall_poly(a, b, c).is_zero():
+            passed_but_zero += 1
+    assert pruned > 1000
+    assert passed_but_zero > 0
+    # the socle of M13 is S2, so S1 is no submodule, yet no rank forbids it
+    assert not hall._ranks_forbid(S2, S1, M13, 2)
+    assert hall_poly(S2, S1, M13).is_zero()
+
+
+def gaussian_binomial(m, k, q):
+    if not 0 <= k <= m:
+        return 0
+    num = den = 1
+    for i in range(k):
+        num *= q ** (m - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_subspaces_containing_counts_gaussian_binomial(q):
+    field = gf(q)
+    spans = [
+        (3, []),
+        (3, [[0, 0, 0]]),
+        (3, [[1, 1, 0]]),
+        (4, [[0, 1, 1, 0], [0, 2 % q, 2 % q, 0]]),  # dependent rows
+        (4, [[1, 0, 1, 1], [0, 1, 0, 1]]),
+        (4, [[0, 0, 1, 1], [1, 0, 0, 1], [1, 0, 1, 0]]),
+    ]
+    for dim, rows in spans:
+        u = hall._rank(rows, field)
+        for k in range(dim + 1):
+            subs = list(hall._subspaces_containing(rows, dim, k, field))
+            assert len(subs) == gaussian_binomial(dim - u, k - u, q)
+            keys = set()
+            for s in subs:
+                assert len(s) == k and hall._rank(s, field) == k
+                assert hall._rank(s + rows, field) == k
+                keys.add(tuple(map(tuple, hall._rref(s, field)[0])))
+            assert len(keys) == len(subs)
+
+
+def brute_force_count(c, a, b, q):
+    """Submodules of type B with quotient of type A, over every tuple of
+    subspaces with dimension vector d(B)."""
+    field = gf(q)
+    mod = ModuleRealization(c)
+    n, total = mod.n, mod.total
+    db, da = dim_vector(b), dim_vector(a)
+    grass = [list(hall._subspaces(mod.dims[v], db[v], field)) for v in range(n)]
+
+    def stable(combo):
+        for v in range(n):
+            target = combo[(v + 1) % n]
+            for vec in combo[v]:
+                img = hall._mat_apply(mod.arrows[v], vec, field)
+                if hall._rank(target + [img], field) > len(target):
+                    return False
+        return True
+
+    def ranks(m):
+        # a path longer than the total dimension of M(m) maps to zero
+        paths = ModuleRealization(m).path_matrices(field)
+        return tuple(
+            tuple(hall._rank(p, field) for p in ch) + (0,) * (total - len(ch))
+            for ch in paths
+        )
+
+    paths = mod.path_matrices(field)
+    count = 0
+    for combo in itertools.product(*grass):
+        if not stable(combo):
+            continue
+        sub = hall._sub_fingerprint(combo, paths, db, total, n, field)
+        quot = hall._quot_fingerprint(combo, paths, da, total, n, mod.dims, field)
+        count += sub == (db, ranks(b)) and quot == (da, ranks(a))
+    return count
+
+
+def test_hall_count_matches_brute_force():
+    small = [t for t in zeta_slice() if sum(dim_vector(t[2])) <= 4]
+    assert len(small) > 1000
+    nonzero = 0
+    for a, b, c in small:
+        count = hall_count(c, a, b, 2)
+        assert count == brute_force_count(c, a, b, 2), (a, b, c)
+        nonzero += count > 0
+    assert nonzero > 100
+
+
+DOUBLE = AffMatrix(2, {(1, 2): 2})
+SEMISIMPLE = AffMatrix(2, {(1, 2): 1, (2, 3): 1})
+
+
+def test_hall_poly_cap_refuses_a_memoized_triple():
+    assert hall_poly(S1, S1, DOUBLE).coeffs == (1, 1)
+    with pytest.raises(SizeCapError):
+        hall_poly(S1, S1, DOUBLE, cap_dim=1)
+
+
+def test_hall_poly_cap_refuses_a_pruned_triple():
+    # M13 has a path rank 1 that the semisimple module lacks
+    zero = AffMatrix(2, {})
+    assert hall._ranks_forbid(M13, zero, SEMISIMPLE, 2)
+    assert hall_poly(M13, zero, SEMISIMPLE).is_zero()
+    with pytest.raises(SizeCapError):
+        hall_poly(M13, zero, SEMISIMPLE, cap_dim=1)
+
+
+def test_hall_poly_counts_once(monkeypatch):
+    monkeypatch.setattr(hall, "_hall_poly_memo", {})
+    first = hall_poly(S1, S1, DOUBLE)
+
+    def count_again(*args, **kwargs):
+        raise AssertionError("hall_count called for a memoized triple")
+
+    monkeypatch.setattr(hall, "hall_count", count_again)
+    assert hall_poly(S1, S1, DOUBLE) == first
