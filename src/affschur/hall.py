@@ -5,13 +5,13 @@ Nilpotent representations are direct sums of segment modules M^{i,j}
 by a_{i,i+len} = multiplicity.  Hall polynomials are recovered from
 exhaustive submodule counts over small finite fields by Lagrange
 interpolation, once per process and triple; triples that path ranks
-prove zero are not counted.  The zeta comparison replays the same
+prove zero are not counted.  Module types and dim End M(A) are read
+off the segments.  The zeta comparison replays the same
 products inside the Schur algebra through A(0, r).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 import itertools
 
@@ -64,48 +64,12 @@ def _poly_mul_mod(a, b, modpoly, p):
     return tuple(prod[:k])
 
 
-def _find_irreducible(p, k):
-    """A monic irreducible polynomial of degree k over F_p (brute force)."""
-    if k == 1:
-        return (0, 1)
-    for tail in itertools.product(range(p), repeat=k):
-        poly = tuple(tail) + (1,)
-        # irreducible iff no root-free... test by checking no factor: since
-        # k <= 3 in practice, root-freeness plus (for k even) no quadratic
-        # factor; do a generic trial division instead.
-        if _is_irreducible(poly, p):
-            return poly
-    raise AssertionError("no irreducible polynomial found")
-
-
-def _is_irreducible(poly, p):
-    k = len(poly) - 1
-    # trial division by all monic polynomials of degree 1..k//2
-    for d in range(1, k // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            div = tuple(tail) + (1,)
-            if _poly_divides(div, poly, p):
-                return False
-    return True
-
-
-def _poly_divides(div, poly, p):
-    rem = list(poly)
-    dd = len(div) - 1
-    for i in range(len(rem) - 1, dd - 1, -1):
-        c = rem[i]
-        if c:
-            for t in range(dd + 1):
-                rem[i - dd + t] = (rem[i - dd + t] - c * div[t]) % p
-    return all(x == 0 for x in rem)
-
-
 class GF:
     """The field with q elements, q a prime power.
 
     Elements are integers 0..q-1, read base p as coefficient tuples of
-    polynomials modulo a fixed irreducible.  Addition, multiplication
-    and inverses go through precomputed tables.
+    polynomials modulo a fixed monic irreducible of degree k.  Addition,
+    multiplication and inverses go through precomputed tables.
     """
 
     __slots__ = ("q", "p", "k", "add", "mul", "inv", "neg")
@@ -113,7 +77,6 @@ class GF:
     def __init__(self, q):
         p, k = _factor_prime_power(q)
         self.q, self.p, self.k = q, p, k
-        modpoly = _find_irreducible(p, k)
 
         def decode(x):
             digits = []
@@ -134,19 +97,25 @@ class GF:
             for ea in elems
         ]
         self.neg = [encode(tuple((-a) % p for a in ea)) for ea in elems]
-        self.mul = [
-            [encode(_poly_mul_mod(ea, eb, modpoly, p)) for eb in elems]
-            for ea in elems
-        ]
-        inv = [0] * q
-        for x in range(1, q):
-            for y in range(1, q):
-                if self.mul[x][y] == 1:
-                    inv[x] = y
-                    break
-            else:
-                raise AssertionError("non-invertible nonzero element")
-        self.inv = inv
+        # the first monic modulus of degree k whose table inverts every
+        # nonzero element; a reducible one leaves zero divisors
+        for tail in itertools.product(range(p), repeat=k):
+            modpoly = tail + (1,)
+            mul = [
+                [encode(_poly_mul_mod(ea, eb, modpoly, p)) for eb in elems]
+                for ea in elems
+            ]
+            inv = [0] + [
+                next((y for y in range(1, q) if mul[x][y] == 1), 0)
+                for x in range(1, q)
+            ]
+            if all(inv[1:]):
+                break
+        else:
+            raise AssertionError(
+                "no field modulus of degree %d over F_%d" % (k, p)
+            )
+        self.mul, self.inv = mul, inv
 
 
 @lru_cache(maxsize=None)
@@ -198,30 +167,6 @@ def _mat_apply(mat, vec, field):
         for a, x in zip(row, vec):
             if a and x:
                 acc = add[acc][mul[a][x]]
-        out.append(acc)
-    return out
-
-
-def _mat_mul(a, b, field, ncols=None):
-    """Matrix product over the field (a: m x k rows, b: k x n rows).
-
-    ncols must be supplied when b might have zero rows, since the
-    column count cannot be read off an empty list.
-    """
-    add, mul = field.add, field.mul
-    if not a or not b:
-        if ncols is None:
-            ncols = len(b[0]) if b else 0
-        return [[0] * ncols for _ in a]
-    n = len(b[0])
-    out = []
-    for row in a:
-        acc = [0] * n
-        for aij, brow in zip(row, b):
-            if aij:
-                for t in range(n):
-                    if brow[t]:
-                        acc[t] = add[acc[t]][mul[aij][brow[t]]]
         out.append(acc)
     return out
 
@@ -283,11 +228,10 @@ class ModuleRealization:
     """
 
     def __init__(self, a_mat):
-        if not a_mat.is_upper():
-            raise ValueError("module realization requires Theta^+")
         n = a_mat.n
         self.n = n
-        self.dims = list(dim_vector(a_mat))
+        self.dims = list(dim_vector(a_mat))  # refuses A outside Theta^+
+        self.total = sum(self.dims)
         slots = [[] for _ in range(n)]  # per vertex: (seg id, position t)
         seg_id = 0
         for (i, j), m in a_mat.entries():
@@ -295,12 +239,8 @@ class ModuleRealization:
                 for t in range(i, j):
                     slots[(t - 1) % n].append((seg_id, t))
                 seg_id += 1
-        self.slots = slots
-        index = {}
-        for v in range(n):
-            for idx, key in enumerate(slots[v]):
-                index[key] = idx
-        # arrow[v]: V_{v+1} <- V_{v+1-1}... stored as matrix rows over target
+        index = {key: idx for chain in slots for idx, key in enumerate(chain)}
+        # arrows[v]: rows over V_{v+1}, columns over V_v
         self.arrows = []
         for v in range(n):
             w = (v + 1) % n
@@ -310,26 +250,6 @@ class ModuleRealization:
                 if nxt is not None:
                     mat[nxt][src_idx] = 1
             self.arrows.append(mat)
-        self.total = sum(self.dims)
-
-    def path_matrices(self, field):
-        """paths[v][l - 1] = matrix of the length-l arrow composite out of
-        v, for l = 1..total."""
-        n = self.n
-        paths = []
-        for v in range(n):
-            chain = []
-            cur = None
-            for l in range(1, self.total + 1):
-                step = self.arrows[(v + l - 1) % n]
-                cur = (
-                    step
-                    if cur is None
-                    else _mat_mul(step, cur, field, ncols=len(self.slots[v]))
-                )
-                chain.append(cur)
-            paths.append(chain)
-        return paths
 
 
 def _path_ranks(a_mat, max_len):
@@ -353,38 +273,67 @@ def _path_ranks(a_mat, max_len):
     return tuple(dims), tuple(tuple(chain) for chain in ranks)
 
 
+def _image_ranks(mod, starts, mods, max_len, field):
+    """ranks[v][l - 1] = dim (p(starts[v]) + mods[w]) / mods[w] for the
+    length-l path map p out of vertex v and w = v + l, l = 1..max_len.
+
+    starts[v] and mods[w] are lists of vectors in V_v and V_w, pushed
+    along one arrow at a time.  With starts = S and no mods these are
+    the path ranks of a submodule S; with the standard bases as starts
+    and mods = S, those of the quotient by S.
+    """
+    n = mod.n
+    base = [_rank(m, field) for m in mods]
+    ranks = []
+    for v in range(n):
+        vecs, chain = starts[v], []
+        for l in range(1, max_len + 1):
+            w = (v + l) % n
+            vecs = [_mat_apply(mod.arrows[(w - 1) % n], x, field) for x in vecs]
+            chain.append(_rank(vecs + mods[w], field) - base[w])
+        ranks.append(tuple(chain))
+    return tuple(ranks)
+
+
 class SizeCapError(ValueError):
     """Total module dimension exceeds the configured enumeration cap."""
 
 
-def hall_count(c_mat, a_mat, b_mat, q, cap_dim=10):
-    """phi^C_{A,B}(q): submodules N of M(C) over F_q with N of type B
-    and M(C)/N of type A, counted by exhaustive enumeration."""
-    da, db = dim_vector(a_mat), dim_vector(b_mat)
-    dc = dim_vector(c_mat)
+def _dim_vectors(a_mat, b_mat, c_mat):
+    """d(A), d(B), d(C), once A, B and C share n and d(C) = d(A) + d(B)."""
+    if not a_mat.n == b_mat.n == c_mat.n:
+        raise ValueError("A, B and C differ in n")
+    da, db, dc = (dim_vector(m) for m in (a_mat, b_mat, c_mat))
     if tuple(x + y for x, y in zip(da, db)) != dc:
         raise ValueError("d(C) != d(A) + d(B)")
+    return da, db, dc
+
+
+def hall_count(c_mat, a_mat, b_mat, q, cap_dim=10):
+    """phi^C_{A,B}(q): submodules N of M(C) over F_q with N of type B
+    and M(C)/N of type A, counted by exhaustive enumeration.  Types are
+    compared by their path ranks."""
+    db = _dim_vectors(a_mat, b_mat, c_mat)[1]
     field = gf(q)
     mod_c = ModuleRealization(c_mat)
     if mod_c.total > cap_dim:
         raise SizeCapError(
             "total dimension %d exceeds cap %d" % (mod_c.total, cap_dim)
         )
-    n = mod_c.n
     max_len = mod_c.total
-    target_sub = _path_ranks(b_mat, max_len)
-    target_quot = _path_ranks(a_mat, max_len)
-    paths = mod_c.path_matrices(field)
+    target_sub = _path_ranks(b_mat, max_len)[1]
+    target_quot = _path_ranks(a_mat, max_len)[1]
+    zero = [[]] * mod_c.n
+    whole = [
+        [[int(r == c) for c in range(d)] for r in range(d)] for d in mod_c.dims
+    ]
     count = 0
     for combo in _submodules(mod_c, db, field):
-        if _sub_fingerprint(combo, paths, db, max_len, n, field) != target_sub:
-            continue
         if (
-            _quot_fingerprint(combo, paths, da, max_len, n, mod_c.dims, field)
-            != target_quot
+            _image_ranks(mod_c, combo, zero, max_len, field) == target_sub
+            and _image_ranks(mod_c, whole, combo, max_len, field) == target_quot
         ):
-            continue
-        count += 1
+            count += 1
     return count
 
 
@@ -415,40 +364,6 @@ def _submodules(mod, dvec, field):
 
     for s_0 in _subspaces(mod.dims[0], dvec[0], field):
         yield from extend([s_0])
-
-
-def _sub_fingerprint(combo, paths, db, max_len, n, field):
-    ranks = []
-    for v in range(n):
-        chain = []
-        basis = [list(b) for b in combo[v]]  # rows = basis vectors of S_v
-        for l in range(1, max_len + 1):
-            imgs = [_mat_apply(paths[v][l - 1], b, field) for b in basis]
-            chain.append(_rank(imgs, field))
-        ranks.append(tuple(chain))
-    return (tuple(db), tuple(ranks))
-
-
-def _quot_fingerprint(combo, paths, da, max_len, n, dims, field):
-    ranks = []
-    for v in range(n):
-        chain = []
-        for l in range(1, max_len + 1):
-            w = (v + l) % n
-            # rank of the induced map on quotients: dim of (image + S_w)/S_w
-            full = [list(row) for row in _transpose_int(paths[v][l - 1], dims[v])]
-            s_w = [list(b) for b in combo[w]]
-            r_sw = _rank(s_w, field)
-            chain.append(_rank(full + s_w, field) - r_sw)
-        ranks.append(tuple(chain))
-    return (tuple(da), tuple(ranks))
-
-
-def _transpose_int(mat, ncols):
-    """Column vectors of mat as rows (images of the standard basis)."""
-    if not mat:
-        return [[] for _ in range(ncols)]
-    return [[row[c] for row in mat] for c in range(ncols)]
 
 
 _PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31]
@@ -487,10 +402,7 @@ def hall_poly(a_mat, b_mat, c_mat, cap_dim=10):
     refuses a triple that is already known.  A triple that
     _ranks_forbid rules out is zero without counting.
     """
-    da, db = dim_vector(a_mat), dim_vector(b_mat)
-    dc = dim_vector(c_mat)
-    if tuple(x + y for x, y in zip(da, db)) != dc:
-        raise ValueError("d(C) != d(A) + d(B)")
+    da, db, dc = _dim_vectors(a_mat, b_mat, c_mat)
     bound = sum(x * y for x, y in zip(db, da))
     if bound + 1 > len(_PRIME_POWERS):
         raise SizeCapError("degree bound %d too large to sample" % bound)
@@ -515,59 +427,21 @@ def hall_poly(a_mat, b_mat, c_mat, cap_dim=10):
 
 
 def utilde_exponent(a_mat):
-    """dim End(M(A)) - dim M(A), by exact linear algebra over Q.
+    """dim End(M(A)) - dim M(A), in closed form.
 
-    An endomorphism is a tuple (f_v) with f_{v+1} x_v = x_v f_v; the
-    dimension of the solution space is read off a rational kernel.
+    A map out of the segment module M^{i,j} is fixed by where it sends
+    the top, any vector x of N at vertex v = i - 1 (mod n) that the path
+    map p of length j - i kills; so dim Hom(M^{i,j}, N) = dim N_v -
+    rank p (Ringel, The composition algebra of a cyclic quiver, 1993),
+    and dim End M(A) sums it over the segments of A, with N = M(A).
     """
-    mod = ModuleRealization(a_mat)
-    n = mod.n
-    dims = mod.dims
-    offsets = [0] * n
-    for v in range(1, n):
-        offsets[v] = offsets[v - 1] + dims[v - 1] ** 2
-    nvars = sum(d * d for d in dims)
-    rows = []
-    for v in range(n):
-        w = (v + 1) % n
-        x = mod.arrows[v]  # dims[w] x dims[v]
-        # constraint: f_w . x - x . f_v = 0, entrywise (i, j)
-        for i in range(dims[w]):
-            for j in range(dims[v]):
-                row = [Fraction(0)] * nvars
-                for t in range(dims[w]):
-                    row[offsets[w] + i * dims[w] + t] += x[t][j]
-                for t in range(dims[v]):
-                    row[offsets[v] + t * dims[v] + j] -= x[i][t]
-                if any(row):
-                    rows.append(row)
-    rank = _rational_rank(rows)
-    return (nvars - rank) - mod.total
-
-
-def _rational_rank(rows):
-    rows = [list(r) for r in rows]
-    rank = 0
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][col]
-            if f:
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+    n = a_mat.n
+    dims, ranks = _path_ranks(a_mat, sum(dim_vector(a_mat)))
+    end = sum(
+        m * (dims[(i - 1) % n] - ranks[(i - 1) % n][j - i - 1])
+        for (i, j), m in a_mat.entries()
+    )
+    return end - sum(dims)
 
 
 def hall_mult_utilde(a_mat, b_mat, cap_dim=10):

@@ -135,14 +135,6 @@ class LaurentPoly:
         """Multiply by v^e."""
         return LaurentPoly._wrap({k + e: a for k, a in self._c.items()})
 
-    def evaluate(self, x):
-        """Evaluate at a nonzero rational value of v (exact)."""
-        val = Fraction(0)
-        fx = Fraction(x)
-        for e, a in self._c.items():
-            val += a * fx ** e
-        return val
-
     def max_exp(self):
         return max(self._c) if self._c else None
 
@@ -280,9 +272,6 @@ class IntPoly:
             val = val * q + a
         return val
 
-    def constant_term(self):
-        return self.coeff(0)
-
     def to_laurent(self):
         """Substitute q = v^2."""
         return LaurentPoly({2 * k: a for k, a in enumerate(self.coeffs) if a})
@@ -318,10 +307,6 @@ class IntPoly:
 
     def to_json(self):
         return [str(a) for a in self.coeffs]
-
-    @staticmethod
-    def from_json(data):
-        return IntPoly(tuple(int(a) for a in data))
 
 
 class InterpolationError(ValueError):

@@ -71,17 +71,6 @@ class StructTable:
             data["r"] = self.r
         return data
 
-    def __eq__(self, other):
-        if not isinstance(other, StructTable):
-            return NotImplemented
-        return (self.kind, self.a, self.b, self.r, self.table) == (
-            other.kind,
-            other.a,
-            other.b,
-            other.r,
-            other.table,
-        )
-
 
 def _tuple_add(x, y):
     return tuple(a + b for a, b in zip(x, y))

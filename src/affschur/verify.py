@@ -200,12 +200,13 @@ def verify_lemma_46(n=2, r=2, band=1, ms=(-1, 1)):
     )
 
 
-def _sample_pairs(mats, samples, seed):
-    pairs = [(a, b) for a, b in _composable_pairs(mats)]
+def _sample_pairs(pairs, samples, seed):
+    """samples of the pairs, drawn with a fixed seed; all of them when
+    samples is None or not smaller than their number."""
+    pairs = list(pairs)
     if samples is None or samples >= len(pairs):
         return pairs
-    rng = random.Random(seed)
-    return rng.sample(pairs, samples)
+    return random.Random(seed).sample(pairs, samples)
 
 
 def verify_thm_48(n=2, r=2, big_n=3, ks=(-1, 1), band=1, samples=None, seed=0):
@@ -217,7 +218,7 @@ def verify_thm_48(n=2, r=2, big_n=3, ks=(-1, 1), band=1, samples=None, seed=0):
     violations = []
     checked = 0
     for a_mat, b_mat in _sample_pairs(
-        enumerate_theta_band(n, r, band), samples, seed
+        _composable_pairs(enumerate_theta_band(n, r, band)), samples, seed
     ):
         for k in ks:
             checked += 1
@@ -360,21 +361,27 @@ def _stripped_aperiodic(n, sigma_cap, band):
     return sorted(out, key=lambda m: (m.sigma(), m.entries()))
 
 
+def _h_pairs(n, sigma_cap, band, samples, seed):
+    """The sampled pairs of stripped aperiodic matrices with equal sigma
+    mod n, the inputs of the h-table suites."""
+    mats = _stripped_aperiodic(n, sigma_cap, band)
+    return _sample_pairs(
+        (
+            (a, b)
+            for a, b in itertools.product(mats, mats)
+            if a.sigma() % n == b.sigma() % n
+        ),
+        samples,
+        seed,
+    )
+
+
 def verify_thm_54(n=2, sigma_cap=2, band=1, samples=20, seed=0):
     """h-tables stabilize between consecutive admissible levels, with
     aperiodic E-stripped keys throughout."""
-    mats = _stripped_aperiodic(n, sigma_cap, band)
-    pairs = [
-        (a, b)
-        for a, b in itertools.product(mats, mats)
-        if a.sigma() % n == b.sigma() % n
-    ]
-    rng = random.Random(seed)
-    if samples is not None and samples < len(pairs):
-        pairs = rng.sample(pairs, samples)
     violations = []
     checked = 0
-    for a_mat, b_mat in pairs:
+    for a_mat, b_mat in _h_pairs(n, sigma_cap, band, samples, seed):
         checked += 1
         try:
             table = transfer.h_constants(a_mat, b_mat).table
@@ -412,18 +419,9 @@ def verify_thm_54(n=2, sigma_cap=2, band=1, samples=20, seed=0):
 
 def verify_thm_55(n=2, sigma_cap=2, band=1, samples=20, seed=0):
     """Every h-constant lies in N[v, v^-1]."""
-    mats = _stripped_aperiodic(n, sigma_cap, band)
-    pairs = [
-        (a, b)
-        for a, b in itertools.product(mats, mats)
-        if a.sigma() % n == b.sigma() % n
-    ]
-    rng = random.Random(seed)
-    if samples is not None and samples < len(pairs):
-        pairs = rng.sample(pairs, samples)
     violations = []
     checked = 0
-    for a_mat, b_mat in pairs:
+    for a_mat, b_mat in _h_pairs(n, sigma_cap, band, samples, seed):
         table = transfer.h_constants(a_mat, b_mat).table
         for c_mat, val in sorted(table.items(), key=lambda p: p[0].entries()):
             checked += 1
@@ -459,16 +457,9 @@ def verify_thm_63(n=2, r=2, band=1, samples=10, seed=0):
         for m in _stripped_aperiodic(n, r, band)
         if m.sigma() == r
     ]
-    pairs = [
-        (a, b) for a, b in itertools.product(mats, mats)
-        if a.co() == b.ro()
-    ]
-    rng = random.Random(seed)
-    if samples is not None and samples < len(pairs):
-        pairs = rng.sample(pairs, samples)
     violations = []
     checked = 0
-    for a_mat, b_mat in pairs:
+    for a_mat, b_mat in _sample_pairs(_composable_pairs(mats), samples, seed):
         g = g_constants(a_mat, b_mat, r)
         h_table = transfer.h_constants(a_mat, b_mat).table
         for c_pad, val in sorted(g.items(), key=lambda p: p[0].entries()):

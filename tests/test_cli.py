@@ -157,6 +157,15 @@ def test_hall_report(capsys):
     assert report["phi"] == ["1", "1"]
 
 
+def test_hall_rejects_matrices_of_different_n(capsys):
+    b3 = '{"n": 3, "entries": [[1, 2, 1]]}'
+    two = '{"n": 2, "entries": [[1, 2, 2]]}'
+    code, out, err = run(capsys, "hall", "--a", SEG, "--b", b3, "--c", two)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "differ in n" in err
+
+
 def test_verify_fast_target(capsys):
     code, out, _ = run(capsys, "verify", "lemma-3.7", "--n", "2", "--r", "2")
     assert code == 0
