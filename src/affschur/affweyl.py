@@ -107,6 +107,33 @@ class AffPerm:
         """True iff l(s_i w) < l(w), i.e. w^-1(i) > w^-1(i+1)."""
         return self.inverse().apply(i) > self.inverse().apply(i + 1)
 
+    def left_mul_simple(self, i):
+        """(s_i w, up) in one pass over the window, up iff s_i w > w.
+
+        s_i moves values = i (mod r) up by 1 and values = i+1 down by 1.
+        The slot p holding the value = i gives w^-1(i) = p + i - w(p), so
+        up is w^-1(i) < w^-1(i+1).  When l(w) is known, s_i w carries
+        l(w) + 1 or l(w) - 1, which is exact.
+        """
+        window = self.window
+        r = len(window)
+        lo, hi = i % r, (i + 1) % r
+        out = []
+        for p, m in enumerate(window, start=1):
+            res = m % r
+            if res == lo:
+                inv_lo = p + i - m
+                m += 1
+            elif res == hi:
+                inv_hi = p + i + 1 - m
+                m -= 1
+            out.append(m)
+        up = inv_lo < inv_hi
+        sw = AffPerm(out)
+        if self._len is not None:
+            sw._len = self._len + 1 if up else self._len - 1
+        return sw, up
+
 
 def identity(r):
     return AffPerm(range(1, r + 1))

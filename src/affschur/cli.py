@@ -211,7 +211,7 @@ def cmd_hall(args, cache):
     phi = hall.hall_poly(a_mat, b_mat, c_mat, cap_dim=args.cap_dim)
     return {
         "command": "hall",
-        "n": args.n,
+        "n": a_mat.n,
         "A": a_mat.to_json(),
         "B": b_mat.to_json(),
         "C": c_mat.to_json(),

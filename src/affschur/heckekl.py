@@ -4,7 +4,11 @@ T-basis multiplication follows T_{s_i}^2 = (v^2 - 1) T_{s_i} + v^2 and
 T_w T_{w'} = T_{ww'} when lengths add; T_rho acts by length-preserving
 translation.  The Kazhdan-Lusztig basis C'_w is built by the product
 recursion C'_s C'_v = C'_{sv} + sum mu(z, v) C'_z, which yields every
-polynomial P_{y,w} as a T-coefficient of C'_w.
+polynomial P_{y,w} as a T-coefficient of C'_w.  C'_s C'_v is formed one
+left step per term (Kazhdan-Lusztig 1979, (2.2.c)): C'_s T_y is
+v^-1 (T_{sy} + T_y) when sy > y and v (T_y + T_{sy}) otherwise, with sy,
+the descent test and l(sy) = l(y) +- 1 read off the window of y, so no
+reduced word is peeled and no length recomputed per term.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from .affweyl import AffPerm, identity, simple, rho, strip_rho, reduced_word
 
 _V2_MINUS_1 = LaurentPoly({2: 1, 0: -1})
 _V2 = LaurentPoly({2: 1})
-_VINV = LaurentPoly({-1: 1})
 _T_INV_LOW = LaurentPoly({-2: 1, 0: -1})  # v^-2 - 1
 _T_INV_HIGH = LaurentPoly({-2: 1})
 
@@ -155,7 +158,16 @@ class KLCache:
 
     def load(self, path):
         """Read a saved P-table; a malformed or invalid record raises
-        ValueError naming its line."""
+        ValueError naming its line.  Each distinct window is checked and
+        its length computed once per load."""
+        lengths = {}
+
+        def length(window):
+            ln = lengths.get(window)
+            if ln is None:
+                ln = lengths[window] = AffPerm(window).length()
+            return ln
+
         with open(path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
@@ -163,7 +175,8 @@ class KLCache:
                     continue
                 try:
                     key, p = _parse_record(line)
-                    _validate_entry(*key, p)
+                    _, ywin, wwin = key
+                    _check_entry(ywin, wwin, length(ywin), length(wwin), p)
                 except ValueError as exc:
                     msg = "%s line %d: %s" % (path, lineno, exc)
                     raise ValueError(msg) from None
@@ -213,15 +226,13 @@ def _parse_record(line):
     return (r, y, w), p
 
 
-def _validate_entry(r, ywin, wwin, p):
-    y = AffPerm(ywin)
-    w = AffPerm(wwin)
-    if y == w:
+def _check_entry(ywin, wwin, ly, lw, p):
+    """P_{y,w} is 1 on the diagonal and of degree <= (l(w) - l(y) - 1)/2
+    below it."""
+    if ywin == wwin:
         if p != IntPoly((1,)):
             raise ValueError("diagonal KL entry must be 1")
-        return
-    bound = (w.length() - y.length() - 1) // 2
-    if p.degree() > bound:
+    elif p.degree() > (lw - ly - 1) // 2:
         raise ValueError(
             "KL degree bound violated for %s <= %s: %r" % (ywin, wwin, p)
         )
@@ -266,31 +277,34 @@ def _cprime_wr(x, cache):
             break
     else:
         raise AssertionError("non-identity element without left descent")
-    s = simple(r, i)
-    v = s * x
+    v, _ = x.left_mul_simple(i)
     cv = cprime(v, cache)
-    cs = HeckeElt(r, {s: _VINV, identity(r): _VINV})
-    h = t_mul(cs, cv)
-    corrections = []
-    for z, coeff in cv.terms.items():
-        if not z.left_descent(i):
+    # C'_s C'_v, one left step per term (module docstring)
+    steps = [(y, c) + y.left_mul_simple(i) for y, c in cv.terms.items()]
+    terms = {}
+    for y, c, sy, up in steps:
+        c = c.shift(-1 if up else 1)
+        accumulate(terms, ((y, c), (sy, c)))
+    h = cv._new(terms)
+    for z, coeff, _, up in steps:
+        if up:
             continue
         # mu(z, v): coefficient of q^{(l(v)-l(z)-1)/2} in P_{z,v}, i.e. the
         # v^{l(v) - l(z) - 1} coefficient of P(v^2) = v^{l(v)} * coeff.
         mu = coeff.coeff(-z.length() - 1)
         if mu:
-            corrections.append((z, mu))
-    for z, mu in corrections:
-        h.add_scaled(cprime(z, cache), -mu)
+            h.add_scaled(cprime(z, cache), -mu)
     _record_p(h, x, cache)
     return h
 
 
 def _record_p(h, w, cache):
+    """Store P_{y,w} for each T_y of h = C'_w, checked against the lengths
+    its keys carry."""
     lw = w.length()
     for y, coeff in h.terms.items():
         p = coeff.shift(lw).to_int_poly_in_q()
-        _validate_entry(w.r, y.window, w.window, p)
+        _check_entry(y.window, w.window, y.length(), lw, p)
         cache.p_table[(w.r, y.window, w.window)] = p
 
 

@@ -47,6 +47,19 @@ def test_compose_evaluates_left_to_right():
     assert (s1 * s2).apply(3) == 1
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 4]).flatmap(affperms))
+def test_left_mul_simple_matches_product(w):
+    r = w.r
+    for i in range(1, r + 1):
+        sw, up = w.left_mul_simple(i)
+        assert sw == simple(r, i) * w
+        assert up == (not w.left_descent(i))
+        # the length carried by sw is the one propagated from w
+        assert sw.length() == AffPerm(sw.window).length()
+        assert sw.length() == w.length() + (1 if up else -1)
+
+
 def test_length_basics():
     assert identity(3).length() == 0
     assert rho(4).length() == 0

@@ -157,6 +157,16 @@ def test_hall_report(capsys):
     assert report["phi"] == ["1", "1"]
 
 
+def test_hall_reports_the_matrices_n_without_flag(capsys):
+    one = '{"n": 3, "entries": [[1, 2, 1]]}'
+    two = '{"n": 3, "entries": [[1, 2, 2]]}'
+    code, out, _ = run(capsys, "hall", "--a", one, "--b", one, "--c", two)
+    assert code == 0
+    report = json.loads(out)
+    assert report["n"] == 3
+    assert report["phi"] == ["1", "1"]
+
+
 def test_hall_rejects_matrices_of_different_n(capsys):
     b3 = '{"n": 3, "entries": [[1, 2, 1]]}'
     two = '{"n": 2, "entries": [[1, 2, 2]]}'

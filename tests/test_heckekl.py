@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from affschur.affweyl import (
     AffPerm,
     Composition,
+    enumerate_wr,
     identity,
     rho,
     simple,
@@ -13,6 +14,7 @@ from affschur.affweyl import (
 from affschur.heckekl import (
     HeckeElt,
     KLCache,
+    _record_p,
     cprime,
     double_coset_sum,
     kl_poly,
@@ -197,6 +199,62 @@ def test_add_scaled_accumulates_in_place():
     assert other == T(s1)
     assert h.add_scaled(T(identity(2)), -1).is_zero()
     assert h != HeckeElt.zero(3)
+
+
+@pytest.mark.parametrize("r, max_length", [(3, 6), (4, 5)])
+def test_cprime_matches_generic_product(r, max_length):
+    """Every C'_w against C'_s C'_{sw} - sum mu(z, sw) C'_z formed with
+    t_mul, for every left descent s of w; descents from the inverse."""
+    cache = KLCache()
+    for layer in enumerate_wr(r, max_length):
+        for w in sorted(layer, key=lambda x: x.window):
+            c = cprime(w, cache)
+            for y in c.terms:
+                assert y.length() == AffPerm(y.window).length()
+            if w.is_identity():
+                assert c == T(w)
+                continue
+            for i in range(1, r + 1):
+                if not w.left_descent(i):
+                    continue
+                s = simple(r, i)
+                v = s * w
+                cs = (T(s) + T(identity(r))).scale(lp({-1: 1}))
+                cv = cprime(v, cache)
+                expected = t_mul(cs, cv)
+                lv = v.length()
+                for z in cv.terms:
+                    if z == v or not z.left_descent(i):
+                        continue
+                    gap = lv - AffPerm(z.window).length() - 1
+                    mu = kl_poly(z, v, cache).coeff(gap // 2) if gap % 2 == 0 else 0
+                    if mu:
+                        expected.add_scaled(cprime(z, cache), -mu)
+                assert c == expected
+
+
+def _with_propagated_lengths():
+    """(e, s_1 s_2) in W_3, s_1 s_2 built by left steps from e."""
+    e = identity(3)
+    e.length()  # known, so the left steps below carry lengths
+    w = e.left_mul_simple(2)[0].left_mul_simple(1)[0]
+    assert w == simple(3, 1) * simple(3, 2) and w.length() == 2
+    return e, w
+
+
+def test_record_p_rejects_degree_bound_violation():
+    e, w = _with_propagated_lengths()
+    # T_e coefficient v^-2 (1 + v^2) is P_{e,w} = 1 + q, degree 1 > 0
+    h = HeckeElt(3, {w: lp({-2: 1}), e: lp({-2: 1, 0: 1})})
+    with pytest.raises(ValueError, match="degree bound"):
+        _record_p(h, w, KLCache())
+
+
+def test_record_p_rejects_diagonal_other_than_one():
+    e, w = _with_propagated_lengths()
+    h = HeckeElt(3, {w: lp({-2: 2}), e: lp({-2: 1})})
+    with pytest.raises(ValueError, match="diagonal"):
+        _record_p(h, w, KLCache())
 
 
 def test_kl_degree_bound_and_constant_term():

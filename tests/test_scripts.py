@@ -55,3 +55,20 @@ def test_dump_structure_tables(tmp_path):
     assert len(tables["g"]) > 100
     assert {t["kind"] for t in tables["g"]} == {"g"}
     assert all(t["kind"] == "h" for t in tables["h"])
+
+
+def test_bench_compare_smoke(tmp_path):
+    proc = run_script(
+        "bench_compare.py", "--parent", str(ROOT), "--change", str(ROOT),
+        "--label", "smoke", "--size", "smoke", "--pairs", "2",
+        "--workloads", "kl-survey", "--out-dir", str(tmp_path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    result = report["workloads"]["kl-survey"]
+    assert result["failed"] == {"parent": 0, "change": 0}
+    wall = result["end_to_end"]["wall_s"]
+    assert len(wall["parent"]) == len(wall["change"]) == 2
+    assert wall["parent_quartiles"][0] <= wall["parent_median"]
+    assert 0 <= wall["change_wins"] <= 2
+    assert set(result["layers"]["heckekl.mul_basis_calls"]) == {"parent", "change"}
