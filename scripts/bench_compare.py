@@ -111,7 +111,14 @@ def main(argv=None):
         bench = json.load(fh)
     seconds = bench["run_seconds"] if args.size == "full" else 0
     seeds = list(range(1, args.pairs + 1))
-    workloads = args.workloads or [w["name"] for w in bench["workloads"]]
+    known = [w["name"] for w in bench["workloads"]]
+    workloads = args.workloads or known
+    unknown = [w for w in workloads if w not in known]
+    if unknown:
+        parser.error(
+            "unknown workload %s (choose from: %s)"
+            % (", ".join(unknown), ", ".join(known))
+        )
     report = {
         "label": args.label,
         "trees": {s: os.path.basename(trees[s]) for s in SIDES},

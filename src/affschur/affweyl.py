@@ -3,13 +3,13 @@
 Elements are r-periodic permutations of Z stored by their window
 (w(1), ..., w(r)).  The group splits as <rho> x| W_r where rho is the
 shift j -> j+1 and W_r is the affine Weyl group generated by s_1..s_r.
-This module supplies composition, length, Bruhat order, Young-subgroup
-and double-coset calculus, and the bijection with periodic matrices.
+This module supplies composition, the generator steps, length, Bruhat
+order, double cosets by a generator walk, and the bijection with
+periodic matrices.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 from .affmat import AffMatrix
@@ -134,9 +134,29 @@ class AffPerm:
             sw._len = self._len + 1 if up else self._len - 1
         return sw, up
 
+    def right_mul_simple(self, i):
+        """(w s_i, up) for 1 <= i <= r, up iff w s_i > w, i.e. w(i) < w(i+1).
+
+        w s_i swaps the values at i and i+1; for i = r the value at r+1 is
+        w(1) + r, so slot r takes it and slot 1 takes w(r) - r.  When l(w)
+        is known, w s_i carries l(w) + 1 or l(w) - 1, which is exact.
+        """
+        out = list(self.window)
+        r = len(out)
+        j, wrap = i % r, i // r * r  # the slot of i+1, and r if it wraps
+        a, b = out[i - 1], out[j] + wrap
+        out[i - 1], out[j] = b, a - wrap
+        up = a < b
+        ws = AffPerm(out)
+        if self._len is not None:
+            ws._len = self._len + 1 if up else self._len - 1
+        return ws, up
+
 
 def identity(r):
-    return AffPerm(range(1, r + 1))
+    e = AffPerm(range(1, r + 1))
+    e._len = 0
+    return e
 
 
 def simple(r, i):
@@ -171,7 +191,7 @@ def reduced_word(w):
     while not w.is_identity():
         for i in range(1, r + 1):
             if w.right_descent(i):
-                w = w * simple(r, i)
+                w, _ = w.right_mul_simple(i)
                 word.append(i)
                 break
         else:
@@ -217,10 +237,9 @@ def _bruhat_leq_wr(y, w):
     # standard recursion on a right descent s of w
     for i in range(1, r + 1):
         if w.right_descent(i):
-            s = simple(r, i)
-            ws = w * s
+            ws, _ = w.right_mul_simple(i)
             if y.right_descent(i):
-                res = _bruhat_leq_wr(y * s, ws)
+                res = _bruhat_leq_wr(y.right_mul_simple(i)[0], ws)
             else:
                 res = _bruhat_leq_wr(y, ws)
             break
@@ -274,21 +293,6 @@ class Composition:
             pos += p
         return gens
 
-    def young_subgroup(self, r=None):
-        """All elements of the Young subgroup, as AffPerms."""
-        r = self.sigma() if r is None else r
-        blocks = [self.block(i + 1) for i in range(self.n) if self.parts[i]]
-        out = []
-        for perms in itertools.product(
-            *(itertools.permutations(b) for b in blocks)
-        ):
-            w = list(range(1, r + 1))
-            for b, p in zip(blocks, perms):
-                for src, dst in zip(b, p):
-                    w[src - 1] = dst
-            out.append(AffPerm(w))
-        return out
-
     def longest_length(self):
         """Length of the longest element w_{0,lambda}."""
         return sum(p * (p - 1) // 2 for p in self.parts)
@@ -321,23 +325,35 @@ def is_right_minimal(w, mu):
 _double_coset_memo = {}
 
 
+def _coset_steps(lam, mu):
+    """The generators of S_lambda x S_mu acting on w: (step, i) pairs
+    with step(w, i) = (s_i w, up) for lambda and (w s_i, up) for mu."""
+    steps = [(AffPerm.left_mul_simple, i) for i in lam.young_generators()]
+    return steps + [(AffPerm.right_mul_simple, j) for j in mu.young_generators()]
+
+
 def double_coset(lam, w, mu):
     """The double coset S_lambda w S_mu.
 
     Returns (d_min, d_plus, elements): the unique shortest and longest
-    elements and the full (finite) element set.
+    elements and the full (finite) element set: the orbit of w under
+    left lambda-steps and right mu-steps, which carry l(w) on.
     """
     key = (lam.parts, w.window, mu.parts)
     res = _double_coset_memo.get(key)
     if res is not None:
         return res
-    r = w.r
-    right = mu.young_subgroup(r)
-    seen = set()
-    for u in lam.young_subgroup(r):
-        uw = u * w
-        for x in right:
-            seen.add(uw * x)
+    w.length()
+    steps = _coset_steps(lam, mu)
+    seen = {w}
+    todo = [w]
+    while todo:
+        x = todo.pop()
+        for step, i in steps:
+            y = step(x, i)[0]
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
     d_min = min(seen, key=lambda x: (x.length(), x.window))
     d_plus = max(seen, key=lambda x: (x.length(), x.window))
     # both extremes are unique in a double coset of Young subgroups
@@ -357,14 +373,15 @@ def coset_longest(lam, w, mu):
     """The longest element of S_lambda w S_mu: climb along left
     lambda-ascents and right mu-ascents until there are none, which
     happens only at the unique maximal element."""
-    r = w.r
-    left, right = lam.young_generators(), mu.young_generators()
+    steps = _coset_steps(lam, mu)
     while True:
-        up = [simple(r, i) * w for i in left if not w.left_descent(i)]
-        up += [w * simple(r, j) for j in right if not w.right_descent(j)]
-        if not up:
+        for step, i in steps:
+            x, up = step(w, i)
+            if up:
+                w = x
+                break
+        else:
             return w
-        w = up[0]
 
 
 def jdelta(lam, w, mu):
@@ -447,15 +464,15 @@ def jdelta_inv(a_mat):
 
 
 def enumerate_wr(r, max_length):
-    """All elements of W_r with length <= max_length, grouped by length."""
-    gens = [simple(r, i) for i in range(1, r + 1)]
+    """All elements of W_r with length <= max_length, grouped by length:
+    layer l holds the up steps w s_i of layer l - 1."""
     by_len = [{identity(r)}]
-    for l in range(1, max_length + 1):
+    for _ in range(max_length):
         layer = set()
-        for w in by_len[l - 1]:
-            for s in gens:
-                ws = w * s
-                if ws.length() == l:
+        for w in by_len[-1]:
+            for i in range(1, r + 1):
+                ws, up = w.right_mul_simple(i)
+                if up:
                     layer.add(ws)
         by_len.append(layer)
     return by_len

@@ -102,8 +102,8 @@ def _parse_window(text):
 
 
 def cmd_kl(args, cache):
+    _require(args, "r", "y", "w")
     _check_rank(r=args.r)
-    _require(args, "y", "w")
     y = _parse_window(args.y)
     w = _parse_window(args.w)
     if y.r != args.r or w.r != args.r:
@@ -361,11 +361,15 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.cache:
+            fresh = not os.path.exists(args.cache)
             cache = _file_op("--cache", args.cache, KLCache, args.cache)
+            loaded = len(cache.p_table)
         else:
             cache = default_cache()
         report = COMMANDS[args.command](args, cache)
-        if args.cache:
+        # the file is written only when it is new or the command grew
+        # the P-table, so a read-only command leaves it untouched
+        if args.cache and (fresh or len(cache.p_table) > loaded):
             _file_op("--cache", args.cache, cache.save)
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
         if args.out:

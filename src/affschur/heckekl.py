@@ -2,13 +2,13 @@
 
 T-basis multiplication follows T_{s_i}^2 = (v^2 - 1) T_{s_i} + v^2 and
 T_w T_{w'} = T_{ww'} when lengths add; T_rho acts by length-preserving
-translation.  The Kazhdan-Lusztig basis C'_w is built by the product
-recursion C'_s C'_v = C'_{sv} + sum mu(z, v) C'_z, which yields every
-polynomial P_{y,w} as a T-coefficient of C'_w.  C'_s C'_v is formed one
-left step per term (Kazhdan-Lusztig 1979, (2.2.c)): C'_s T_y is
-v^-1 (T_{sy} + T_y) when sy > y and v (T_y + T_{sy}) otherwise, with sy,
-the descent test and l(sy) = l(y) +- 1 read off the window of y, so no
-reduced word is peeled and no length recomputed per term.
+translation.  h T_{s_i} takes one right step per term: T_{ws_i} when
+ws_i > w, else (v^2 - 1) T_w + v^2 T_{ws_i}.  The Kazhdan-Lusztig basis
+C'_w comes from the recursion C'_s C'_v = C'_{sv} + sum mu(z, v) C'_z,
+which yields every P_{y,w} as a T-coefficient of C'_w.  C'_s C'_v takes
+one left step per term (Kazhdan-Lusztig 1979, (2.2.c)): C'_s T_y is
+v^-1 (T_{sy} + T_y) when sy > y and v (T_y + T_{sy}) otherwise.  A step
+reads its product, ascent test and exact length l(w) +- 1 off a window.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import os
 
 from .laurent import Combination, LaurentPoly, IntPoly, LP_ONE, accumulate
 from . import affweyl
-from .affweyl import AffPerm, identity, simple, rho, strip_rho, reduced_word
+from .affweyl import AffPerm, identity, rho, strip_rho, reduced_word
 
 _V2_MINUS_1 = LaurentPoly({2: 1, 0: -1})
 _V2 = LaurentPoly({2: 1})
@@ -54,30 +54,16 @@ class HeckeElt(Combination):
         return " + ".join(parts) if parts else "0"
 
 
-_simple_step_memo = {}
-
-
 def _mul_simple(h, i):
-    """h * T_{s_i}, one quadratic-rule step."""
-    return h._new(accumulate({}, _simple_steps(h, i)))
-
-
-def _simple_steps(h, i):
-    """The (key, coefficient) pairs of h * T_{s_i}, before collection."""
-    r = h.r
-    memo = _simple_step_memo
+    """h * T_{s_i}, one right step per term of h."""
+    terms = {}
     for w, c in h.terms.items():
-        step = memo.get((w, i))
-        if step is None:
-            ws = w * simple(r, i)
-            step = (ws, w.apply(i) < w.apply(i + 1))
-            memo[(w, i)] = step
-        ws, length_up = step
-        if length_up:
-            yield ws, c
+        ws, up = w.right_mul_simple(i)
+        if up:
+            accumulate(terms, ((ws, c),))
         else:
-            yield w, c * _V2_MINUS_1
-            yield ws, c * _V2
+            accumulate(terms, ((w, c * _V2_MINUS_1), (ws, c * _V2)))
+    return h._new(terms)
 
 
 def _mul_rho(h, a):
@@ -112,17 +98,15 @@ _t_inverse_memo = {}
 
 
 def t_inverse(w):
-    """(T_w)^-1 as a HeckeElt, via T_s^-1 = v^-2 T_s + (v^-2 - 1)."""
+    """(T_w)^-1 as a HeckeElt: T_s^-1 = v^-2 T_s + (v^-2 - 1), so
+    h T_s^-1 = v^-2 (h T_s) + (v^-2 - 1) h."""
     res = _t_inverse_memo.get(w)
     if res is not None:
         return res
-    r = w.r
     a, x = strip_rho(w)
-    h = HeckeElt.basis(identity(r))
+    h = HeckeElt.basis(identity(w.r))
     for i in reversed(reduced_word(x)):
-        s = simple(r, i)
-        inv_s = HeckeElt(r, {s: _T_INV_HIGH, identity(r): _T_INV_LOW})
-        h = t_mul(h, inv_s)
+        h = _mul_simple(h, i).scale(_T_INV_HIGH).add_scaled(h, _T_INV_LOW)
     h = _mul_rho(h, -a)
     _t_inverse_memo[w] = h
     return h
@@ -328,10 +312,9 @@ def kl_poly(y, w, cache=None):
     return cache.p_table.get(key, IntPoly(()))
 
 
-def x_lambda(lam, r=None):
-    """x_lambda = sum of T_w over the Young subgroup."""
-    r = lam.sigma() if r is None else r
-    return HeckeElt(r, {w: LP_ONE for w in lam.young_subgroup(r)})
+def x_lambda(lam):
+    """x_lambda = sum of T_w over the Young subgroup S_lambda."""
+    return double_coset_sum(lam, identity(lam.sigma()), lam)
 
 
 def double_coset_sum(lam, d, mu):

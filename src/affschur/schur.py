@@ -279,8 +279,10 @@ def canonical_expand(x):
 def g_constants(a_mat, b_mat, r):
     """Structure constants of theta_{A,r} theta_{B,r} in the canonical basis.
 
-    Empty when co(A) != ro(B).
+    Empty when co(A) != ro(B); A and B must share n.
     """
+    if a_mat.n != b_mat.n:
+        raise ValueError("A and B differ in n")
     if a_mat.co() != b_mat.ro():
         return {}
     prod = mult(theta(a_mat, r), theta(b_mat, r))

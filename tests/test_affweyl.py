@@ -50,7 +50,10 @@ def test_compose_evaluates_left_to_right():
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([2, 3, 4]).flatmap(affperms))
 def test_left_mul_simple_matches_product(w):
+    # the left step and its mirror, the right step, for every generator,
+    # the affine s_r included
     r = w.r
+    w.length()
     for i in range(1, r + 1):
         sw, up = w.left_mul_simple(i)
         assert sw == simple(r, i) * w
@@ -58,6 +61,11 @@ def test_left_mul_simple_matches_product(w):
         # the length carried by sw is the one propagated from w
         assert sw.length() == AffPerm(sw.window).length()
         assert sw.length() == w.length() + (1 if up else -1)
+        ws, up = w.right_mul_simple(i)
+        assert ws == w * simple(r, i)
+        assert up == (not w.right_descent(i))
+        assert ws.length() == AffPerm(ws.window).length()
+        assert ws.length() == w.length() + (1 if up else -1)
 
 
 def test_length_basics():
@@ -128,13 +136,29 @@ def test_jdelta_bijective_on_band():
             seen[key] = a
 
 
+def _young_subgroup(lam):
+    """S_lambda by enumeration: every permutation of each block of 1..r,
+    the blocks being consecutive."""
+    blocks = [lam.block(i) for i in range(1, lam.n + 1)]
+    return [
+        AffPerm(itertools.chain(*perms))
+        for perms in itertools.product(*map(itertools.permutations, blocks))
+    ]
+
+
 def test_coset_calculus_matches_enumeration_on_band():
-    # the closed forms against the enumerated coset: its size, its
-    # longest element, and J_Delta read off at every one of its elements
+    # the walked coset and the closed forms against the products u d x
+    # over S_lambda x S_mu: the element set, both extremes, the size, the
+    # climbed longest element, and J_Delta read off at every element
     for n, r in itertools.product((2, 3), (2, 3, 4)):
         for a in enumerate_theta_band(n, r, band=1):
             lam, d, mu = jdelta_inv(a)
-            _, d_plus, elems = double_coset(lam, d, mu)
+            right = _young_subgroup(mu)
+            enumerated = {u * d * x for u in _young_subgroup(lam) for x in right}
+            d_min, d_plus, elems = double_coset(lam, d, mu)
+            assert elems == enumerated
+            assert d_min == min(enumerated, key=AffPerm.length) == d
+            assert d_plus == max(enumerated, key=AffPerm.length)
             assert coset_size(a) == len(elems)
             assert coset_longest(lam, d, mu) == d_plus
             assert all(jdelta(lam, w, mu) == a for w in elems)

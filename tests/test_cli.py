@@ -174,6 +174,21 @@ def test_hall_rejects_matrices_of_different_n(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "differ in n" in err
+    # co(A) and ro(B) have different lengths, so no product term matches
+    cross3 = '{"n": 3, "entries": [[1, 2, 1], [2, 1, 1]]}'
+    code, out, err = run(
+        capsys, "g-table", "--r", "2", "--a", CROSS, "--b", cross3
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "differ in n" in err
+
+
+def test_kl_requires_r(capsys):
+    code, out, err = run(capsys, "kl", "--y", "1,2", "--w", "2,1")
+    assert code == 2
+    assert out == ""
+    assert "--r is required" in err
 
 
 def test_verify_fast_target(capsys):
@@ -216,6 +231,26 @@ def test_out_file_and_cache(tmp_path, capsys):
     assert code == 0
     assert json.loads(out_path.read_text())["command"] == "theta"
     assert cache_path.exists()
+
+
+def test_cache_is_not_rewritten_without_new_entries(
+    tmp_path, capsys, monkeypatch
+):
+    path = tmp_path / "kl.txt"
+    argv = ["kl", "--r", "3", "--y", "1,2,3", "--w", "2,3,1"]
+    argv += ["--cache", str(path)]
+    code, first, _ = run(capsys, *argv)
+    assert code == 0
+    text = path.read_bytes()
+
+    def refuse(*args):
+        raise AssertionError("cache saved without new entries")
+
+    monkeypatch.setattr(cli.KLCache, "save", refuse)
+    code, second, _ = run(capsys, *argv)
+    assert code == 0
+    assert second == first
+    assert path.read_bytes() == text
 
 
 @pytest.mark.parametrize(

@@ -72,3 +72,28 @@ def test_bench_compare_smoke(tmp_path):
     assert wall["parent_quartiles"][0] <= wall["parent_median"]
     assert 0 <= wall["change_wins"] <= 2
     assert set(result["layers"]["heckekl.mul_basis_calls"]) == {"parent", "change"}
+
+
+def test_bench_compare_refuses_unknown_workload_before_running(tmp_path):
+    # each tree's benchmark command would leave a marker file if it ran
+    trees = []
+    for side in ("parent", "change"):
+        tree = tmp_path / side
+        tree.mkdir()
+        marker = str(tree / "ran")
+        bench = {
+            "command": [sys.executable, "-c", "open(%r, 'w')" % marker],
+            "run_seconds": 0,
+            "workloads": [{"name": "kl-survey"}],
+        }
+        (tree / "BENCHMARK.json").write_text(json.dumps(bench))
+        trees.append(tree)
+    proc = run_script(
+        "bench_compare.py", "--parent", str(trees[0]), "--change",
+        str(trees[1]), "--label", "x", "--workloads", "kl-survey", "nosuch",
+        "--out-dir", str(tmp_path),
+    )
+    assert proc.returncode == 2
+    assert "unknown workload nosuch" in proc.stderr
+    assert not any((tree / "ran").exists() for tree in trees)
+    assert not (tmp_path / "BENCH_x.json").exists()
