@@ -8,11 +8,12 @@ BENCHMARK.json, perfbench/ and src/ (e.g. from `git archive REV | tar
 -x -C DIR`).  For each workload the script runs perfbench/run.py
 --pairs times on each tree, alternating which tree goes first; pair k
 (counting from 1) uses seed k on both sides.  It then runs one --trace 1
-repetition set per tree at seed 1.  Every run lasts BENCHMARK.json
+repetition set per tree at each of the first min(3, --pairs) seeds,
+again alternating which tree goes first.  Every run lasts BENCHMARK.json
 run_seconds; at --size smoke it makes only perfbench's minimum number of
 repetitions.  The output holds, per workload and end-to-end metric, both
-sides' values, medians and quartiles, the number of pairs the change
-won, and the per-layer values of both traced runs.
+sides' values, medians and quartiles and the number of pairs the change
+won; per layer metric, both sides' traced values and their medians.
 """
 
 import argparse
@@ -24,6 +25,7 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
+TRACED_SEEDS = 3  # single traced runs swing by more than 10% per layer
 
 
 def run_bench(tree, workload, seed, seconds, size, trace):
@@ -41,6 +43,23 @@ def run_bench(tree, workload, seed, seconds, size, trace):
             % (workload, tree, proc.returncode, proc.stderr[-2000:])
         )
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def run_pairs(trees, workload, seeds, seconds, size, trace):
+    """One {side: result} pair per seed, alternating which side goes first."""
+    wall = "trace.wall_s" if trace else "wall_s"
+    pairs = []
+    for k, seed in enumerate(seeds):
+        order = SIDES if k % 2 == 0 else SIDES[::-1]
+        pair = {}
+        for s in order:
+            pair[s] = run_bench(trees[s], workload, seed, seconds, size, trace)
+            sys.stderr.write(
+                "%s pair %d %s: %s %.3f\n"
+                % (workload, k, s, wall, pair[s]["metrics"][wall]["value"])
+            )
+        pairs.append(pair)
+    return pairs
 
 
 def quartiles(xs):
@@ -80,14 +99,22 @@ def compare(runs, bench):
 
 
 def layer_diff(traced):
-    """Per-layer metrics of the traced runs, side by side."""
-    names = sorted(set(traced["parent"]["metrics"]) | set(traced["change"]["metrics"]))
-    return {
-        name: {
-            s: traced[s]["metrics"].get(name, {}).get("value") for s in SIDES
-        }
-        for name in names
-    }
+    """Per-layer metrics of the traced runs: each side's values, one per
+    traced seed, and their median."""
+    names = sorted(
+        {name for pair in traced for s in SIDES for name in pair[s]["metrics"]}
+    )
+    out = {}
+    for name in names:
+        out[name] = {}
+        for s in SIDES:
+            vals = [p[s]["metrics"].get(name, {}).get("value") for p in traced]
+            present = [v for v in vals if v is not None]
+            out[name][s] = vals
+            out[name][s + "_median"] = (
+                statistics.median(present) if present else None
+            )
+    return out
 
 
 def main(argv=None):
@@ -130,31 +157,16 @@ def main(argv=None):
         "workloads": {},
     }
     for workload in workloads:
-        runs = []
-        for k, seed in enumerate(seeds):
-            order = SIDES if k % 2 == 0 else SIDES[::-1]
-            pair = {}
-            for s in order:
-                pair[s] = run_bench(
-                    trees[s], workload, seed, seconds, args.size, False
-                )
-                sys.stderr.write(
-                    "%s pair %d %s: wall_s %.3f\n"
-                    % (workload, k, s, pair[s]["metrics"]["wall_s"]["value"])
-                )
-            runs.append(pair)
-        traced = {
-            s: run_bench(trees[s], workload, seeds[0], seconds, args.size, True)
-            for s in SIDES
-        }
+        runs = run_pairs(trees, workload, seeds, seconds, args.size, False)
+        traced = run_pairs(
+            trees, workload, seeds[:TRACED_SEEDS], seconds, args.size, True
+        )
         report["workloads"][workload] = {
             "failed": {
-                s: sum(r[s]["failed"] for r in runs) + traced[s]["failed"]
-                for s in SIDES
+                s: sum(r[s]["failed"] for r in runs + traced) for s in SIDES
             },
             "attempted": {
-                s: sum(r[s]["attempted"] for r in runs) + traced[s]["attempted"]
-                for s in SIDES
+                s: sum(r[s]["attempted"] for r in runs + traced) for s in SIDES
             },
             "end_to_end": compare(runs, bench),
             "layers": layer_diff(traced),

@@ -9,7 +9,7 @@ the standard and canonical bases of the affine quantum Schur algebra and
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import cache
 
 
 class AffMatrix:
@@ -218,7 +218,7 @@ def dim_vector(a):
     return tuple(d)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _theta_plus_by_dim_cached(n, dvec):
     """All Theta^+ matrices with the given dimension vector, as a tuple.
 

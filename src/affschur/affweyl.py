@@ -10,6 +10,7 @@ periodic matrices.
 
 from __future__ import annotations
 
+from functools import cache
 import math
 
 from .affmat import AffMatrix
@@ -175,17 +176,11 @@ def rho(r, power=1):
     return AffPerm(range(1 + power, r + 1 + power))
 
 
-_reduced_word_memo = {}
-
-
+@cache
 def reduced_word(w):
     """A reduced word (list of generator indices 1..r) for w in W_r."""
     if w.rho_part() != 0:
         raise ValueError("reduced words are defined for W_r elements only")
-    cached = _reduced_word_memo.get(w)
-    if cached is not None:
-        return cached
-    start = w
     r = w.r
     word = []
     while not w.is_identity():
@@ -197,7 +192,6 @@ def reduced_word(w):
         else:
             raise AssertionError("non-identity element without right descent")
     word.reverse()
-    _reduced_word_memo[start] = word
     return word
 
 
@@ -208,9 +202,6 @@ def strip_rho(w):
         return 0, w
     x = AffPerm(tuple(v - a for v in w.window))
     return a, x
-
-
-_bruhat_memo = {}
 
 
 def bruhat_leq(y, w):
@@ -229,24 +220,19 @@ def _bruhat_leq_wr(y, w):
         return False
     if y == w:
         return True
-    key = (y.window, w.window)
-    res = _bruhat_memo.get(key)
-    if res is not None:
-        return res
-    r = y.r
-    # standard recursion on a right descent s of w
-    for i in range(1, r + 1):
+    return _bruhat_leq_step(y, w)
+
+
+@cache
+def _bruhat_leq_step(y, w):
+    """The standard recursion on a right descent s of w."""
+    for i in range(1, y.r + 1):
         if w.right_descent(i):
             ws, _ = w.right_mul_simple(i)
             if y.right_descent(i):
-                res = _bruhat_leq_wr(y.right_mul_simple(i)[0], ws)
-            else:
-                res = _bruhat_leq_wr(y, ws)
-            break
-    else:
-        res = y == w
-    _bruhat_memo[key] = res
-    return res
+                return _bruhat_leq_wr(y.right_mul_simple(i)[0], ws)
+            return _bruhat_leq_wr(y, ws)
+    return y == w
 
 
 class Composition:
@@ -322,9 +308,6 @@ def is_right_minimal(w, mu):
     return not any(w.right_descent(i) for i in mu.young_generators())
 
 
-_double_coset_memo = {}
-
-
 def _coset_steps(lam, mu):
     """The generators of S_lambda x S_mu acting on w: (step, i) pairs
     with step(w, i) = (s_i w, up) for lambda and (w s_i, up) for mu."""
@@ -332,6 +315,7 @@ def _coset_steps(lam, mu):
     return steps + [(AffPerm.right_mul_simple, j) for j in mu.young_generators()]
 
 
+@cache
 def double_coset(lam, w, mu):
     """The double coset S_lambda w S_mu.
 
@@ -339,10 +323,6 @@ def double_coset(lam, w, mu):
     elements and the full (finite) element set: the orbit of w under
     left lambda-steps and right mu-steps, which carry l(w) on.
     """
-    key = (lam.parts, w.window, mu.parts)
-    res = _double_coset_memo.get(key)
-    if res is not None:
-        return res
     w.length()
     steps = _coset_steps(lam, mu)
     seen = {w}
@@ -357,9 +337,7 @@ def double_coset(lam, w, mu):
     d_min = min(seen, key=lambda x: (x.length(), x.window))
     d_plus = max(seen, key=lambda x: (x.length(), x.window))
     # both extremes are unique in a double coset of Young subgroups
-    res = (d_min, d_plus, frozenset(seen))
-    _double_coset_memo[key] = res
-    return res
+    return d_min, d_plus, frozenset(seen)
 
 
 def coset_size(a_mat):
@@ -402,9 +380,7 @@ def jdelta(lam, w, mu):
     return AffMatrix(n, entries)
 
 
-_jdelta_inv_memo = {}
-
-
+@cache
 def jdelta_inv(a_mat):
     """Invert the triple bijection: A -> (lambda, d, mu) with jdelta(...) == A.
 
@@ -415,9 +391,6 @@ def jdelta_inv(a_mat):
     map, in increasing order, onto the smallest unused members of
     R^lambda_k.  Correctness is enforced by a round-trip check.
     """
-    res = _jdelta_inv_memo.get(a_mat)
-    if res is not None:
-        return res
     n = a_mat.n
     lam = Composition(a_mat.ro())
     mu = Composition(a_mat.co())
@@ -458,9 +431,7 @@ def jdelta_inv(a_mat):
     minimal = is_left_minimal(d, lam) and is_right_minimal(d, mu)
     if not minimal or jdelta(lam, d, mu) != a_mat:
         raise AssertionError("monotone filling failed round-trip for %r" % a_mat)
-    res = (lam, d, mu)
-    _jdelta_inv_memo[a_mat] = res
-    return res
+    return lam, d, mu
 
 
 def enumerate_wr(r, max_length):

@@ -4,15 +4,16 @@ Nilpotent representations are direct sums of segment modules M^{i,j}
 (top S_i, length j - i), matched with strictly upper periodic matrices
 by a_{i,i+len} = multiplicity.  Hall polynomials are recovered from
 exhaustive submodule counts over small finite fields by Lagrange
-interpolation, once per process and triple; triples that path ranks
-prove zero are not counted.  Module types and dim End M(A) are read
+interpolation, once per process and triple (never persisted: a
+--cache file holds KL polynomials only); triples that path ranks prove
+zero are not counted.  Module types and dim End M(A) are read
 off the segments.  The zeta comparison replays the same
 products inside the Schur algebra through A(0, r).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 import itertools
 
 from .laurent import IntPoly, poly_interpolate
@@ -118,7 +119,7 @@ class GF:
         self.mul, self.inv = mul, inv
 
 
-@lru_cache(maxsize=None)
+@cache
 def gf(q):
     return GF(q)
 
@@ -389,9 +390,6 @@ def _ranks_forbid(a_mat, b_mat, c_mat, max_len):
     )
 
 
-_hall_poly_memo = {}  # (A, B, C) -> IntPoly, filled by hall_poly
-
-
 def hall_poly(a_mat, b_mat, c_mat, cap_dim=10):
     """The Hall polynomial phi^C_{A,B} in q, by interpolation.
 
@@ -411,19 +409,19 @@ def hall_poly(a_mat, b_mat, c_mat, cap_dim=10):
         raise SizeCapError(
             "total dimension %d exceeds cap %d" % (total, cap_dim)
         )
-    key = (a_mat, b_mat, c_mat)
-    phi = _hall_poly_memo.get(key)
-    if phi is None:
-        if _ranks_forbid(a_mat, b_mat, c_mat, total):
-            phi = IntPoly(())
-        else:
-            samples = [
-                (q, hall_count(c_mat, a_mat, b_mat, q, cap_dim=cap_dim))
-                for q in _PRIME_POWERS[: bound + 1]
-            ]
-            phi = poly_interpolate(samples, bound)
-        _hall_poly_memo[key] = phi
-    return phi
+    return _hall_poly(a_mat, b_mat, c_mat, bound, total)
+
+
+@cache
+def _hall_poly(a_mat, b_mat, c_mat, bound, total):
+    """hall_poly once its caps are checked; total has passed cap_dim."""
+    if _ranks_forbid(a_mat, b_mat, c_mat, total):
+        return IntPoly(())
+    samples = [
+        (q, hall_count(c_mat, a_mat, b_mat, q, cap_dim=total))
+        for q in _PRIME_POWERS[: bound + 1]
+    ]
+    return poly_interpolate(samples, bound)
 
 
 def utilde_exponent(a_mat):

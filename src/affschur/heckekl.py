@@ -13,6 +13,7 @@ reads its product, ascent test and exact length l(w) +- 1 off a window.
 
 from __future__ import annotations
 
+from functools import cache
 import os
 
 from .laurent import Combination, LaurentPoly, IntPoly, LP_ONE, accumulate
@@ -94,22 +95,15 @@ def t_mul(h1, h2):
     return out
 
 
-_t_inverse_memo = {}
-
-
+@cache
 def t_inverse(w):
     """(T_w)^-1 as a HeckeElt: T_s^-1 = v^-2 T_s + (v^-2 - 1), so
     h T_s^-1 = v^-2 (h T_s) + (v^-2 - 1) h."""
-    res = _t_inverse_memo.get(w)
-    if res is not None:
-        return res
     a, x = strip_rho(w)
     h = HeckeElt.basis(identity(w.r))
     for i in reversed(reduced_word(x)):
         h = _mul_simple(h, i).scale(_T_INV_HIGH).add_scaled(h, _T_INV_LOW)
-    h = _mul_rho(h, -a)
-    _t_inverse_memo[w] = h
-    return h
+    return _mul_rho(h, -a)
 
 
 def t_bar(h):
@@ -127,7 +121,8 @@ def t_bar(h):
 class KLCache:
     """Shared cache of C'-expansions, KL polynomials and theta elements.
 
-    The P-table persists to disk as one record per line:
+    cprime, kl_poly and schur.theta take one (default_cache() if none);
+    g-, f- and h-tables always use the default one.  The P-table persists to disk as one record per line:
     r|window(y)|window(w)|coeffs(P), coefficients in decimal from degree
     0.  Loaded entries are validated against the classical degree bound.
     """

@@ -10,6 +10,8 @@ independent bar-triangular elimination is kept as an oracle.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .laurent import Combination, LaurentPoly, LP_ONE, accumulate
 from .affmat import AffMatrix, sqsubseteq, compositions
 from .affweyl import (
@@ -75,17 +77,12 @@ def leq_bo(b_mat, a_mat):
     return bruhat_leq(yb, ya)
 
 
-_coset_factor_memo = {}
-
-
+@cache
 def _right_coset_factor(b_mat):
     """The set {w in D_mu cap S_mu d_B S_nu} with x_mu * sum T_w = T_{S_mu d_B S_nu}.
 
     The factorization identity is asserted at construction time.
     """
-    res = _coset_factor_memo.get(b_mat)
-    if res is not None:
-        return res
     mu, d_b, nu = jdelta_inv(b_mat)
     _, _, elems = double_coset(mu, d_b, nu)
     reps = [w for w in elems if is_left_minimal(w, mu)]
@@ -93,9 +90,7 @@ def _right_coset_factor(b_mat):
     full = HeckeElt(d_b.r, {w: LP_ONE for w in elems})
     if t_mul(x_lambda(mu), h) != full:
         raise AssertionError("double-coset factorization failed for %r" % b_mat)
-    res = (mu, h)
-    _coset_factor_memo[b_mat] = res
-    return res
+    return mu, h
 
 
 def _decompose_invariant(h, lam, nu):
@@ -118,9 +113,6 @@ def _decompose_invariant(h, lam, nu):
     return out
 
 
-_e_mult_memo = {}
-
-
 def e_basis_mult(a_mat, b_mat):
     """Structure constants of e_A e_B = sum nu_{A,B,A''} e_{A''}.
 
@@ -128,19 +120,18 @@ def e_basis_mult(a_mat, b_mat):
     """
     if a_mat.co() != b_mat.ro():
         return {}
-    key = (a_mat, b_mat)
-    res = _e_mult_memo.get(key)
-    if res is not None:
-        return res
+    return _e_mult(a_mat, b_mat)
+
+
+@cache
+def _e_mult(a_mat, b_mat):
+    """e_basis_mult of a pair with co(A) = ro(B)."""
     lam, d_a, mu = jdelta_inv(a_mat)
     mu2, h2 = _right_coset_factor(b_mat)
     assert mu.parts == mu2.parts
     _, _, nu = jdelta_inv(b_mat)
     h1 = double_coset_sum(lam, d_a, mu)
-    prod = t_mul(h1, h2)
-    res = _decompose_invariant(prod, lam, nu)
-    _e_mult_memo[key] = res
-    return res
+    return _decompose_invariant(t_mul(h1, h2), lam, nu)
 
 
 def _bracket_mult(a_mat, b_mat):
@@ -195,18 +186,13 @@ def theta(a_mat, r=None, cache=None):
     return res
 
 
-_bar_basis_memo = {}
-
-
+@cache
 def bar_bracket(b_mat):
     """bar([B]) expanded in the bracket basis.
 
     Realized on x_mu: bar(f)(x_mu) = v^{2 l(w_{0,mu})} t_bar(f(x_mu)),
     then decomposed back into double-coset sums.
     """
-    res = _bar_basis_memo.get(b_mat)
-    if res is not None:
-        return res
     lam, d, mu = jdelta_inv(b_mat)
     h = double_coset_sum(lam, d, mu).scale(
         LaurentPoly.v_power(-b_mat.d_exponent())
@@ -216,9 +202,7 @@ def bar_bracket(b_mat):
     terms = {
         c_mat: c.shift(c_mat.d_exponent()) for c_mat, c in e_coeffs.items()
     }
-    res = SchurElt(b_mat.n, b_mat.sigma(), terms)
-    _bar_basis_memo[b_mat] = res
-    return res
+    return SchurElt(b_mat.n, b_mat.sigma(), terms)
 
 
 def bar(x):
@@ -329,7 +313,26 @@ def is_triangular(th, a_mat):
 
 
 def clear_caches():
-    _coset_factor_memo.clear()
-    _e_mult_memo.clear()
-    _bar_basis_memo.clear()
-    default_cache().theta_table.clear()
+    """Empty every per-process memo of the package and the three tables
+    of the default KLCache."""
+    from . import affmat, affweyl, hall, heckekl, transfer
+
+    for memoized in (
+        affmat._theta_plus_by_dim_cached,
+        affweyl.reduced_word,
+        affweyl._bruhat_leq_step,
+        affweyl.double_coset,
+        affweyl.jdelta_inv,
+        heckekl.t_inverse,
+        _right_coset_factor,
+        _e_mult,
+        bar_bracket,
+        hall.gf,
+        hall._hall_poly,
+        transfer._full_f_table,
+    ):
+        memoized.cache_clear()
+    kl = default_cache()
+    kl.cprime_table.clear()
+    kl.p_table.clear()
+    kl.theta_table.clear()

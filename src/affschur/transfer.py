@@ -9,6 +9,7 @@ modified algebra obtained by level stabilization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from .laurent import LaurentPoly
 from .affmat import AffMatrix, theta_plus_by_dim, dim_vector
@@ -143,10 +144,8 @@ _F_RECHECK_LEVEL_CAP = 6
 _K0_SCAN_LIMIT = 12  # find_k0 tries k = -1, ..., -_K0_SCAN_LIMIT
 _H_MAX_TRIES = 3  # levels h_constants tries before giving up
 
-_f_memo = {}
 
-
-def f_constants(a_mat, b_mat, keys=None, check=True, cover=False):
+def f_constants(a_mat, b_mat, keys=None, check=True):
     """Structure constants of theta+_A theta+_B in the canonical basis of
     the Hall positive part, recovered by diagonal padding.
 
@@ -154,18 +153,28 @@ def f_constants(a_mat, b_mat, keys=None, check=True, cover=False):
     covers it; candidates sharing a weight share one g-table.  With
     check=True every extraction whose level stays within reach is
     repeated at a second padding weight and must agree.  keys restricts
-    the computation to the given C matrices.  cover=True widens each
-    extraction to every C the padding weight covers, so absent support
-    within reach of the weight is certified zero without enumerating
-    far candidates.
+    the computation to the given C matrices.  Each extraction is widened
+    to every C its padding weight covers, so absent support within reach
+    of the weight is certified zero without enumerating far candidates
+    (and, without keys, the candidate enumeration is cross-checked
+    against the actual g-support); keys with check=False read only the
+    keys.  Only the full checked table is memoized.
     """
     if not (a_mat.is_upper() and b_mat.is_upper()):
         raise ValueError("f-constants require strictly upper matrices")
     if a_mat.n != b_mat.n:
         raise ValueError("mismatched n")
-    memo_key = (a_mat, b_mat) if keys is None and check else None
-    if memo_key is not None and memo_key in _f_memo:
-        return _f_memo[memo_key]
+    if keys is None and check:
+        return _full_f_table(a_mat, b_mat)
+    return _f_table(a_mat, b_mat, keys, check)
+
+
+@cache
+def _full_f_table(a_mat, b_mat):
+    return _f_table(a_mat, b_mat, None, True)
+
+
+def _f_table(a_mat, b_mat, keys, check):
     if a_mat.sigma() == 0 or b_mat.sigma() == 0:
         # theta+ of the zero matrix is the unit of the positive part
         c_mat = b_mat if a_mat.sigma() == 0 else a_mat
@@ -173,6 +182,7 @@ def f_constants(a_mat, b_mat, keys=None, check=True, cover=False):
         if keys is not None and c_mat not in set(keys):
             table = {}
         return StructTable("f", a_mat, b_mat, None, table)
+    cover = check or keys is None
     if keys is not None:
         d = _tuple_add(dim_vector(a_mat), dim_vector(b_mat))
         candidates = sorted(
@@ -181,9 +191,6 @@ def f_constants(a_mat, b_mat, keys=None, check=True, cover=False):
         )
     else:
         candidates = _f_candidates(a_mat, b_mat)
-        # decoding whole tables costs nothing extra and cross-checks
-        # the candidate enumeration against the actual g-support
-        cover = True
     by_lambda = {}
     for c_mat in candidates:
         lam = _candidate_lambda(a_mat, b_mat, c_mat)
@@ -225,10 +232,7 @@ def f_constants(a_mat, b_mat, keys=None, check=True, cover=False):
                     "inconsistent f-value for %r across weights" % c_mat
                 )
         table.update(part)
-    result = StructTable("f", a_mat, b_mat, None, table)
-    if memo_key is not None:
-        _f_memo[memo_key] = result
-    return result
+    return StructTable("f", a_mat, b_mat, None, table)
 
 
 def g_table(a_mat, b_mat, r):

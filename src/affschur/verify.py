@@ -143,13 +143,13 @@ def _composable_pairs(mats):
             yield a_mat, b_mat
 
 
-def verify_cor_49(n=2, r=2, band=1):
-    """Every g-constant lies in N[v, v^-1]."""
+def _positivity(tables):
+    """(checked, violations) over (A, B, table) triples: every value of
+    each table, in key order, must lie in N[v, v^-1]."""
     violations = []
     checked = 0
-    for a_mat, b_mat in _composable_pairs(enumerate_theta_band(n, r, band)):
-        g = g_constants(a_mat, b_mat, r)
-        for c_mat, val in sorted(g.items(), key=lambda p: p[0].entries()):
+    for a_mat, b_mat, table in tables:
+        for c_mat, val in sorted(table.items(), key=lambda p: p[0].entries()):
             checked += 1
             if not val.is_nonneg():
                 violations.append(
@@ -160,6 +160,15 @@ def verify_cor_49(n=2, r=2, band=1):
                         "value": val.to_json(),
                     }
                 )
+    return checked, violations
+
+
+def verify_cor_49(n=2, r=2, band=1):
+    """Every g-constant lies in N[v, v^-1]."""
+    checked, violations = _positivity(
+        (a_mat, b_mat, g_constants(a_mat, b_mat, r))
+        for a_mat, b_mat in _composable_pairs(enumerate_theta_band(n, r, band))
+    )
     return _report(
         "cor-4.9", {"n": n, "r": r, "band": band}, checked, violations
     )
@@ -292,8 +301,8 @@ def _f_pair_scope(n, sigma_cap, max_len):
 def verify_thm_410(n=2, big_n=3, sigma_cap=2, max_len=2):
     """f-tables are invariant under the tilde embedding.
 
-    The rank-big_n side is extracted at the padding weights of the
-    expected support with cover=True, so every candidate within reach
+    The rank-big_n side is extracted, with its check, at the padding
+    weights of the expected support, so every candidate within reach
     of those weights is certified; candidates needing a strictly larger
     weight are not enumerated (their levels are out of reach anyway).
     """
@@ -309,7 +318,6 @@ def verify_thm_410(n=2, big_n=3, sigma_cap=2, max_len=2):
             transfer.tilde(a_mat, big_n),
             transfer.tilde(b_mat, big_n),
             keys=list(expected),
-            cover=True,
         ).table
         if big != expected:
             violations.append({"A": _mat_key(a_mat), "B": _mat_key(b_mat)})
@@ -323,21 +331,10 @@ def verify_thm_410(n=2, big_n=3, sigma_cap=2, max_len=2):
 
 def verify_cor_411(n=2, sigma_cap=2, max_len=2):
     """Every f-constant lies in N[v, v^-1]."""
-    violations = []
-    checked = 0
-    for a_mat, b_mat in _f_pair_scope(n, sigma_cap, max_len):
-        table = transfer.f_constants(a_mat, b_mat).table
-        for c_mat, val in sorted(table.items(), key=lambda p: p[0].entries()):
-            checked += 1
-            if not val.is_nonneg():
-                violations.append(
-                    {
-                        "A": _mat_key(a_mat),
-                        "B": _mat_key(b_mat),
-                        "C": _mat_key(c_mat),
-                        "value": val.to_json(),
-                    }
-                )
+    checked, violations = _positivity(
+        (a_mat, b_mat, transfer.f_constants(a_mat, b_mat).table)
+        for a_mat, b_mat in _f_pair_scope(n, sigma_cap, max_len)
+    )
     return _report(
         "cor-4.11",
         {"n": n, "sigma_cap": sigma_cap, "max_len": max_len},
@@ -419,21 +416,10 @@ def verify_thm_54(n=2, sigma_cap=2, band=1, samples=20, seed=0):
 
 def verify_thm_55(n=2, sigma_cap=2, band=1, samples=20, seed=0):
     """Every h-constant lies in N[v, v^-1]."""
-    violations = []
-    checked = 0
-    for a_mat, b_mat in _h_pairs(n, sigma_cap, band, samples, seed):
-        table = transfer.h_constants(a_mat, b_mat).table
-        for c_mat, val in sorted(table.items(), key=lambda p: p[0].entries()):
-            checked += 1
-            if not val.is_nonneg():
-                violations.append(
-                    {
-                        "A": _mat_key(a_mat),
-                        "B": _mat_key(b_mat),
-                        "C": _mat_key(c_mat),
-                        "value": val.to_json(),
-                    }
-                )
+    checked, violations = _positivity(
+        (a_mat, b_mat, transfer.h_constants(a_mat, b_mat).table)
+        for a_mat, b_mat in _h_pairs(n, sigma_cap, band, samples, seed)
+    )
     return _report(
         "thm-5.5",
         {

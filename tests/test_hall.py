@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from affschur.affmat import AffMatrix, dim_vector, theta_plus_by_dim
-from affschur import hall
+from affschur import hall, schur
 from affschur.hall import (
     GF,
     ModuleRealization,
@@ -344,7 +344,7 @@ def test_hall_poly_cap_refuses_a_pruned_triple():
 
 
 def test_hall_poly_counts_once(monkeypatch):
-    monkeypatch.setattr(hall, "_hall_poly_memo", {})
+    schur.clear_caches()
     first = hall_poly(S1, S1, DOUBLE)
 
     def count_again(*args, **kwargs):

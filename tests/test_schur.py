@@ -1,10 +1,11 @@
 import random
+import sys
 
 import pytest
 
-from affschur import schur
+from affschur import hall, schur, transfer
 from affschur.affmat import AffMatrix, enumerate_theta_band
-from affschur.affweyl import jdelta_inv
+from affschur.affweyl import bruhat_leq, jdelta_inv, simple
 from affschur.heckekl import KLCache, double_coset_sum
 from affschur.laurent import LP_ONE, LaurentPoly
 from affschur.schur import (
@@ -202,3 +203,37 @@ def test_nu_constants_count_points():
             for q in (2, 3, 4, 5):
                 count = val.to_int_poly_in_q().evaluate(q)
                 assert count >= 0
+
+
+def _package_modules():
+    return [m for name, m in sys.modules.items() if name.startswith("affschur.")]
+
+
+def test_clear_caches_empties_every_memo():
+    s1 = AffMatrix(2, {(1, 2): 1})
+    g_constants(A_CROSS, A_CROSS, 2)
+    transfer.f_constants(s1, s1)
+    hall.hall_poly(s1, s1, AffMatrix(2, {(1, 2): 2}))
+    s_1, s_2 = simple(3, 1), simple(3, 2)
+    assert bruhat_leq(s_1, s_1 * s_2 * s_1)
+    bar(SchurElt.bracket(A_CROSS))
+    memoized = {
+        id(fn): fn
+        for mod in _package_modules()
+        for fn in vars(mod).values()
+        if hasattr(fn, "cache_info")
+    }.values()
+    assert len(memoized) >= 12
+    assert all(fn.cache_info().currsize > 0 for fn in memoized)
+
+    schur.clear_caches()
+    assert [fn for fn in memoized if fn.cache_info().currsize] == []
+    kl = schur.default_cache()
+    assert not (kl.cprime_table or kl.p_table or kl.theta_table)
+    hand_rolled = [
+        (mod.__name__, name)
+        for mod in _package_modules()
+        for name, value in vars(mod).items()
+        if "memo" in name and isinstance(value, dict)
+    ]
+    assert hand_rolled == []

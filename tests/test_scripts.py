@@ -71,7 +71,12 @@ def test_bench_compare_smoke(tmp_path):
     assert len(wall["parent"]) == len(wall["change"]) == 2
     assert wall["parent_quartiles"][0] <= wall["parent_median"]
     assert 0 <= wall["change_wins"] <= 2
-    assert set(result["layers"]["heckekl.mul_basis_calls"]) == {"parent", "change"}
+    # one traced run per side at each of the first min(3, --pairs) seeds
+    calls = result["layers"]["heckekl.mul_basis_calls"]
+    assert set(calls) == {"parent", "change", "parent_median", "change_median"}
+    for side in ("parent", "change"):
+        assert len(calls[side]) == 2
+        assert calls[side + "_median"] == sum(calls[side]) / 2
 
 
 def test_bench_compare_refuses_unknown_workload_before_running(tmp_path):
