@@ -257,6 +257,8 @@ def cmd_verify(args, cache):
     if "ks" in kwargs:
         kwargs["ks"] = (kwargs["ks"],)
     _check_rank(kwargs.get("n"), kwargs.get("r"))
+    if kwargs.get("samples", 1) < 1:
+        raise InputError("--samples must be >= 1")
     report = DRIVERS[name](**kwargs)
     report["command"] = "verify"
     return report

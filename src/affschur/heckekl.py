@@ -3,12 +3,22 @@
 T-basis multiplication follows T_{s_i}^2 = (v^2 - 1) T_{s_i} + v^2 and
 T_w T_{w'} = T_{ww'} when lengths add; T_rho acts by length-preserving
 translation.  h T_{s_i} takes one right step per term: T_{ws_i} when
-ws_i > w, else (v^2 - 1) T_w + v^2 T_{ws_i}.  The Kazhdan-Lusztig basis
-C'_w comes from the recursion C'_s C'_v = C'_{sv} + sum mu(z, v) C'_z,
-which yields every P_{y,w} as a T-coefficient of C'_w.  C'_s C'_v takes
-one left step per term (Kazhdan-Lusztig 1979, (2.2.c)): C'_s T_y is
-v^-1 (T_{sy} + T_y) when sy > y and v (T_y + T_{sy}) otherwise.  A step
-reads its product, ascent test and exact length l(w) +- 1 off a window.
+ws_i > w, else (v^2 - 1) T_w + v^2 T_{ws_i}.
+
+The Kazhdan-Lusztig basis comes from one recursion, on columns.  For a
+finite parabolic W_J with longest element w_J, C'_{w_J tau} (tau minimal
+in W_J tau) lies in x_J H, x_J the sum of T_w over W_J, so it is
+sum_sigma c_sigma x_J T_sigma over minimal sigma: its column, with
+c_sigma the coefficient of T_{w_J sigma}.  J empty gives C'_tau itself.
+The entries are Deodhar's parabolic KL polynomials for u = -1,
+P^J_{sigma,tau} = P_{w_J sigma, w_J tau}.  With s = s_i a right descent
+of tau, C'_{w_J tau} = C'_{w_J tau s} C'_s minus mu(w_J sigma, w_J tau s)
+C'_{w_J sigma} (Kazhdan-Lusztig 1979), and x_J T_sigma C'_s is
+v^-1 x_J (T_{sigma s} + T_sigma) when sigma s > sigma stays minimal,
+v x_J (T_sigma + T_{sigma s}) when sigma s < sigma, and
+(v + v^-1) x_J T_sigma when sigma s = t sigma with t in J; the mu terms
+are the sigma of the last two cases.  A step reads its product, its case
+and the exact length l(sigma) +- 1 off the window.
 """
 
 from __future__ import annotations
@@ -24,6 +34,7 @@ _V2_MINUS_1 = LaurentPoly({2: 1, 0: -1})
 _V2 = LaurentPoly({2: 1})
 _T_INV_LOW = LaurentPoly({-2: 1, 0: -1})  # v^-2 - 1
 _T_INV_HIGH = LaurentPoly({-2: 1})
+_V_PLUS_V_INV = LaurentPoly({1: 1, -1: 1})
 
 
 class HeckeElt(Combination):
@@ -119,17 +130,19 @@ def t_bar(h):
 
 
 class KLCache:
-    """Shared cache of C'-expansions, KL polynomials and theta elements.
+    """Shared cache of KL columns, KL polynomials and theta elements.
 
-    cprime, kl_poly and schur.theta take one (default_cache() if none);
-    g-, f- and h-tables always use the default one.  The P-table persists to disk as one record per line:
+    cprime, kl_column, kl_poly and schur.theta take one (default_cache()
+    if none); g-, f- and h-tables always use the default one.  Every
+    column records its P entries under their ordinary keys.  The P-table
+    persists to disk as one record per line:
     r|window(y)|window(w)|coeffs(P), coefficients in decimal from degree
     0.  Loaded entries are validated against the classical degree bound.
     """
 
     def __init__(self, path=None):
         self.path = path
-        self.cprime_table = {}  # (r, window) -> HeckeElt
+        self.cprime_table = {}  # (J, tau.window) -> column, C'_tau if J = ()
         self.p_table = {}  # (r, y.window, w.window) -> IntPoly
         self.theta_table = {}  # AffMatrix -> SchurElt, filled by schur.theta
         if path and os.path.exists(path):
@@ -229,62 +242,114 @@ def cprime(w, cache=None):
 
     C'_w = sum_{y <= w} v^{l(y) - l(w)} P_{y,w} T~_y, so the coefficient
     of T_y is v^{-l(w)} P_{y,w}(v^2).  For extended elements C'_{rho^a x}
-    = T_rho^a C'_x.
+    = T_rho^a C'_x.  This is the column of x for J empty.
     """
-    cache = cache or _default_cache
     a, x = strip_rho(w)
-    key = (x.r, x.window)
-    c = cache.cprime_table.get(key)
-    if c is None:
-        c = _cprime_wr(x, cache)
-        cache.cprime_table[key] = c
+    c = _column((), None, x, cache or _default_cache)
     if a == 0:
         return c
     shift = rho(w.r, a)
     return c._new({shift * y: coeff for y, coeff in c.terms.items()})
 
 
-def _cprime_wr(x, cache):
-    r = x.r
-    if x.is_identity():
-        h = HeckeElt.basis(identity(r))
-        _record_p(h, x, cache)
-        return h
-    # left descent s of x
-    for i in range(1, r + 1):
-        if x.left_descent(i):
+def kl_column(x, J, cache=None):
+    """The parabolic KL column of x in W_r, for x longest in W_J x and J a
+    proper subset of the generators 1..r (so W_J is finite).
+
+    Returns (w_J, h): h holds, at each minimal representative sigma of
+    W_J sigma below x, the coefficient of T_{w_J sigma} in C'_x, which is
+    v^{-l(x)} P_{w_J sigma, x}(v^2).  Every other T-coefficient of C'_x
+    repeats one of these, as P is constant on the left W_J-cosets.
+    """
+    wj = identity(x.r)
+    J = tuple(sorted(set(J)))
+    if len(J) >= x.r:
+        raise ValueError("W_J is infinite for J = %s" % (J,))
+    while True:
+        for k in J:
+            wk, up = wj.right_mul_simple(k)
+            if up:
+                wj = wk
+                break
+        else:
             break
+    return wj, _column(J, wj, wj * x, cache or _default_cache)
+
+
+def coset_step(sigma, i, J):
+    """One right step sigma s_i of sigma minimal in W_J sigma, as
+    (sigma s_i, up) with up iff w_J sigma s_i > w_J sigma.
+
+    sigma s_i is None when the step leaves the minimal representatives:
+    sigma s_i = s_k sigma with k in J, so w_J sigma s_i < w_J sigma.  The
+    reflection sigma s_i sigma^-1 swaps a = sigma(i) and b = sigma(i+1),
+    so it is the simple s_k exactly when b = a + 1, with k = a mod r.
+    """
+    window = sigma.window
+    r = len(window)
+    a = window[i - 1]
+    if window[i % r] + i // r * r == a + 1 and (a - 1) % r + 1 in J:
+        return None, False
+    return sigma.right_mul_simple(i)
+
+
+def _column(J, wj, tau, cache):
+    """The one KL recursion, on the column of w_J tau (module docstring);
+    wj is None for J empty."""
+    key = (J, tau.window)
+    h = cache.cprime_table.get(key)
+    if h is not None:
+        return h
+    r = tau.r
+    lwj = wj.length() if wj else 0
+    tau.length()  # known, so the right steps below carry lengths
+    i = next((i for i in range(1, r + 1) if tau.right_descent(i)), None)
+    if i is None:
+        h = HeckeElt(r, {identity(r): LaurentPoly.v_power(-lwj)})
     else:
-        raise AssertionError("non-identity element without left descent")
-    v, _ = x.left_mul_simple(i)
-    cv = cprime(v, cache)
-    # C'_s C'_v, one left step per term (module docstring)
-    steps = [(y, c) + y.left_mul_simple(i) for y, c in cv.terms.items()]
-    terms = {}
-    for y, c, sy, up in steps:
-        c = c.shift(-1 if up else 1)
-        accumulate(terms, ((y, c), (sy, c)))
-    h = cv._new(terms)
-    for z, coeff, _, up in steps:
-        if up:
-            continue
-        # mu(z, v): coefficient of q^{(l(v)-l(z)-1)/2} in P_{z,v}, i.e. the
-        # v^{l(v) - l(z) - 1} coefficient of P(v^2) = v^{l(v)} * coeff.
-        mu = coeff.coeff(-z.length() - 1)
-        if mu:
-            h.add_scaled(cprime(z, cache), -mu)
-    _record_p(h, x, cache)
+        # C'_{w_J tau'} C'_{s_i} with tau' = tau s_i, one step per term
+        prev = _column(J, wj, tau.right_mul_simple(i)[0], cache)
+        terms = {}
+        lower = []
+        for sigma, c in prev.terms.items():
+            ss, up = coset_step(sigma, i, J) if J else sigma.right_mul_simple(i)
+            if ss is None:
+                accumulate(terms, ((sigma, c * _V_PLUS_V_INV),))
+            else:
+                c2 = c.shift(-1 if up else 1)
+                accumulate(terms, ((sigma, c2), (ss, c2)))
+            if not up:
+                # mu(w_J sigma, w_J tau'): the v^{l(w_J tau') - l(w_J sigma)
+                # - 1} coefficient of P(v^2) = v^{l(w_J tau')} c
+                mu = c.coeff(-lwj - sigma.length() - 1)
+                if mu:
+                    lower.append((sigma, mu))
+        h = prev._new(terms)
+        for z, mu in lower:
+            h.add_scaled(_column(J, wj, z, cache), -mu)
+    _record_p(h, tau, cache, wj)
+    cache.cprime_table[key] = h
     return h
 
 
-def _record_p(h, w, cache):
-    """Store P_{y,w} for each T_y of h = C'_w, checked against the lengths
-    its keys carry."""
-    lw = w.length()
-    for y, coeff in h.terms.items():
+def _record_p(h, tau, cache, wj=None):
+    """Store P_{w_J sigma, w_J tau} for each T_sigma of the column h of
+    tau (w_J = wj, or the identity when wj is None), checked against the
+    lengths its keys carry.  An entry already stored must agree: one
+    that differs raises AssertionError naming y and w."""
+    lwj = wj.length() if wj else 0
+    lw = lwj + tau.length()
+    w = wj * tau if wj else tau
+    for sigma, coeff in h.terms.items():
+        y = wj * sigma if wj else sigma
         p = coeff.shift(lw).to_int_poly_in_q()
-        _check_entry(y.window, w.window, y.length(), lw, p)
-        cache.p_table[(w.r, y.window, w.window)] = p
+        _check_entry(y.window, w.window, lwj + sigma.length(), lw, p)
+        old = cache.p_table.setdefault((tau.r, y.window, w.window), p)
+        if old is not p and old != p:
+            raise AssertionError(
+                "P_{y,w} for y = %s, w = %s computed as %r, stored as %r"
+                % (y.window, w.window, p, old)
+            )
 
 
 def kl_poly(y, w, cache=None):

@@ -4,8 +4,10 @@ Elements are LaurentPoly-combinations of the normalized basis {[A]} with
 A running over Theta(n, r).  Products are computed in the Hecke
 endomorphism model: e_A e_B is read off from a T-basis product,
 decomposed into double-coset sums.  The canonical basis theta_{A,r} is
-obtained from the C'-expansion of the longest double-coset element; an
-independent bar-triangular elimination is kept as an oracle.
+read off the parabolic KL column of the longest double-coset element,
+which holds only the coefficients at elements longest in their left
+S_lambda-coset; an independent bar-triangular elimination is kept as an
+oracle.
 """
 
 from __future__ import annotations
@@ -22,9 +24,11 @@ from .affweyl import (
     jdelta_inv,
     is_left_minimal,
     bruhat_leq,
+    rho,
+    strip_rho,
 )
 from .heckekl import HeckeElt, t_mul, t_bar, x_lambda, double_coset_sum
-from .heckekl import cprime, default_cache
+from .heckekl import coset_step, default_cache, kl_column
 
 
 class SchurElt(Combination):
@@ -157,11 +161,14 @@ def mult(x, y):
 def theta(a_mat, r=None, cache=None):
     """The canonical basis element theta_{A,r}, kept in cache.theta_table.
 
-    Reads the C'-expansion of the longest double-coset element d+: the
-    T-support of C'_{d+} is a union of (S_lambda, S_mu) double cosets,
-    and the coefficient at the longest element y+ of each gives the
-    bracket coefficient v^{l(y+) - l(d+)} P_{y+, d+}.  The y+ are the
-    support elements with every lambda- and mu-generator a descent.
+    Reads the parabolic KL column of the longest double-coset element
+    d+ = rho^a x: the T-support of C'_{d+} is a union of (S_lambda, S_mu)
+    double cosets, and the coefficient at the longest element y+ of each
+    gives the bracket coefficient v^{l(y+) - l(d+)} P_{y+, d+}.  As
+    s_j rho^a = rho^a s_{j-a}, the left lambda-generators j act on x as
+    J = {j - a mod r}, and x is longest in W_J x.  The column holds the
+    coefficient at each w_J sigma with sigma minimal in W_J sigma; y+ =
+    rho^a w_J sigma for the sigma with no mu-step going up.
     """
     r = a_mat.sigma() if r is None else r
     if a_mat.sigma() != r:
@@ -171,13 +178,14 @@ def theta(a_mat, r=None, cache=None):
     if res is not None:
         return res
     lam, d, mu = jdelta_inv(a_mat)
-    c = cprime(coset_longest(lam, d, mu), cache)
-    left, right = lam.young_generators(), mu.young_generators()
+    a, x = strip_rho(coset_longest(lam, d, mu))
+    J = [(j - a - 1) % r + 1 for j in lam.young_generators()]
+    wj, col = kl_column(x, J, cache)
+    shift, lwj, right = rho(r, a), wj.length(), mu.young_generators()
     terms = {
-        jdelta(lam, y, mu): coeff.shift(y.length())
-        for y, coeff in c.terms.items()
-        if all(y.left_descent(i) for i in left)
-        and all(y.right_descent(j) for j in right)
+        jdelta(lam, shift * sigma, mu): coeff.shift(lwj + sigma.length())
+        for sigma, coeff in col.terms.items()
+        if not any(coset_step(sigma, j, J)[1] for j in right)
     }
     res = SchurElt(a_mat.n, r, terms)
     if res.coeff(a_mat) != LP_ONE:

@@ -381,6 +381,34 @@ def test_bad_cache_file_exits_2_and_is_kept(tmp_path, capsys, record):
     assert path.read_text() == text
 
 
+def test_tampered_cache_entry_exits_2_and_is_kept(tmp_path, capsys):
+    """A P record that passes the load checks but differs from the value
+    theta recomputes is refused, naming y and w, not overwritten."""
+    path = tmp_path / "kl.txt"
+    a = '{"n": 2, "entries": [[1, 2, 2], [2, 1, 1]]}'
+    argv = ["theta", "--n", "2", "--r", "3", "--a", a, "--cache", str(path)]
+    assert run(capsys, *argv)[0] == 0
+    records = [line.split("|") for line in path.read_text().splitlines()]
+    rec = next(rec for rec in records if rec[1] != rec[2])  # y != w
+    first, *rest = rec[3].split(",")
+    rec[3] = ",".join([str(int(first) + 1)] + rest)  # same degree
+    text = "".join("|".join(rec) + "\n" for rec in records)
+    path.write_text(text)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    y, w = (tuple(map(int, win.split(","))) for win in rec[1:3])
+    assert "y = %s, w = %s" % (y, w) in err
+    assert path.read_text() == text
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_verify_refuses_samples_below_one(capsys, value):
+    code, out, err = run(capsys, "verify", "thm-5.4", "--samples", value)
+    assert code == 2
+    assert out == ""
+    assert "--samples must be >= 1" in err
+
+
 # (flag, its text, the driver keyword, the value the driver receives)
 VERIFY_FLAGS = [
     ("--n", "3", "n", 3),

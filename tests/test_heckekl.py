@@ -1,4 +1,6 @@
+import itertools
 import os
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,14 +17,16 @@ from affschur.heckekl import (
     HeckeElt,
     KLCache,
     _record_p,
+    coset_step,
     cprime,
     double_coset_sum,
+    kl_column,
     kl_poly,
     t_bar,
     t_mul,
     x_lambda,
 )
-from affschur.laurent import LaurentPoly
+from affschur.laurent import IntPoly, LaurentPoly
 
 
 def T(w):
@@ -255,6 +259,74 @@ def test_record_p_rejects_diagonal_other_than_one():
     h = HeckeElt(3, {w: lp({-2: 2}), e: lp({-2: 1})})
     with pytest.raises(ValueError, match="diagonal"):
         _record_p(h, w, KLCache())
+
+
+def _proper_subsets(r):
+    gens = range(1, r + 1)
+    return [J for k in range(r) for J in itertools.combinations(gens, k)]
+
+
+@pytest.mark.parametrize("r", [3, 4])
+def test_coset_step_matches_right_step_and_left_descents(r):
+    """The three cases of a right step of sigma minimal in W_J sigma,
+    against w s_i and the left descents of the product."""
+    elems = [w for layer in enumerate_wr(r, 5) for w in layer]
+    leaving = 0
+    for J in _proper_subsets(r):
+        for sigma in elems:
+            if any(sigma.left_descent(k) for k in J):
+                continue
+            for i in range(1, r + 1):
+                ss, up = sigma.right_mul_simple(i)
+                if up and any(ss.left_descent(k) for k in J):
+                    leaving += 1
+                    assert coset_step(sigma, i, J) == (None, False)
+                else:
+                    got, got_up = coset_step(sigma, i, J)
+                    assert (got, got_up) == (ss, up)
+                    assert got.length() == AffPerm(ss.window).length()
+    assert leaving
+
+
+@pytest.mark.parametrize("r", [3, 4])
+def test_kl_column_reads_cprime_at_left_maximal_elements(r):
+    """For x longest in W_J x, the column holds the T-coefficient of C'_x
+    at each w_J sigma, and these are all the T-coefficients of C'_x at
+    elements longest in their left W_J-coset."""
+    full, parabolic = KLCache(), KLCache()
+    elems = sorted(
+        (w for layer in enumerate_wr(r, 5) for w in layer),
+        key=lambda w: (w.length(), w.window),
+    )
+    for J in _proper_subsets(r):
+        tops = [x for x in elems if all(x.left_descent(k) for k in J)]
+        for x in tops[-4:]:
+            wj, h = kl_column(x, J, parabolic)
+            maximal = {
+                y: coeff
+                for y, coeff in cprime(x, full).terms.items()
+                if all(y.left_descent(k) for k in J)
+            }
+            assert {wj * sigma: c for sigma, c in h.terms.items()} == maximal
+    with pytest.raises(ValueError, match="infinite"):
+        kl_column(identity(r), range(1, r + 1), parabolic)
+
+
+@pytest.mark.parametrize("J", [(), (2,)])
+def test_recorder_refuses_a_different_stored_entry(J):
+    """Both the full and the parabolic column check each P entry against
+    the one already stored, so two recursions cannot disagree silently
+    in one cache."""
+    cache = KLCache()
+    x = simple(4, 2) * simple(4, 1) * simple(4, 3) * simple(4, 2)
+    wj, _ = kl_column(x, J, cache)
+    cprime(x, cache)  # the full column agrees with the parabolic one
+    key = (4, wj.window, x.window)  # P_{w_J, x}, from sigma = 1
+    cache.p_table[key] = cache.p_table[key] + IntPoly((1,))
+    cache.cprime_table.clear()
+    named = re.escape("y = %s, w = %s" % (wj.window, x.window))
+    with pytest.raises(AssertionError, match=named):
+        kl_column(x, J, cache)
 
 
 def test_kl_degree_bound_and_constant_term():

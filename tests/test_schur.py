@@ -5,8 +5,16 @@ import pytest
 
 from affschur import hall, schur, transfer
 from affschur.affmat import AffMatrix, enumerate_theta_band
-from affschur.affweyl import bruhat_leq, jdelta_inv, simple
-from affschur.heckekl import KLCache, double_coset_sum
+from affschur.affweyl import (
+    AffPerm,
+    bruhat_leq,
+    coset_longest,
+    jdelta,
+    jdelta_inv,
+    simple,
+    strip_rho,
+)
+from affschur.heckekl import KLCache, cprime, double_coset_sum, kl_poly
 from affschur.laurent import LP_ONE, LaurentPoly
 from affschur.schur import (
     SchurElt,
@@ -70,6 +78,53 @@ def test_theta_fills_the_cache_it_is_given():
     th = theta(A_CROSS, 2, c1)
     assert theta(A_CROSS, 2, c2) == th
     assert c1.p_table and c2.p_table == c1.p_table
+
+
+def _theta_from_cprime(a_mat, r, cache):
+    """theta_{A,r} read off the whole C'_{d+}: the coefficient at each
+    y+ with every lambda-generator a left and every mu-generator a
+    right descent, shifted by l(y+)."""
+    lam, d, mu = jdelta_inv(a_mat)
+    c = cprime(coset_longest(lam, d, mu), cache)
+    left, right = lam.young_generators(), mu.young_generators()
+    terms = {
+        jdelta(lam, y, mu): coeff.shift(y.length())
+        for y, coeff in c.terms.items()
+        if all(y.left_descent(i) for i in left)
+        and all(y.right_descent(j) for j in right)
+    }
+    return SchurElt(a_mat.n, r, terms)
+
+
+def test_theta_matches_the_cprime_oracle_on_band_slices():
+    """The parabolic column against the whole C'_{d+}, on every band-1
+    matrix with n in {2, 3} and r in {2, 3, 4}, including the cosets
+    d+ = rho^a x with a != 0 and those whose J holds the affine s_r."""
+    shifted = affine = 0
+    for n in (2, 3):
+        for r in (2, 3, 4):
+            parabolic, full = KLCache(), KLCache()
+            for a_mat in enumerate_theta_band(n, r, band=1):
+                assert theta(a_mat, r, parabolic) == _theta_from_cprime(
+                    a_mat, r, full
+                )
+                lam, d, mu = jdelta_inv(a_mat)
+                a, _ = strip_rho(coset_longest(lam, d, mu))
+                shifted += a != 0
+                affine += any((j - a) % r == 0 for j in lam.young_generators())
+    assert shifted and affine
+
+
+def test_theta_records_true_kl_polynomials():
+    """Every P entry theta stores equals kl_poly from a cache that only
+    cprime fills."""
+    parabolic, full = KLCache(), KLCache()
+    for a_mat in enumerate_theta_band(2, 4, band=1):
+        theta(a_mat, 4, parabolic)
+    assert parabolic.p_table
+    for (_, ywin, wwin), p in parabolic.p_table.items():
+        assert kl_poly(AffPerm(ywin), AffPerm(wwin), full) == p
+    assert len(full.p_table) > len(parabolic.p_table)
 
 
 def test_decompose_invariant_reads_cosets_without_enumerating(monkeypatch):
