@@ -24,11 +24,16 @@ def main():
     parser.add_argument("--json", help="write full reports to this file")
     args = parser.parse_args()
 
+    targets = args.targets or list(DRIVERS)
+    unknown = [name for name in targets if name not in DRIVERS]
+    if unknown:
+        parser.error(
+            "unknown suite %s (choose from: %s)"
+            % (", ".join(unknown), ", ".join(DRIVERS))
+        )
     reports = []
     failed = False
-    for name in args.targets or list(DRIVERS):
-        if name not in DRIVERS:
-            parser.error("unknown suite %r" % name)
+    for name in targets:
         t0 = time.monotonic()
         report = DRIVERS[name]()
         elapsed = time.monotonic() - t0

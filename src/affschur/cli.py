@@ -58,6 +58,7 @@ def _load_matrix(args, name):
         raise InputError("%s must be %s" % (flag, fmt))
     if data["n"] != n and n is not None:
         raise InputError("matrix n=%d does not match --n %d" % (data["n"], n))
+    _check_rank(data["n"])
     mat = AffMatrix.from_json(data)
     if not mat.is_nonnegative():
         raise InputError("matrix has a negative entry")
@@ -140,7 +141,7 @@ def cmd_theta(args, cache):
     th = theta(a_mat, args.r, cache)
     return {
         "command": "theta",
-        "n": args.n,
+        "n": a_mat.n,
         "r": args.r,
         "A": a_mat.to_json(),
         "theta": _schur_terms_json(th),
@@ -158,7 +159,7 @@ def cmd_mult(args, cache):
         )
     return {
         "command": "mult",
-        "n": args.n,
+        "n": a_mat.n,
         "r": args.r,
         "basis": args.basis,
         "A": a_mat.to_json(),
@@ -178,7 +179,6 @@ def cmd_g_table(args, cache):
 
 
 def cmd_f_table(args, cache):
-    _check_rank(args.n)
     a_mat = _load_matrix(args, "a")
     b_mat = _load_matrix(args, "b")
     if not (a_mat.is_upper() and b_mat.is_upper()):
@@ -192,7 +192,6 @@ def cmd_f_table(args, cache):
 
 
 def cmd_h_table(args, cache):
-    _check_rank(args.n)
     a_mat = _load_matrix(args, "a")
     b_mat = _load_matrix(args, "b")
     _check_length_cap(args.cap_length, a_mat, b_mat)
@@ -201,7 +200,6 @@ def cmd_h_table(args, cache):
 
 
 def cmd_hall(args, cache):
-    _check_rank(args.n)
     a_mat = _load_matrix(args, "a")
     b_mat = _load_matrix(args, "b")
     c_mat = _load_matrix(args, "c")

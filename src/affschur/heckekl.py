@@ -2,23 +2,24 @@
 
 T-basis multiplication follows T_{s_i}^2 = (v^2 - 1) T_{s_i} + v^2 and
 T_w T_{w'} = T_{ww'} when lengths add; T_rho acts by length-preserving
-translation.  h T_{s_i} takes one right step per term: T_{ws_i} when
-ws_i > w, else (v^2 - 1) T_w + v^2 T_{ws_i}.
+translation.  For a finite parabolic W_J, x_J the sum of T_w over W_J,
+x_J H is kept in columns: sum_sigma c_sigma x_J T_sigma over the sigma
+minimal in W_J sigma (J empty: the T-basis).  x_J T_sigma T_s, s = s_i,
+is x_J T_{sigma s} when sigma s > sigma stays minimal, x_J ((v^2 - 1)
+T_sigma + v^2 T_{sigma s}) when sigma s < sigma, and v^2 x_J T_sigma when
+sigma s = t sigma with t in J, as x_J T_t = v^2 x_J (coset_step).
 
-The Kazhdan-Lusztig basis comes from one recursion, on columns.  For a
-finite parabolic W_J with longest element w_J, C'_{w_J tau} (tau minimal
-in W_J tau) lies in x_J H, x_J the sum of T_w over W_J, so it is
-sum_sigma c_sigma x_J T_sigma over minimal sigma: its column, with
-c_sigma the coefficient of T_{w_J sigma}.  J empty gives C'_tau itself.
-The entries are Deodhar's parabolic KL polynomials for u = -1,
-P^J_{sigma,tau} = P_{w_J sigma, w_J tau}.  With s = s_i a right descent
-of tau, C'_{w_J tau} = C'_{w_J tau s} C'_s minus mu(w_J sigma, w_J tau s)
-C'_{w_J sigma} (Kazhdan-Lusztig 1979), and x_J T_sigma C'_s is
-v^-1 x_J (T_{sigma s} + T_sigma) when sigma s > sigma stays minimal,
-v x_J (T_sigma + T_{sigma s}) when sigma s < sigma, and
-(v + v^-1) x_J T_sigma when sigma s = t sigma with t in J; the mu terms
-are the sigma of the last two cases.  A step reads its product, its case
-and the exact length l(sigma) +- 1 off the window.
+The Kazhdan-Lusztig basis comes from one recursion, on columns.  With
+w_J longest in W_J and tau minimal in W_J tau, C'_{w_J tau} lies in x_J H;
+its column has c_sigma the coefficient of T_{w_J sigma} (C'_tau for J
+empty), Deodhar's parabolic KL polynomial for u = -1, P^J_{sigma,tau} =
+P_{w_J sigma, w_J tau}.  With s = s_i a right descent of tau,
+C'_{w_J tau} = C'_{w_J tau s} C'_s minus mu(w_J sigma, w_J tau s)
+C'_{w_J sigma} (Kazhdan-Lusztig 1979), so x_J T_sigma C'_s is
+v^-1 x_J (T_{sigma s} + T_sigma), v x_J (T_sigma + T_{sigma s}) and
+(v + v^-1) x_J T_sigma in the three cases; the mu terms are the sigma of
+the last two.  A step reads its product, its case and the length off
+the window.
 """
 
 from __future__ import annotations
@@ -66,12 +67,14 @@ class HeckeElt(Combination):
         return " + ".join(parts) if parts else "0"
 
 
-def _mul_simple(h, i):
-    """h * T_{s_i}, one right step per term of h."""
+def _mul_simple(h, i, J=()):
+    """h * T_{s_i} in x_J H, one coset_step per term of h."""
     terms = {}
     for w, c in h.terms.items():
-        ws, up = w.right_mul_simple(i)
-        if up:
+        ws, up = coset_step(w, i, J)
+        if ws is None:
+            accumulate(terms, ((w, c * _V2),))
+        elif up:
             accumulate(terms, ((ws, c),))
         else:
             accumulate(terms, ((w, c * _V2_MINUS_1), (ws, c * _V2)))
@@ -86,23 +89,24 @@ def _mul_rho(h, a):
     return h._new({w * shift: c for w, c in h.terms.items()})
 
 
-def mul_basis(h, w):
-    """h * T_w, peeling a reduced word of the W_r part of w."""
+def mul_basis(h, w, J=()):
+    """h * T_w in x_J H, peeling a reduced word of the W_r part of w."""
     a, x = strip_rho(w)
-    h = _mul_rho(h, a)
+    h = _mul_rho(h, a)  # sigma rho^a stays minimal in its W_J-coset
     # T_{rho^a x} = T_rho^a T_x and rho^a x = rho^a * x, so peel x after rho.
     for i in reduced_word(x):
-        h = _mul_simple(h, i)
+        h = _mul_simple(h, i, J)
     return h
 
 
-def t_mul(h1, h2):
-    """Product in the T-basis, bilinear over the quadratic/braid rules."""
+def t_mul(h1, h2, J=()):
+    """Product in the T-basis, bilinear over the quadratic/braid rules;
+    with J, h1 and the result are columns in x_J H (module docstring)."""
     if h1.r != h2.r:
         raise ValueError("mismatched periods")
     out = HeckeElt.zero(h1.r)
     for w, c in h2.terms.items():
-        out.add_scaled(mul_basis(h1, w), c)
+        out.add_scaled(mul_basis(h1, w, J), c)
     return out
 
 
@@ -285,6 +289,8 @@ def coset_step(sigma, i, J):
     reflection sigma s_i sigma^-1 swaps a = sigma(i) and b = sigma(i+1),
     so it is the simple s_k exactly when b = a + 1, with k = a mod r.
     """
+    if not J:
+        return sigma.right_mul_simple(i)
     window = sigma.window
     r = len(window)
     a = window[i - 1]
@@ -312,7 +318,7 @@ def _column(J, wj, tau, cache):
         terms = {}
         lower = []
         for sigma, c in prev.terms.items():
-            ss, up = coset_step(sigma, i, J) if J else sigma.right_mul_simple(i)
+            ss, up = coset_step(sigma, i, J)
             if ss is None:
                 accumulate(terms, ((sigma, c * _V_PLUS_V_INV),))
             else:
@@ -370,11 +376,6 @@ def kl_poly(y, w, cache=None):
         return p
     cprime(w0, cache)
     return cache.p_table.get(key, IntPoly(()))
-
-
-def x_lambda(lam):
-    """x_lambda = sum of T_w over the Young subgroup S_lambda."""
-    return double_coset_sum(lam, identity(lam.sigma()), lam)
 
 
 def double_coset_sum(lam, d, mu):

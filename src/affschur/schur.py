@@ -2,17 +2,19 @@
 
 Elements are LaurentPoly-combinations of the normalized basis {[A]} with
 A running over Theta(n, r).  Products are computed in the Hecke
-endomorphism model: e_A e_B is read off from a T-basis product,
-decomposed into double-coset sums.  The canonical basis theta_{A,r} is
-read off the parabolic KL column of the longest double-coset element,
-which holds only the coefficients at elements longest in their left
-S_lambda-coset; an independent bar-triangular elimination is kept as an
-oracle.
+endomorphism model (Dipper-James): e_A sends x_mu to T_{S_lambda d_A S_mu}
+= x_lambda col_A, col_A the sum of T_sigma over the lambda-minimal sigma
+of the coset, so e_A e_B is read off the column product col_A col_B in
+x_lambda H (heckekl).  The canonical basis theta_{A,r} is read off the
+parabolic KL column of the longest double-coset element, which holds
+only the coefficients at elements longest in their left S_lambda-coset;
+an independent bar-triangular elimination is kept as an oracle.
 """
 
 from __future__ import annotations
 
 from functools import cache
+import math
 
 from .laurent import Combination, LaurentPoly, LP_ONE, accumulate
 from .affmat import AffMatrix, sqsubseteq, compositions
@@ -27,7 +29,7 @@ from .affweyl import (
     rho,
     strip_rho,
 )
-from .heckekl import HeckeElt, t_mul, t_bar, x_lambda, double_coset_sum
+from .heckekl import HeckeElt, t_mul, t_bar, double_coset_sum
 from .heckekl import coset_step, default_cache, kl_column
 
 
@@ -82,34 +84,36 @@ def leq_bo(b_mat, a_mat):
 
 
 @cache
-def _right_coset_factor(b_mat):
-    """The set {w in D_mu cap S_mu d_B S_nu} with x_mu * sum T_w = T_{S_mu d_B S_nu}.
-
-    The factorization identity is asserted at construction time.
-    """
-    mu, d_b, nu = jdelta_inv(b_mat)
-    _, _, elems = double_coset(mu, d_b, nu)
-    reps = [w for w in elems if is_left_minimal(w, mu)]
-    h = HeckeElt(d_b.r, {w: LP_ONE for w in reps})
-    full = HeckeElt(d_b.r, {w: LP_ONE for w in elems})
-    if t_mul(x_lambda(mu), h) != full:
-        raise AssertionError("double-coset factorization failed for %r" % b_mat)
-    return mu, h
+def _coset_column(a_mat):
+    """col_A: the lambda-minimal elements of S_lambda d_A S_mu, one per
+    left S_lambda-coset, so x_lambda col_A = T_{S_lambda d_A S_mu} exactly
+    when their number is coset_size(A) / |S_lambda|, which is checked."""
+    lam, d, mu = jdelta_inv(a_mat)
+    _, _, elems = double_coset(lam, d, mu)
+    reps = [w for w in elems if is_left_minimal(w, lam)]
+    if len(reps) * _young_order(lam) != coset_size(a_mat):
+        raise AssertionError("double-coset factorization failed for %r" % a_mat)
+    return HeckeElt(d.r, {w: LP_ONE for w in reps})
 
 
-def _decompose_invariant(h, lam, nu):
+def _young_order(lam):
+    return math.prod(map(math.factorial, lam.parts))
+
+
+def _decompose_invariant(h, lam, nu, per=1):
     """Write a (left-S_lambda, right-S_nu)-invariant element as a sum of
     double-coset sums; returns {matrix: coefficient} over e_A'' = T-coset sums.
 
     Terms are grouped by the J_Delta matrix of their coset; each group
-    must carry one coefficient on all coset_size(A'') elements.
+    must carry one coefficient on all coset_size(A'') / per elements, per
+    = |S_lambda| when h is a column.
     """
     groups = {}
     for w, c in h.terms.items():
         groups.setdefault(jdelta(lam, w, nu), []).append(c)
     out = {}
     for a_mat, cs in groups.items():
-        if len(cs) != coset_size(a_mat) or any(c != cs[0] for c in cs):
+        if len(cs) * per != coset_size(a_mat) or any(c != cs[0] for c in cs):
             raise AssertionError(
                 "coefficient not constant on the double coset of %r" % a_mat
             )
@@ -130,12 +134,9 @@ def e_basis_mult(a_mat, b_mat):
 @cache
 def _e_mult(a_mat, b_mat):
     """e_basis_mult of a pair with co(A) = ro(B)."""
-    lam, d_a, mu = jdelta_inv(a_mat)
-    mu2, h2 = _right_coset_factor(b_mat)
-    assert mu.parts == mu2.parts
-    _, _, nu = jdelta_inv(b_mat)
-    h1 = double_coset_sum(lam, d_a, mu)
-    return _decompose_invariant(t_mul(h1, h2), lam, nu)
+    lam, nu = jdelta_inv(a_mat)[0], jdelta_inv(b_mat)[2]
+    h = t_mul(_coset_column(a_mat), _coset_column(b_mat), lam.young_generators())
+    return _decompose_invariant(h, lam, nu, _young_order(lam))
 
 
 def _bracket_mult(a_mat, b_mat):
@@ -332,7 +333,7 @@ def clear_caches():
         affweyl.double_coset,
         affweyl.jdelta_inv,
         heckekl.t_inverse,
-        _right_coset_factor,
+        _coset_column,
         _e_mult,
         bar_bracket,
         hall.gf,

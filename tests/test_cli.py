@@ -167,6 +167,40 @@ def test_hall_reports_the_matrices_n_without_flag(capsys):
     assert report["phi"] == ["1", "1"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["theta", "--r", "2", "--a", CROSS],
+        ["mult", "--r", "2", "--a", CROSS, "--b", CROSS],
+    ],
+    ids=["theta", "mult"],
+)
+def test_level_commands_report_the_matrix_n_without_flag(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["n"] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["theta", "--r", "2", "--a", '{"n": 1, "entries": [[1, 1, 2]]}'],
+        [
+            "hall",
+            "--a", '{"n": 1, "entries": [[1, 2, 1]]}',
+            "--b", '{"n": 1, "entries": [[1, 2, 1]]}',
+            "--c", '{"n": 1, "entries": [[1, 2, 2]]}',
+        ],
+    ],
+    ids=["theta", "hall"],
+)
+def test_matrix_of_rank_one_is_refused_without_flag(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "n must be >= 2" in err
+
+
 def test_hall_rejects_matrices_of_different_n(capsys):
     b3 = '{"n": 3, "entries": [[1, 2, 1]]}'
     two = '{"n": 2, "entries": [[1, 2, 2]]}'

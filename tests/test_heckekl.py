@@ -24,7 +24,6 @@ from affschur.heckekl import (
     kl_poly,
     t_bar,
     t_mul,
-    x_lambda,
 )
 from affschur.laurent import IntPoly, LaurentPoly
 
@@ -132,12 +131,6 @@ def test_cprime_bar_invariant_low_length():
         for w in sorted(seen, key=lambda x: (x.length(), x.window)):
             c = cprime(w)
             assert t_bar(c) == c
-
-
-def test_x_lambda_values():
-    assert x_lambda(Composition((1, 1))) == T(identity(2))
-    s1 = simple(2, 1)
-    assert x_lambda(Composition((2, 0))) == T(identity(2)) + T(s1)
 
 
 def test_double_coset_sum_example():

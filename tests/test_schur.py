@@ -9,12 +9,21 @@ from affschur.affweyl import (
     AffPerm,
     bruhat_leq,
     coset_longest,
+    double_coset,
+    is_left_minimal,
     jdelta,
     jdelta_inv,
     simple,
     strip_rho,
 )
-from affschur.heckekl import KLCache, cprime, double_coset_sum, kl_poly
+from affschur.heckekl import (
+    HeckeElt,
+    KLCache,
+    cprime,
+    double_coset_sum,
+    kl_poly,
+    t_mul,
+)
 from affschur.laurent import LP_ONE, LaurentPoly
 from affschur.schur import (
     SchurElt,
@@ -64,6 +73,49 @@ def test_e_mult_mirrors_quadratic_relation():
         A_CROSS: lp({2: 1, 0: -1}),
         DIAG_11: lp({2: 1}),
     }
+
+
+def _e_mult_by_whole_coset(a_mat, b_mat):
+    """e_A e_B as a T-basis product: the whole double-coset sum of A
+    times the mu-minimal elements of the coset of B, decomposed into
+    whole double-coset sums."""
+    lam, d_a, mu = jdelta_inv(a_mat)
+    mu, d_b, nu = jdelta_inv(b_mat)
+    reps = [w for w in double_coset(mu, d_b, nu)[2] if is_left_minimal(w, mu)]
+    h2 = HeckeElt(d_b.r, {w: LP_ONE for w in reps})
+    h = t_mul(double_coset_sum(lam, d_a, mu), h2)
+    return schur._decompose_invariant(h, lam, nu)
+
+
+def test_e_mult_matches_the_whole_coset_oracle():
+    """The column product against the whole-coset T-basis product on
+    every composable band-1 pair with n = 2, r <= 4 and n = 3, r <= 3."""
+    pairs = 0
+    for n, r in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3)):
+        mats = enumerate_theta_band(n, r, band=1)
+        for a_mat in mats:
+            for b_mat in mats:
+                if a_mat.co() == b_mat.ro():
+                    pairs += 1
+                    assert e_basis_mult(a_mat, b_mat) == _e_mult_by_whole_coset(
+                        a_mat, b_mat
+                    )
+    assert pairs == 7871
+
+
+def test_coset_column_checks_one_element_per_left_coset(monkeypatch):
+    a = AffMatrix(2, {(1, 1): 1, (1, 2): 1, (2, 1): 1})  # 2 left cosets
+    lam, d, mu = jdelta_inv(a)
+    reps = [w for w in double_coset(lam, d, mu)[2] if is_left_minimal(w, lam)]
+    assert len(reps) == 2
+
+    def drop_one(w, lam):
+        return w != reps[0] and is_left_minimal(w, lam)
+
+    schur._coset_column.cache_clear()
+    monkeypatch.setattr(schur, "is_left_minimal", drop_one)
+    with pytest.raises(AssertionError, match="factorization failed"):
+        schur._coset_column(a)
 
 
 def test_theta_worked_value():

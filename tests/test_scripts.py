@@ -38,6 +38,13 @@ def test_run_verification(tmp_path):
     assert [r["pass"] for r in reports] == [True, True]
 
 
+def test_run_verification_checks_every_target_before_running():
+    proc = run_script("run_verification.py", "lemma-3.6", "nosuch")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "nosuch" in proc.stderr
+
+
 def test_kl_survey():
     proc = run_script("kl_survey.py", "--r", "3", "--max-length", "3")
     assert proc.returncode == 0, proc.stderr

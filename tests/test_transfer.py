@@ -1,5 +1,6 @@
 import pytest
 
+from affschur import verify
 from affschur.affmat import AffMatrix, enumerate_theta_band
 from affschur.laurent import LaurentPoly
 from affschur.schur import SchurElt, mult, theta
@@ -40,6 +41,14 @@ def test_eta_is_an_action():
     assert eta(eta(a, 2), -1) == eta(a, 1)
     assert eta(a, 1).ro() == a.ro()
     assert eta(a, 1).sigma() == a.sigma()
+
+
+@pytest.mark.parametrize("n, r", [(2, 3), (3, 3)])
+def test_lemma_46_shifted_idempotents(n, r):
+    """Products with the idempotents eta_m(diag(mu)), whose double cosets
+    S_mu rho^{mr} S_mu put rho-shifted columns into e_basis_mult."""
+    rep = verify.verify_lemma_46(n=n, r=r)
+    assert rep["pass"] and rep["checked"] > 0
 
 
 def test_tilde_examples():
