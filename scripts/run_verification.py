@@ -7,6 +7,7 @@ nonzero when any suite reports a violation.
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -31,6 +32,11 @@ def main():
             "unknown suite %s (choose from: %s)"
             % (", ".join(unknown), ", ".join(DRIVERS))
         )
+    if args.json and (
+        os.path.isdir(args.json)
+        or not os.access(os.path.dirname(os.path.abspath(args.json)), os.W_OK)
+    ):
+        parser.error("cannot write --json %s" % args.json)
     reports = []
     failed = False
     for name in targets:

@@ -277,7 +277,7 @@ class Composition:
         for p in self.parts:
             gens.extend(range(pos + 1, pos + p))
             pos += p
-        return gens
+        return tuple(gens)
 
     def longest_length(self):
         """Length of the longest element w_{0,lambda}."""
@@ -298,21 +298,27 @@ class Composition:
         return {"n": self.n, "parts": list(self.parts)}
 
 
-def is_left_minimal(w, lam):
-    """True iff w is the minimal element of S_lambda * w."""
-    return not any(w.left_descent(i) for i in lam.young_generators())
-
-
-def is_right_minimal(w, mu):
-    """True iff w is the minimal element of w * S_mu."""
-    return not any(w.right_descent(i) for i in mu.young_generators())
-
-
 def _coset_steps(lam, mu):
     """The generators of S_lambda x S_mu acting on w: (step, i) pairs
     with step(w, i) = (s_i w, up) for lambda and (w s_i, up) for mu."""
     steps = [(AffPerm.left_mul_simple, i) for i in lam.young_generators()]
     return steps + [(AffPerm.right_mul_simple, j) for j in mu.young_generators()]
+
+
+def orbit(w, steps):
+    """The set reached from w by steps (step, i), step(x, i) = (y, up),
+    a y of None staying put; each step carries l(w) on."""
+    w.length()
+    seen = {w}
+    todo = [w]
+    while todo:
+        x = todo.pop()
+        for step, i in steps:
+            y = step(x, i)[0]
+            if y is not None and y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return seen
 
 
 @cache
@@ -321,19 +327,9 @@ def double_coset(lam, w, mu):
 
     Returns (d_min, d_plus, elements): the unique shortest and longest
     elements and the full (finite) element set: the orbit of w under
-    left lambda-steps and right mu-steps, which carry l(w) on.
+    left lambda-steps and right mu-steps.
     """
-    w.length()
-    steps = _coset_steps(lam, mu)
-    seen = {w}
-    todo = [w]
-    while todo:
-        x = todo.pop()
-        for step, i in steps:
-            y = step(x, i)[0]
-            if y not in seen:
-                seen.add(y)
-                todo.append(y)
+    seen = orbit(w, _coset_steps(lam, mu))
     d_min = min(seen, key=lambda x: (x.length(), x.window))
     d_plus = max(seen, key=lambda x: (x.length(), x.window))
     # both extremes are unique in a double coset of Young subgroups
@@ -347,11 +343,9 @@ def coset_size(a_mat):
     return size // math.prod(math.factorial(a) for _, a in a_mat.entries())
 
 
-def coset_longest(lam, w, mu):
-    """The longest element of S_lambda w S_mu: climb along left
-    lambda-ascents and right mu-ascents until there are none, which
-    happens only at the unique maximal element."""
-    steps = _coset_steps(lam, mu)
+def climb(w, steps):
+    """Take steps (step, i) that go up from w until none does: in a finite
+    coset of parabolic subgroups, this ends at its longest element."""
     while True:
         for step, i in steps:
             x, up = step(w, i)
@@ -360,6 +354,12 @@ def coset_longest(lam, w, mu):
                 break
         else:
             return w
+
+
+def coset_longest(lam, w, mu):
+    """The longest element of S_lambda w S_mu, the only one with no left
+    lambda-ascent and no right mu-ascent."""
+    return climb(w, _coset_steps(lam, mu))
 
 
 def jdelta(lam, w, mu):
@@ -428,7 +428,8 @@ def jdelta_inv(a_mat):
             raise AssertionError("periodic strip too narrow in jdelta_inv")
         window.append(images[j])
     d = AffPerm(window)
-    minimal = is_left_minimal(d, lam) and is_right_minimal(d, mu)
+    # d is minimal in its double coset: every lambda- and mu-step goes up
+    minimal = all(step(d, i)[1] for step, i in _coset_steps(lam, mu))
     if not minimal or jdelta(lam, d, mu) != a_mat:
         raise AssertionError("monotone filling failed round-trip for %r" % a_mat)
     return lam, d, mu

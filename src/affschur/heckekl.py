@@ -7,7 +7,9 @@ x_J H is kept in columns: sum_sigma c_sigma x_J T_sigma over the sigma
 minimal in W_J sigma (J empty: the T-basis).  x_J T_sigma T_s, s = s_i,
 is x_J T_{sigma s} when sigma s > sigma stays minimal, x_J ((v^2 - 1)
 T_sigma + v^2 T_{sigma s}) when sigma s < sigma, and v^2 x_J T_sigma when
-sigma s = t sigma with t in J, as x_J T_t = v^2 x_J (coset_step).
+sigma s = t sigma with t in J, as x_J T_t = v^2 x_J (coset_step).  The
+same steps give x_J T_w^-1 (t_inverse) and so the bar involution on
+columns, bar(x_J) = v^{-2 l(w_J)} x_J (t_bar).
 
 The Kazhdan-Lusztig basis comes from one recursion, on columns.  With
 w_J longest in W_J and tau minimal in W_J tau, C'_{w_J tau} lies in x_J H;
@@ -28,8 +30,7 @@ from functools import cache
 import os
 
 from .laurent import Combination, LaurentPoly, IntPoly, LP_ONE, accumulate
-from . import affweyl
-from .affweyl import AffPerm, identity, rho, strip_rho, reduced_word
+from .affweyl import AffPerm, climb, identity, rho, strip_rho, reduced_word
 
 _V2_MINUS_1 = LaurentPoly({2: 1, 0: -1})
 _V2 = LaurentPoly({2: 1})
@@ -111,25 +112,26 @@ def t_mul(h1, h2, J=()):
 
 
 @cache
-def t_inverse(w):
-    """(T_w)^-1 as a HeckeElt: T_s^-1 = v^-2 T_s + (v^-2 - 1), so
-    h T_s^-1 = v^-2 (h T_s) + (v^-2 - 1) h."""
+def t_inverse(w, J=()):
+    """The column of x_J (T_w)^-1: T_s^-1 = v^-2 T_s + (v^-2 - 1), so
+    h T_s^-1 = v^-2 (h T_s) + (v^-2 - 1) h.  J must be a tuple."""
     a, x = strip_rho(w)
     h = HeckeElt.basis(identity(w.r))
     for i in reversed(reduced_word(x)):
-        h = _mul_simple(h, i).scale(_T_INV_HIGH).add_scaled(h, _T_INV_LOW)
+        h = _mul_simple(h, i, J).scale(_T_INV_HIGH).add_scaled(h, _T_INV_LOW)
     return _mul_rho(h, -a)
 
 
-def t_bar(h):
-    """The bar involution: v -> v^-1 on coefficients, T_w -> (T_{w^-1})^-1.
+def t_bar(h, J=()):
+    """The bar involution: v -> v^-1 on coefficients, T_w -> (T_{w^-1})^-1;
+    with J, the column g with bar(x_J h) = v^{-2 l(w_J)} x_J g.
 
     The printed rule "T_w -> T_{w^-1}" does not fix C'_w; the inverse
     convention does and is the one used throughout.
     """
     out = HeckeElt.zero(h.r)
     for w, c in h.terms.items():
-        out.add_scaled(t_inverse(w.inverse()), c.bar())
+        out.add_scaled(t_inverse(w.inverse(), J), c.bar())
     return out
 
 
@@ -265,18 +267,10 @@ def kl_column(x, J, cache=None):
     v^{-l(x)} P_{w_J sigma, x}(v^2).  Every other T-coefficient of C'_x
     repeats one of these, as P is constant on the left W_J-cosets.
     """
-    wj = identity(x.r)
     J = tuple(sorted(set(J)))
     if len(J) >= x.r:
         raise ValueError("W_J is infinite for J = %s" % (J,))
-    while True:
-        for k in J:
-            wk, up = wj.right_mul_simple(k)
-            if up:
-                wj = wk
-                break
-        else:
-            break
+    wj = climb(identity(x.r), [(AffPerm.right_mul_simple, k) for k in J])
     return wj, _column(J, wj, wj * x, cache or _default_cache)
 
 
@@ -376,9 +370,3 @@ def kl_poly(y, w, cache=None):
         return p
     cprime(w0, cache)
     return cache.p_table.get(key, IntPoly(()))
-
-
-def double_coset_sum(lam, d, mu):
-    """T_{S_lambda d S_mu} = sum of T_w over the double coset of d."""
-    _, _, elems = affweyl.double_coset(lam, d, mu)
-    return HeckeElt(d.r, {w: LP_ONE for w in elems})

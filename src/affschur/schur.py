@@ -4,32 +4,33 @@ Elements are LaurentPoly-combinations of the normalized basis {[A]} with
 A running over Theta(n, r).  Products are computed in the Hecke
 endomorphism model (Dipper-James): e_A sends x_mu to T_{S_lambda d_A S_mu}
 = x_lambda col_A, col_A the sum of T_sigma over the lambda-minimal sigma
-of the coset, so e_A e_B is read off the column product col_A col_B in
-x_lambda H (heckekl).  The canonical basis theta_{A,r} is read off the
-parabolic KL column of the longest double-coset element, which holds
-only the coefficients at elements longest in their left S_lambda-coset;
-an independent bar-triangular elimination is kept as an oracle.
+of the coset, so e_A e_B and bar([B]) are read off the column product
+col_A col_B and the column t_bar(col_B, J_lambda) in x_lambda H (heckekl).
+The canonical basis theta_{A,r} is read off the parabolic KL column of
+the longest double-coset element, which holds only the coefficients at
+elements longest in their left S_lambda-coset; an independent
+bar-triangular elimination is kept as an oracle.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, partial
+import heapq
 import math
 
 from .laurent import Combination, LaurentPoly, LP_ONE, accumulate
 from .affmat import AffMatrix, sqsubseteq, compositions
 from .affweyl import (
-    double_coset,
     coset_longest,
     coset_size,
     jdelta,
     jdelta_inv,
-    is_left_minimal,
     bruhat_leq,
+    orbit,
     rho,
     strip_rho,
 )
-from .heckekl import HeckeElt, t_mul, t_bar, double_coset_sum
+from .heckekl import HeckeElt, t_mul, t_bar
 from .heckekl import coset_step, default_cache, kl_column
 
 
@@ -85,28 +86,29 @@ def leq_bo(b_mat, a_mat):
 
 @cache
 def _coset_column(a_mat):
-    """col_A: the lambda-minimal elements of S_lambda d_A S_mu, one per
-    left S_lambda-coset, so x_lambda col_A = T_{S_lambda d_A S_mu} exactly
-    when their number is coset_size(A) / |S_lambda|, which is checked."""
+    """col_A: the lambda-minimal elements of S_lambda d_A S_mu, the orbit
+    of d_A under right mu-steps by coset_step (Deodhar: sigma s is minimal
+    or s_k sigma, k in J_lambda).  x_lambda col_A = T_{S_lambda d_A S_mu}
+    exactly when there are coset_size(A) / |S_lambda| of them: checked."""
     lam, d, mu = jdelta_inv(a_mat)
-    _, _, elems = double_coset(lam, d, mu)
-    reps = [w for w in elems if is_left_minimal(w, lam)]
+    step = partial(coset_step, J=lam.young_generators())
+    reps = orbit(d, [(step, j) for j in mu.young_generators()])
     if len(reps) * _young_order(lam) != coset_size(a_mat):
         raise AssertionError("double-coset factorization failed for %r" % a_mat)
-    return HeckeElt(d.r, {w: LP_ONE for w in reps})
+    return HeckeElt(d.r, dict.fromkeys(reps, LP_ONE))
 
 
 def _young_order(lam):
     return math.prod(map(math.factorial, lam.parts))
 
 
-def _decompose_invariant(h, lam, nu, per=1):
+def _decompose_invariant(h, lam, nu, per):
     """Write a (left-S_lambda, right-S_nu)-invariant element as a sum of
     double-coset sums; returns {matrix: coefficient} over e_A'' = T-coset sums.
 
     Terms are grouped by the J_Delta matrix of their coset; each group
     must carry one coefficient on all coset_size(A'') / per elements, per
-    = |S_lambda| when h is a column.
+    = |S_lambda| when h is a column and 1 when it is a whole T-basis sum.
     """
     groups = {}
     for w, c in h.terms.items():
@@ -199,15 +201,15 @@ def theta(a_mat, r=None, cache=None):
 def bar_bracket(b_mat):
     """bar([B]) expanded in the bracket basis.
 
-    Realized on x_mu: bar(f)(x_mu) = v^{2 l(w_{0,mu})} t_bar(f(x_mu)),
-    then decomposed back into double-coset sums.
+    Realized on x_mu: bar(f)(x_mu) = v^{2 l(w_{0,mu})} t_bar(f(x_mu)), and
+    [B](x_mu) = v^{-d_B} x_lambda col_B, so a column scaled and decomposed.
     """
-    lam, d, mu = jdelta_inv(b_mat)
-    h = double_coset_sum(lam, d, mu).scale(
-        LaurentPoly.v_power(-b_mat.d_exponent())
+    lam, _, mu = jdelta_inv(b_mat)
+    shift = b_mat.d_exponent() + 2 * (mu.longest_length() - lam.longest_length())
+    barh = t_bar(_coset_column(b_mat), lam.young_generators()).scale(
+        LaurentPoly.v_power(shift)
     )
-    barh = t_bar(h).scale(LaurentPoly.v_power(2 * mu.longest_length()))
-    e_coeffs = _decompose_invariant(barh, lam, mu)
+    e_coeffs = _decompose_invariant(barh, lam, mu, _young_order(lam))
     terms = {
         c_mat: c.shift(c_mat.d_exponent()) for c_mat, c in e_coeffs.items()
     }
@@ -246,26 +248,33 @@ def a_block(a_mat, j, r):
     return SchurElt(n, r, terms)
 
 
-def _pick_maximal(mats):
-    """Some key that is maximal for the strict containment order."""
-    for c in mats:
-        if not any(c != d and sqsubseteq(c, d) for d in mats):
-            return c
-    raise AssertionError("no maximal element (order not acyclic?)")
+def _weight(c_mat):
+    """W(C) = sum of a_ij |j - i| (|j - i| + 1) / 2 over one period, which is
+    sum_{i=1..n, j != i} sigma_ij(C): B strictly below A has W(B) < W(A)."""
+    return sum(a * abs(j - i) * (abs(j - i) + 1) // 2
+               for (i, j), a in c_mat.entries())
 
 
 def canonical_expand(x):
     """Expand a SchurElt in the canonical basis by triangular substitution.
 
-    Returns {A: coefficient} with x = sum coefficient * theta_{A,r}.
+    Returns {A: coefficient} with x = sum coefficient * theta_{A,r}.  A
+    heap on -W pops sqsubseteq-maximal keys, skipping those that cancelled.
     """
     remaining = dict(x.terms)
+    heap = [(-_weight(c), c.entries(), c) for c in remaining]
+    heapq.heapify(heap)
     out = {}
-    while remaining:
-        c_mat = _pick_maximal(list(remaining))
-        g = remaining[c_mat]
+    while heap:
+        c_mat = heapq.heappop(heap)[2]
+        g = remaining.get(c_mat)
+        if g is None:
+            continue
         out[c_mat] = g
-        accumulate(remaining, theta(c_mat, x.r).terms.items(), -g)
+        terms = theta(c_mat, x.r).terms
+        for b in terms.keys() - remaining.keys():
+            heapq.heappush(heap, (-_weight(b), b.entries(), b))
+        accumulate(remaining, terms.items(), -g)
     return out
 
 
@@ -295,7 +304,7 @@ def theta_by_elimination(a_mat, r=None):
         diff = bar(x) - x
         if diff.is_zero():
             return x
-        b_mat = _pick_maximal(list(diff.terms))
+        b_mat = max(diff.terms, key=_weight)
         c = diff.coeff(b_mat)
         # c is bar-antisymmetric; its negative-exponent half p solves
         # p - bar(p) = c, which cancels the coefficient at b_mat

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from affschur.affweyl import (
     AffPerm,
-    Composition,
     enumerate_wr,
     identity,
     rho,
@@ -19,7 +18,6 @@ from affschur.heckekl import (
     _record_p,
     coset_step,
     cprime,
-    double_coset_sum,
     kl_column,
     kl_poly,
     t_bar,
@@ -131,12 +129,6 @@ def test_cprime_bar_invariant_low_length():
         for w in sorted(seen, key=lambda x: (x.length(), x.window)):
             c = cprime(w)
             assert t_bar(c) == c
-
-
-def test_double_coset_sum_example():
-    lam = Composition((2, 0))
-    s1 = simple(2, 1)
-    assert double_coset_sum(lam, identity(2), lam) == T(identity(2)) + T(s1)
 
 
 def test_cache_round_trip(tmp_path):
@@ -279,6 +271,32 @@ def test_coset_step_matches_right_step_and_left_descents(r):
                     assert (got, got_up) == (ss, up)
                     assert got.length() == AffPerm(ss.window).length()
     assert leaving
+
+
+def test_t_bar_on_columns_matches_the_whole_sum():
+    """bar(x_J h) = v^{-2 l(w_J)} x_J t_bar(h, J) for a column h, with
+    x_J the sum of T_u over W_J, for every proper J at r = 3."""
+    r = 3
+    elems = [w for layer in enumerate_wr(r, 4) for w in layer]
+    for J in _proper_subsets(r):
+        group = {identity(r)}
+        todo = [identity(r)]
+        while todo:
+            u = todo.pop()
+            for k in J:
+                uk = u.right_mul_simple(k)[0]
+                if uk not in group:
+                    group.add(uk)
+                    todo.append(uk)
+        x_j = HeckeElt(r, {u: LaurentPoly({0: 1}) for u in group})
+        lwj = max(u.length() for u in group)
+        minimal = [w for w in elems if not any(w.left_descent(k) for k in J)]
+        h = HeckeElt(
+            r, {w: lp({k % 3 - 1: k + 1}) for k, w in enumerate(minimal[:12])}
+        )
+        col = t_bar(h, J)
+        assert all(not any(w.left_descent(k) for k in J) for w in col.terms)
+        assert t_bar(t_mul(x_j, h)) == t_mul(x_j, col).scale(lp({-2 * lwj: 1}))
 
 
 @pytest.mark.parametrize("r", [3, 4])

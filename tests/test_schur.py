@@ -3,14 +3,15 @@ import sys
 
 import pytest
 
-from affschur import hall, schur, transfer
-from affschur.affmat import AffMatrix, enumerate_theta_band
+from affschur import affweyl, hall, schur, transfer
+from affschur.affmat import AffMatrix, enumerate_theta_band, sqsubseteq
 from affschur.affweyl import (
     AffPerm,
+    Composition,
     bruhat_leq,
     coset_longest,
     double_coset,
-    is_left_minimal,
+    identity,
     jdelta,
     jdelta_inv,
     simple,
@@ -19,9 +20,10 @@ from affschur.affweyl import (
 from affschur.heckekl import (
     HeckeElt,
     KLCache,
+    coset_step,
     cprime,
-    double_coset_sum,
     kl_poly,
+    t_bar,
     t_mul,
 )
 from affschur.laurent import LP_ONE, LaurentPoly
@@ -75,6 +77,24 @@ def test_e_mult_mirrors_quadratic_relation():
     }
 
 
+def double_coset_sum(lam, d, mu):
+    """T_{S_lambda d S_mu} = sum of T_w over the double coset of d."""
+    _, _, elems = double_coset(lam, d, mu)
+    return HeckeElt(d.r, {w: LP_ONE for w in elems})
+
+
+def test_double_coset_sum_example():
+    lam = Composition((2, 0))
+    s1 = simple(2, 1)
+    assert double_coset_sum(lam, identity(2), lam) == (
+        HeckeElt.basis(identity(2)) + HeckeElt.basis(s1)
+    )
+
+
+def is_left_minimal(w, lam):
+    return not any(w.left_descent(i) for i in lam.young_generators())
+
+
 def _e_mult_by_whole_coset(a_mat, b_mat):
     """e_A e_B as a T-basis product: the whole double-coset sum of A
     times the mu-minimal elements of the coset of B, decomposed into
@@ -84,7 +104,7 @@ def _e_mult_by_whole_coset(a_mat, b_mat):
     reps = [w for w in double_coset(mu, d_b, nu)[2] if is_left_minimal(w, mu)]
     h2 = HeckeElt(d_b.r, {w: LP_ONE for w in reps})
     h = t_mul(double_coset_sum(lam, d_a, mu), h2)
-    return schur._decompose_invariant(h, lam, nu)
+    return schur._decompose_invariant(h, lam, nu, 1)
 
 
 def test_e_mult_matches_the_whole_coset_oracle():
@@ -107,13 +127,16 @@ def test_coset_column_checks_one_element_per_left_coset(monkeypatch):
     a = AffMatrix(2, {(1, 1): 1, (1, 2): 1, (2, 1): 1})  # 2 left cosets
     lam, d, mu = jdelta_inv(a)
     reps = [w for w in double_coset(lam, d, mu)[2] if is_left_minimal(w, lam)]
-    assert len(reps) == 2
+    assert len(reps) == 2 and d in reps
+    schur._coset_column.cache_clear()
+    assert set(schur._coset_column(a).terms) == set(reps)
 
-    def drop_one(w, lam):
-        return w != reps[0] and is_left_minimal(w, lam)
+    def stay_at_d(sigma, i, J):
+        # the walk from d never reaches the other left coset
+        return (None, False) if sigma == d else coset_step(sigma, i, J)
 
     schur._coset_column.cache_clear()
-    monkeypatch.setattr(schur, "is_left_minimal", drop_one)
+    monkeypatch.setattr(schur, "coset_step", stay_at_d)
     with pytest.raises(AssertionError, match="factorization failed"):
         schur._coset_column(a)
 
@@ -183,15 +206,67 @@ def test_decompose_invariant_reads_cosets_without_enumerating(monkeypatch):
     a = AffMatrix(2, {(1, 1): 1, (1, 2): 1, (2, 1): 1})  # coset of 4 elements
     lam, d, mu = jdelta_inv(a)
     h = double_coset_sum(lam, d, mu).scale(lp({1: 1}))
+    expected_bar = _bar_by_whole_coset(a)
 
     def enumerate_coset(*args):
         raise RuntimeError("double coset enumerated")
 
-    monkeypatch.setattr(schur, "double_coset", enumerate_coset)
-    assert schur._decompose_invariant(h, lam, mu) == {a: lp({1: 1})}
+    monkeypatch.setattr(affweyl, "double_coset", enumerate_coset)
+    assert not hasattr(schur, "double_coset")
+    assert schur._decompose_invariant(h, lam, mu, 1) == {a: lp({1: 1})}
     partial = h._new(dict(list(h.terms.items())[1:]))
     with pytest.raises(AssertionError, match="not constant"):
-        schur._decompose_invariant(partial, lam, mu)
+        schur._decompose_invariant(partial, lam, mu, 1)
+    # nor do the column and bar of the Schur side
+    schur._coset_column.cache_clear()
+    schur.bar_bracket.cache_clear()
+    assert schur.bar_bracket(a) == expected_bar
+
+
+def _bar_by_whole_coset(b_mat):
+    """bar([B]) from the whole double-coset sum: bar(f)(x_mu) =
+    v^{2 l(w_{0,mu})} t_bar(f(x_mu)) with [B](x_mu) = v^{-d_B}
+    T_{S_lambda d S_mu}, decomposed into whole double-coset sums."""
+    lam, d, mu = jdelta_inv(b_mat)
+    h = double_coset_sum(lam, d, mu).scale(
+        LaurentPoly.v_power(-b_mat.d_exponent())
+    )
+    barh = t_bar(h).scale(LaurentPoly.v_power(2 * mu.longest_length()))
+    e_coeffs = schur._decompose_invariant(barh, lam, mu, 1)
+    terms = {
+        c_mat: c.shift(c_mat.d_exponent()) for c_mat, c in e_coeffs.items()
+    }
+    return SchurElt(b_mat.n, b_mat.sigma(), terms)
+
+
+def test_bar_matches_the_whole_coset_oracle():
+    """bar on x_lambda columns against bar on whole double-coset sums,
+    on every band-1 matrix with n in {2, 3} and 2 <= r <= 4."""
+    count = 0
+    for n in (2, 3):
+        for r in (2, 3, 4):
+            for b_mat in enumerate_theta_band(n, r, band=1):
+                count += 1
+                assert schur.bar_bracket(b_mat) == _bar_by_whole_coset(b_mat)
+    assert count == 908
+
+
+def test_weight_is_monotone_on_band_slices():
+    """W(B) < W(A) for every strict B below A in sqsubseteq, the premise
+    of the heap in canonical_expand."""
+    strict = 0
+    slices = [(1, 2, r) for r in (2, 3, 4, 5)] + [(1, 3, r) for r in (2, 3, 4)]
+    for band, n, r in slices + [(2, 2, 4), (2, 3, 3)]:
+        by_weight = {}
+        for m in enumerate_theta_band(n, r, band=band):
+            by_weight.setdefault((m.ro(), m.co()), []).append(m)
+        for mats in by_weight.values():
+            for a_mat in mats:
+                for b_mat in mats:
+                    if b_mat != a_mat and sqsubseteq(b_mat, a_mat):
+                        strict += 1
+                        assert schur._weight(b_mat) < schur._weight(a_mat)
+    assert strict == 5811
 
 
 def test_theta_of_diagonal_is_bracket():

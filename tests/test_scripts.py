@@ -45,6 +45,14 @@ def test_run_verification_checks_every_target_before_running():
     assert "nosuch" in proc.stderr
 
 
+def test_run_verification_refuses_an_unwritable_json_path(tmp_path):
+    missing = tmp_path / "no" / "such" / "dir" / "out.json"
+    proc = run_script("run_verification.py", "lemma-3.1", "--json", str(missing))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "--json" in proc.stderr
+
+
 def test_kl_survey():
     proc = run_script("kl_survey.py", "--r", "3", "--max-length", "3")
     assert proc.returncode == 0, proc.stderr
