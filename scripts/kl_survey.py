@@ -3,14 +3,26 @@
 
 Prints every nontrivial P_{y,w} (those different from 0 and 1) found
 while expanding C'_w for all w of length at most --max-length, and a
-count of how many pairs were trivial.
+count of how many pairs were trivial.  With --cache the P-table is read
+from that file first and written back when the file is new or the
+table grew; a file that cannot be read, parsed or written ends the run
+with exit code 2 and one line on stderr.
 """
 
 import argparse
+import os
 import sys
 
 from affschur.affweyl import AffPerm, enumerate_wr
 from affschur.heckekl import KLCache, cprime
+
+
+def refuse(path, exc):
+    """Exit code 2 after one line naming the --cache file and the fault."""
+    if isinstance(exc, OSError):
+        exc = "--cache %s: %s" % (path, exc.strerror or exc)
+    sys.stderr.write("error: %s\n" % exc)
+    return 2
 
 
 def main():
@@ -20,10 +32,20 @@ def main():
     parser.add_argument("--cache", help="persist the KL table here")
     args = parser.parse_args()
 
-    cache = KLCache(args.cache)
+    fresh = args.cache and not os.path.exists(args.cache)
+    try:
+        cache = KLCache(args.cache)
+    except (OSError, ValueError) as exc:
+        return refuse(args.cache, exc)
+    loaded = len(cache.p_table)
     for layer in enumerate_wr(args.r, args.max_length):
         for w in sorted(layer, key=lambda x: x.window):
             cprime(w, cache)
+    if args.cache and (fresh or len(cache.p_table) > loaded):
+        try:
+            cache.save()
+        except OSError as exc:
+            return refuse(args.cache, exc)
     trivial = 0
     for (r, ywin, wwin), p in sorted(cache.p_table.items()):
         if p.degree() <= 0:
@@ -40,8 +62,6 @@ def main():
             )
         )
     print("trivial pairs:", trivial)
-    if args.cache:
-        cache.save()
     return 0
 
 

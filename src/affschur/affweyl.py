@@ -33,6 +33,15 @@ class AffPerm:
         self._len = None
         self._inv = None
 
+    @staticmethod
+    def _trusted(window):
+        """The element with the given window tuple, unchecked: for windows
+        built here from the window of a valid element."""
+        w = AffPerm.__new__(AffPerm)
+        w.window = window
+        w._hash = w._len = w._inv = None
+        return w
+
     @property
     def r(self):
         return len(self.window)
@@ -50,7 +59,7 @@ class AffPerm:
             for i, wi in enumerate(self.window, start=1):
                 s = (wi - 1) // r
                 inv[wi - s * r - 1] = i - s * r
-            self._inv = AffPerm(inv)
+            self._inv = AffPerm._trusted(tuple(inv))
             self._inv._inv = self
         return self._inv
 
@@ -58,7 +67,7 @@ class AffPerm:
         """Composition (x * y)(i) = x(y(i))."""
         if len(self.window) != len(other.window):
             raise ValueError("mismatched periods")
-        return AffPerm(tuple(self.apply(v) for v in other.window))
+        return AffPerm._trusted(tuple(self.apply(v) for v in other.window))
 
     def __eq__(self, other):
         if not isinstance(other, AffPerm):
@@ -130,7 +139,7 @@ class AffPerm:
                 m -= 1
             out.append(m)
         up = inv_lo < inv_hi
-        sw = AffPerm(out)
+        sw = AffPerm._trusted(tuple(out))
         if self._len is not None:
             sw._len = self._len + 1 if up else self._len - 1
         return sw, up
@@ -148,7 +157,7 @@ class AffPerm:
         a, b = out[i - 1], out[j] + wrap
         out[i - 1], out[j] = b, a - wrap
         up = a < b
-        ws = AffPerm(out)
+        ws = AffPerm._trusted(tuple(out))
         if self._len is not None:
             ws._len = self._len + 1 if up else self._len - 1
         return ws, up
@@ -200,7 +209,7 @@ def strip_rho(w):
     a = w.rho_part()
     if a == 0:
         return 0, w
-    x = AffPerm(tuple(v - a for v in w.window))
+    x = AffPerm._trusted(tuple(v - a for v in w.window))
     return a, x
 
 

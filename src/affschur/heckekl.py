@@ -11,17 +11,21 @@ sigma s = t sigma with t in J, as x_J T_t = v^2 x_J (coset_step).  The
 same steps give x_J T_w^-1 (t_inverse) and so the bar involution on
 columns, bar(x_J) = v^{-2 l(w_J)} x_J (t_bar).
 
-The Kazhdan-Lusztig basis comes from one recursion, on columns.  With
-w_J longest in W_J and tau minimal in W_J tau, C'_{w_J tau} lies in x_J H;
-its column has c_sigma the coefficient of T_{w_J sigma} (C'_tau for J
-empty), Deodhar's parabolic KL polynomial for u = -1, P^J_{sigma,tau} =
-P_{w_J sigma, w_J tau}.  With s = s_i a right descent of tau,
-C'_{w_J tau} = C'_{w_J tau s} C'_s minus mu(w_J sigma, w_J tau s)
-C'_{w_J sigma} (Kazhdan-Lusztig 1979), so x_J T_sigma C'_s is
-v^-1 x_J (T_{sigma s} + T_sigma), v x_J (T_sigma + T_{sigma s}) and
-(v + v^-1) x_J T_sigma in the three cases; the mu terms are the sigma of
-the last two.  A step reads its product, its case and the length off
-the window.
+The Kazhdan-Lusztig basis comes from one recursion, on columns of
+polynomials in q = v^2.  With w_J longest in W_J and tau minimal in
+W_J tau, C'_{w_J tau} lies in x_J H; its column maps each sigma minimal
+in W_J sigma to P_{w_J sigma, w_J tau} (J empty: P_{sigma, tau}), the
+T_{w_J sigma}-coefficient of C'_{w_J tau} being v^{-l(w_J tau)} times
+its value at q = v^2.  This is Deodhar's parabolic KL polynomial for
+u = -1, P^J_{sigma,tau}.  With s = s_i a right descent of tau and
+tau' = tau s, C'_{w_J tau} = C'_{w_J tau'} C'_s minus mu(w_J sigma,
+w_J tau') C'_{w_J sigma} (Kazhdan-Lusztig 1979).  In q the product puts
+P at sigma and sigma s when sigma s goes up, qP at both when it goes
+down, and (1 + q)P at sigma when it leaves the minimal representatives;
+each mu term, from a sigma of the last two cases with mu the
+q^{(l(tau') - l(sigma) - 1)/2} coefficient of its P, subtracts
+mu q^{(l(tau) - l(sigma))/2} times the column of sigma.  A step reads its
+product, its case and the length off the window.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ _V2_MINUS_1 = LaurentPoly({2: 1, 0: -1})
 _V2 = LaurentPoly({2: 1})
 _T_INV_LOW = LaurentPoly({-2: 1, 0: -1})  # v^-2 - 1
 _T_INV_HIGH = LaurentPoly({-2: 1})
-_V_PLUS_V_INV = LaurentPoly({1: 1, -1: 1})
+_P_ONE = IntPoly((1,))
 
 
 class HeckeElt(Combination):
@@ -139,16 +143,19 @@ class KLCache:
     """Shared cache of KL columns, KL polynomials and theta elements.
 
     cprime, kl_column, kl_poly and schur.theta take one (default_cache()
-    if none); g-, f- and h-tables always use the default one.  Every
-    column records its P entries under their ordinary keys.  The P-table
-    persists to disk as one record per line:
+    if none); g-, f- and h-tables always use the default one.  The column
+    table holds the P columns of the recursion (module docstring), and
+    every column puts its own P entries into the P-table under their
+    ordinary keys, so only windows of W_r are ever keys there.  The
+    P-table persists to disk as one record per line:
     r|window(y)|window(w)|coeffs(P), coefficients in decimal from degree
-    0.  Loaded entries are validated against the classical degree bound.
+    0.  Loaded entries are validated against the classical degree bound
+    and must have both windows in W_r.
     """
 
     def __init__(self, path=None):
         self.path = path
-        self.cprime_table = {}  # (J, tau.window) -> column, C'_tau if J = ()
+        self.cprime_table = {}  # (J, tau.window) -> {sigma: P}
         self.p_table = {}  # (r, y.window, w.window) -> IntPoly
         self.theta_table = {}  # AffMatrix -> SchurElt, filled by schur.theta
         if path and os.path.exists(path):
@@ -182,23 +189,26 @@ class KLCache:
 
     def save(self, path=None):
         """Write the P-table atomically: a temporary file in the same
-        directory replaces path only once it is complete."""
+        directory replaces path only once it is complete.  Each distinct
+        window or coefficient tuple is formatted once per save."""
         path = path or self.path
         if path is None:
             raise ValueError("no cache path configured")
+        texts = {}
+
+        def text(ints):
+            t = texts.get(ints)
+            if t is None:
+                t = texts[ints] = ",".join(map(str, ints))
+            return t
+
         tmp = "%s.%d.tmp" % (path, os.getpid())
         try:
             with open(tmp, "w") as fh:
-                for (r, ywin, wwin), p in sorted(self.p_table.items()):
-                    fh.write(
-                        "%d|%s|%s|%s\n"
-                        % (
-                            r,
-                            ",".join(map(str, ywin)),
-                            ",".join(map(str, wwin)),
-                            ",".join(map(str, p.coeffs)),
-                        )
-                    )
+                fh.writelines(
+                    "%d|%s|%s|%s\n" % (r, text(ywin), text(wwin), text(p.coeffs))
+                    for (r, ywin, wwin), p in sorted(self.p_table.items())
+                )
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):
@@ -220,6 +230,12 @@ def _parse_record(line):
         raise ValueError(
             "window lengths %d, %d differ from r = %d" % (len(y), len(w), r)
         )
+    for window in (y, w):
+        if sum(window) != r * (r + 1) // 2:
+            raise ValueError(
+                "window %s is outside W_%d: its sum is %d, not %d"
+                % (window, r, sum(window), r * (r + 1) // 2)
+            )
     p = IntPoly(tuple(int(t) for t in coeffs.split(",")) if coeffs else ())
     return (r, y, w), p
 
@@ -228,7 +244,7 @@ def _check_entry(ywin, wwin, ly, lw, p):
     """P_{y,w} is 1 on the diagonal and of degree <= (l(w) - l(y) - 1)/2
     below it."""
     if ywin == wwin:
-        if p != IntPoly((1,)):
+        if p != _P_ONE:
             raise ValueError("diagonal KL entry must be 1")
     elif p.degree() > (lw - ly - 1) // 2:
         raise ValueError(
@@ -251,21 +267,25 @@ def cprime(w, cache=None):
     = T_rho^a C'_x.  This is the column of x for J empty.
     """
     a, x = strip_rho(w)
-    c = _column((), None, x, cache or _default_cache)
+    col = _column((), None, x, cache or _default_cache)
+    lx = x.length()
     if a == 0:
-        return c
-    shift = rho(w.r, a)
-    return c._new({shift * y: coeff for y, coeff in c.terms.items()})
+        terms = {y: p.to_laurent(-lx) for y, p in col.items()}
+    else:
+        shift = rho(w.r, a)
+        terms = {shift * y: p.to_laurent(-lx) for y, p in col.items()}
+    return HeckeElt.zero(w.r)._new(terms)
 
 
 def kl_column(x, J, cache=None):
     """The parabolic KL column of x in W_r, for x longest in W_J x and J a
     proper subset of the generators 1..r (so W_J is finite).
 
-    Returns (w_J, h): h holds, at each minimal representative sigma of
-    W_J sigma below x, the coefficient of T_{w_J sigma} in C'_x, which is
-    v^{-l(x)} P_{w_J sigma, x}(v^2).  Every other T-coefficient of C'_x
-    repeats one of these, as P is constant on the left W_J-cosets.
+    Returns (w_J, col): col maps each minimal representative sigma of
+    W_J sigma below x to P_{w_J sigma, x}, so the coefficient of
+    T_{w_J sigma} in C'_x is v^{-l(x)} P_{w_J sigma, x}(v^2).  Every other
+    T-coefficient of C'_x repeats one of these, as P is constant on the
+    left W_J-cosets.
     """
     J = tuple(sorted(set(J)))
     if len(J) >= x.r:
@@ -294,55 +314,62 @@ def coset_step(sigma, i, J):
 
 
 def _column(J, wj, tau, cache):
-    """The one KL recursion, on the column of w_J tau (module docstring);
-    wj is None for J empty."""
+    """The one KL recursion, on the P column of w_J tau (module
+    docstring); wj is None for J empty."""
     key = (J, tau.window)
-    h = cache.cprime_table.get(key)
-    if h is not None:
-        return h
+    col = cache.cprime_table.get(key)
+    if col is not None:
+        return col
     r = tau.r
-    lwj = wj.length() if wj else 0
-    tau.length()  # known, so the right steps below carry lengths
+    ltau = tau.length()  # known, so the right steps below carry lengths
     i = next((i for i in range(1, r + 1) if tau.right_descent(i)), None)
     if i is None:
-        h = HeckeElt(r, {identity(r): LaurentPoly.v_power(-lwj)})
+        col = {identity(r): _P_ONE}
     else:
-        # C'_{w_J tau'} C'_{s_i} with tau' = tau s_i, one step per term
+        # C'_{w_J tau'} C'_{s_i} with tau' = tau s_i, one step per entry
         prev = _column(J, wj, tau.right_mul_simple(i)[0], cache)
-        terms = {}
+        col = {}
         lower = []
-        for sigma, c in prev.terms.items():
+        for sigma, p in prev.items():
             ss, up = coset_step(sigma, i, J)
             if ss is None:
-                accumulate(terms, ((sigma, c * _V_PLUS_V_INV),))
+                accumulate(col, ((sigma, p + p.mul_monomial(1, 1)),))
+            elif up:
+                accumulate(col, ((sigma, p), (ss, p)))
             else:
-                c2 = c.shift(-1 if up else 1)
-                accumulate(terms, ((sigma, c2), (ss, c2)))
+                qp = p.mul_monomial(1, 1)
+                accumulate(col, ((sigma, qp), (ss, qp)))
             if not up:
-                # mu(w_J sigma, w_J tau'): the v^{l(w_J tau') - l(w_J sigma)
-                # - 1} coefficient of P(v^2) = v^{l(w_J tau')} c
-                mu = c.coeff(-lwj - sigma.length() - 1)
+                # mu(w_J sigma, w_J tau'): the q^{(l(tau') - l(sigma) - 1)/2}
+                # coefficient of P
+                gap = ltau - 2 - sigma.length()
+                mu = p.coeff(gap // 2) if gap % 2 == 0 else 0
                 if mu:
-                    lower.append((sigma, mu))
-        h = prev._new(terms)
-        for z, mu in lower:
-            h.add_scaled(_column(J, wj, z, cache), -mu)
-    _record_p(h, tau, cache, wj)
-    cache.cprime_table[key] = h
-    return h
+                    lower.append((sigma, mu, gap // 2 + 1))
+        for z, mu, k in lower:
+            # minus mu q^{(l(tau) - l(z))/2} times the column of z
+            accumulate(
+                col,
+                (
+                    (y, pz.mul_monomial(-mu, k))
+                    for y, pz in _column(J, wj, z, cache).items()
+                ),
+            )
+    _record_p(col, tau, cache, wj)
+    cache.cprime_table[key] = col
+    return col
 
 
-def _record_p(h, tau, cache, wj=None):
-    """Store P_{w_J sigma, w_J tau} for each T_sigma of the column h of
-    tau (w_J = wj, or the identity when wj is None), checked against the
-    lengths its keys carry.  An entry already stored must agree: one
-    that differs raises AssertionError naming y and w."""
+def _record_p(col, tau, cache, wj=None):
+    """Store the entry P_{w_J sigma, w_J tau} of each sigma of the P
+    column col of tau (w_J = wj, or the identity when wj is None),
+    checked against the lengths its keys carry.  An entry already stored
+    must agree: one that differs raises AssertionError naming y and w."""
     lwj = wj.length() if wj else 0
     lw = lwj + tau.length()
     w = wj * tau if wj else tau
-    for sigma, coeff in h.terms.items():
+    for sigma, p in col.items():
         y = wj * sigma if wj else sigma
-        p = coeff.shift(lw).to_int_poly_in_q()
         _check_entry(y.window, w.window, lwj + sigma.length(), lw, p)
         old = cache.p_table.setdefault((tau.r, y.window, w.window), p)
         if old is not p and old != p:
@@ -356,14 +383,18 @@ def kl_poly(y, w, cache=None):
     """The Kazhdan-Lusztig polynomial P_{y,w} in q = v^2.
 
     Follows the extension rule P_{rho^a y, rho^b w} = delta_{a,b} P_{y,w}.
+    The P-table is read first: its keys are windows of W_r only.
     """
     cache = cache or _default_cache
+    p = cache.p_table.get((w.r, y.window, w.window))
+    if p is not None:
+        return p
     ay, y0 = strip_rho(y)
     aw, w0 = strip_rho(w)
     if ay != aw:
         return IntPoly(())
     if y0 == w0:
-        return IntPoly((1,))
+        return _P_ONE
     key = (w0.r, y0.window, w0.window)
     p = cache.p_table.get(key)
     if p is not None:

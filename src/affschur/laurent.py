@@ -256,6 +256,14 @@ class IntPoly:
             coeffs.pop()
         self.coeffs = tuple(coeffs)
 
+    @staticmethod
+    def _wrap(coeffs):
+        """The polynomial with coefficient tuple coeffs, which must not end
+        in a zero."""
+        out = IntPoly.__new__(IntPoly)
+        out.coeffs = coeffs
+        return out
+
     def degree(self):
         """Degree, or -1 for the zero polynomial."""
         return len(self.coeffs) - 1
@@ -272,9 +280,11 @@ class IntPoly:
             val = val * q + a
         return val
 
-    def to_laurent(self):
-        """Substitute q = v^2."""
-        return LaurentPoly({2 * k: a for k, a in enumerate(self.coeffs) if a})
+    def to_laurent(self, e=0):
+        """Substitute q = v^2 and multiply by v^e."""
+        return LaurentPoly._wrap(
+            {2 * k + e: a for k, a in enumerate(self.coeffs) if a}
+        )
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -286,9 +296,28 @@ class IntPoly:
     def __hash__(self):
         return hash(self.coeffs)
 
+    def __bool__(self):
+        return bool(self.coeffs)
+
     def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPoly(tuple(self.coeff(k) + other.coeff(k) for k in range(n)))
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        c = tuple(x + y for x, y in zip(a, b))
+        if len(a) > len(b):
+            return IntPoly._wrap(c + a[len(b) :])
+        n = len(c)
+        while n and not c[n - 1]:
+            n -= 1
+        return IntPoly._wrap(c[:n])
+
+    def mul_monomial(self, m, k):
+        """m q^k times this polynomial, for integers m and k >= 0."""
+        if not (m and self.coeffs):
+            return IntPoly._wrap(())
+        if m == 1:
+            return IntPoly._wrap((0,) * k + self.coeffs)
+        return IntPoly._wrap((0,) * k + tuple(m * a for a in self.coeffs))
 
     def __repr__(self):
         if not self.coeffs:

@@ -169,8 +169,8 @@ def theta(a_mat, r=None, cache=None):
     double cosets, and the coefficient at the longest element y+ of each
     gives the bracket coefficient v^{l(y+) - l(d+)} P_{y+, d+}.  As
     s_j rho^a = rho^a s_{j-a}, the left lambda-generators j act on x as
-    J = {j - a mod r}, and x is longest in W_J x.  The column holds the
-    coefficient at each w_J sigma with sigma minimal in W_J sigma; y+ =
+    J = {j - a mod r}, and x is longest in W_J x.  The column holds
+    P_{w_J sigma, x} at each sigma minimal in W_J sigma; y+ =
     rho^a w_J sigma for the sigma with no mu-step going up.
     """
     r = a_mat.sigma() if r is None else r
@@ -184,10 +184,11 @@ def theta(a_mat, r=None, cache=None):
     a, x = strip_rho(coset_longest(lam, d, mu))
     J = [(j - a - 1) % r + 1 for j in lam.young_generators()]
     wj, col = kl_column(x, J, cache)
-    shift, lwj, right = rho(r, a), wj.length(), mu.young_generators()
+    shift, right = rho(r, a), mu.young_generators()
+    e = wj.length() - x.length()
     terms = {
-        jdelta(lam, shift * sigma, mu): coeff.shift(lwj + sigma.length())
-        for sigma, coeff in col.terms.items()
+        jdelta(lam, shift * sigma, mu): p.to_laurent(e + sigma.length())
+        for sigma, p in col.items()
         if not any(coset_step(sigma, j, J)[1] for j in right)
     }
     res = SchurElt(a_mat.n, r, terms)

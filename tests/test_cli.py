@@ -415,6 +415,22 @@ def test_bad_cache_file_exits_2_and_is_kept(tmp_path, capsys, record):
     assert path.read_text() == text
 
 
+def test_cache_record_outside_w_r_exits_2_and_is_kept(tmp_path, capsys):
+    """P_{y,w} is 0 when the rho-parts of y and w differ; a record keyed
+    on such a pair is refused at load, not read back as the answer."""
+    argv = ["kl", "--r", "3", "--y", "1,2,3", "--w", "4,2,3"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["P"] == []
+    path = tmp_path / "kl.txt"
+    text = "3|1,2,3|4,2,3|1\n"
+    path.write_text(text)
+    code, out, err = run(capsys, *argv, "--cache", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "line 1: window (4, 2, 3) is outside W_3" in err
+    assert path.read_text() == text
+
+
 def test_tampered_cache_entry_exits_2_and_is_kept(tmp_path, capsys):
     """A P record that passes the load checks but differs from the value
     theta recomputes is refused, naming y and w, not overwritten."""

@@ -149,6 +149,9 @@ def test_cache_round_trip(tmp_path):
         ("3|1,2|2,1|1", "differ from r = 3"),
         ("2|1,2|2,x|1", "invalid literal"),
         ("2|1,2|2,1|1,1", "degree bound"),
+        # residues distinct, so extended affine windows, but not in W_3
+        ("3|1,2,3|4,2,3|1", r"window \(4, 2, 3\) is outside W_3"),
+        ("3|2,3,4|4,2,3|1", r"window \(2, 3, 4\) is outside W_3"),
     ],
 )
 def test_cache_load_rejects_bad_records(tmp_path, record, message):
@@ -156,6 +159,37 @@ def test_cache_load_rejects_bad_records(tmp_path, record, message):
     path.write_text("2|1,2|1,2|1\n\n" + record + "\n")
     with pytest.raises(ValueError, match="line 3: .*" + message):
         KLCache(str(path))
+
+
+def _records(p_table):
+    """The saved form of a P-table, each record formatted on its own."""
+    def text(ints):
+        return ",".join(map(str, ints))
+
+    return "".join(
+        "%d|%s|%s|%s\n" % (r, text(y), text(w), text(p.coeffs))
+        for (r, y, w), p in sorted(p_table.items())
+    )
+
+
+def test_cache_save_writes_sorted_records(tmp_path):
+    path = tmp_path / "kl.txt"
+    cache = KLCache()
+    cprime(simple(3, 1) * simple(3, 2) * simple(3, 1), cache)
+    cache.save(str(path))
+    assert path.read_text() == (
+        "3|1,2,3|1,2,3|1\n3|1,2,3|2,1,3|1\n3|1,2,3|2,3,1|1\n"
+        "3|1,2,3|3,2,1|1\n3|1,3,2|2,3,1|1\n3|1,3,2|3,2,1|1\n"
+        "3|2,1,3|2,1,3|1\n3|2,1,3|2,3,1|1\n3|2,1,3|3,2,1|1\n"
+        "3|2,3,1|2,3,1|1\n3|2,3,1|3,2,1|1\n3|3,1,2|3,2,1|1\n"
+        "3|3,2,1|3,2,1|1\n"
+    )
+    # negative windows, windows shared by many records and P = 1 + q
+    cprime(AffPerm((-3, 4, 5)), cache)
+    cache.save(str(path))
+    text = path.read_text()
+    assert text == _records(cache.p_table)
+    assert "3|1,2,3|-3,4,5|1,1\n" in text
 
 
 def test_cache_save_is_atomic(tmp_path):
@@ -233,17 +267,17 @@ def _with_propagated_lengths():
 
 def test_record_p_rejects_degree_bound_violation():
     e, w = _with_propagated_lengths()
-    # T_e coefficient v^-2 (1 + v^2) is P_{e,w} = 1 + q, degree 1 > 0
-    h = HeckeElt(3, {w: lp({-2: 1}), e: lp({-2: 1, 0: 1})})
+    # P_{e,w} = 1 + q has degree 1 > (l(w) - l(e) - 1)/2 = 0
+    col = {w: IntPoly((1,)), e: IntPoly((1, 1))}
     with pytest.raises(ValueError, match="degree bound"):
-        _record_p(h, w, KLCache())
+        _record_p(col, w, KLCache())
 
 
 def test_record_p_rejects_diagonal_other_than_one():
     e, w = _with_propagated_lengths()
-    h = HeckeElt(3, {w: lp({-2: 2}), e: lp({-2: 1})})
+    col = {w: IntPoly((2,)), e: IntPoly((1,))}
     with pytest.raises(ValueError, match="diagonal"):
-        _record_p(h, w, KLCache())
+        _record_p(col, w, KLCache())
 
 
 def _proper_subsets(r):
@@ -301,9 +335,10 @@ def test_t_bar_on_columns_matches_the_whole_sum():
 
 @pytest.mark.parametrize("r", [3, 4])
 def test_kl_column_reads_cprime_at_left_maximal_elements(r):
-    """For x longest in W_J x, the column holds the T-coefficient of C'_x
-    at each w_J sigma, and these are all the T-coefficients of C'_x at
-    elements longest in their left W_J-coset."""
+    """For x longest in W_J x, the column holds P_{w_J sigma, x}, so
+    v^{-l(x)} P_{w_J sigma, x}(v^2) is the T-coefficient of C'_x at each
+    w_J sigma, and these are all the T-coefficients of C'_x at elements
+    longest in their left W_J-coset."""
     full, parabolic = KLCache(), KLCache()
     elems = sorted(
         (w for layer in enumerate_wr(r, 5) for w in layer),
@@ -312,13 +347,16 @@ def test_kl_column_reads_cprime_at_left_maximal_elements(r):
     for J in _proper_subsets(r):
         tops = [x for x in elems if all(x.left_descent(k) for k in J)]
         for x in tops[-4:]:
-            wj, h = kl_column(x, J, parabolic)
+            wj, col = kl_column(x, J, parabolic)
             maximal = {
                 y: coeff
                 for y, coeff in cprime(x, full).terms.items()
                 if all(y.left_descent(k) for k in J)
             }
-            assert {wj * sigma: c for sigma, c in h.terms.items()} == maximal
+            lx = x.length()
+            assert {
+                wj * sigma: p.to_laurent(-lx) for sigma, p in col.items()
+            } == maximal
     with pytest.raises(ValueError, match="infinite"):
         kl_column(identity(r), range(1, r + 1), parabolic)
 

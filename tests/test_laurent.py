@@ -117,3 +117,24 @@ def test_interpolation_reproduces_samples(coeffs):
     back = poly_interpolate(samples, len(samples) - 1)
     for q, val in samples:
         assert back.evaluate(q) == val
+
+
+small_intpolys = st.lists(
+    st.integers(min_value=-3, max_value=3), max_size=5
+).map(IntPoly)
+
+
+@given(small_intpolys, small_intpolys, st.integers(-3, 3), st.integers(0, 3))
+def test_intpoly_arithmetic_matches_laurent(a, b, m, k):
+    """The sums and m q^k multiples the KL recursion runs on, against the
+    same sums in Z[v, v^-1]; results never end in a zero coefficient."""
+    neg_a = IntPoly(tuple(-x for x in a.coeffs))
+    for p, expected in [
+        (a + b, a.to_laurent() + b.to_laurent()),
+        (a + neg_a, LaurentPoly()),
+        (a.mul_monomial(m, k), a.to_laurent() * lp({2 * k: m})),
+    ]:
+        assert p.to_laurent() == expected
+        assert bool(p) == bool(expected)
+        assert not p.coeffs or p.coeffs[-1] != 0
+    assert a.to_laurent(-k) == a.to_laurent().shift(-k)

@@ -6,6 +6,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
@@ -57,6 +59,48 @@ def test_kl_survey():
     proc = run_script("kl_survey.py", "--r", "3", "--max-length", "3")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1].startswith("trivial pairs: ")
+
+
+def test_kl_survey_saves_its_cache_only_when_the_table_grows(tmp_path):
+    path = tmp_path / "kl.txt"
+    args = ("--r", "3", "--max-length", "3", "--cache", str(path))
+    first = run_script("kl_survey.py", *args)
+    assert first.returncode == 0, first.stderr
+    text, inode = path.read_text(), path.stat().st_ino
+    again = run_script("kl_survey.py", *args)
+    assert again.returncode == 0, again.stderr
+    assert again.stdout == first.stdout
+    # a save replaces the file by a new one, so the inode would change
+    assert path.stat().st_ino == inode and path.read_text() == text
+    grown = run_script("kl_survey.py", *args[:3], "4", *args[4:])
+    assert grown.returncode == 0, grown.stderr
+    assert path.stat().st_ino != inode
+    assert len(path.read_text()) > len(text)
+
+
+@pytest.mark.parametrize(
+    "name, text, named",
+    [
+        ("missing/kl.txt", None, "--cache"),
+        ("", None, "--cache"),  # the directory itself: refused at load
+        ("kl.txt", "3|1,2,3|1,2,3|1\n3|1,2,3|2,1,3\n", "line 2: expected 4"),
+    ],
+    ids=["in-missing-dir", "is-a-dir", "malformed"],
+)
+def test_kl_survey_refuses_an_unusable_cache(tmp_path, name, text, named):
+    path = tmp_path / name
+    if text:
+        path.write_text(text)
+    proc = run_script(
+        "kl_survey.py", "--r", "3", "--max-length", "2", "--cache", str(path)
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and named in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert list(tmp_path.rglob("*.tmp")) == []
+    if text:
+        assert path.read_text() == text
 
 
 def test_dump_structure_tables(tmp_path):
