@@ -6,12 +6,16 @@ enumeration order).  The exit code is 1 when a verification fails and 2
 when an input is rejected, a --cache or --out path cannot be read or
 written, or a check inside the library fails, with an "error:" line on
 stderr.
+
+Each command imports only the layers it runs: the module itself loads
+the matrix, Weyl-group and KL layers every command's input needs, and
+schur, transfer, hall and verify are imported by the commands that use
+them, so a process pays the import of no layer its command skips.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import pathlib
@@ -20,10 +24,6 @@ import sys
 from .affmat import AffMatrix
 from .affweyl import AffPerm, Composition
 from .heckekl import KLCache, kl_poly, default_cache
-from .schur import SchurElt, theta, mult
-from . import transfer
-from . import hall
-from .verify import DRIVERS
 
 
 class InputError(ValueError):
@@ -137,6 +137,8 @@ def _level_matrices(args, *names):
 
 
 def cmd_theta(args, cache):
+    from .schur import theta
+
     (a_mat,) = _level_matrices(args, "a")
     th = theta(a_mat, args.r, cache)
     return {
@@ -150,6 +152,8 @@ def cmd_theta(args, cache):
 
 
 def cmd_mult(args, cache):
+    from .schur import SchurElt, theta, mult
+
     a_mat, b_mat = _level_matrices(args, "a", "b")
     if args.basis == "theta":
         x = mult(theta(a_mat, args.r, cache), theta(b_mat, args.r, cache))
@@ -170,6 +174,8 @@ def cmd_mult(args, cache):
 
 
 def cmd_g_table(args, cache):
+    from . import transfer
+
     a_mat, b_mat = _level_matrices(args, "a", "b")
     return {
         "command": "g-table",
@@ -179,6 +185,8 @@ def cmd_g_table(args, cache):
 
 
 def cmd_f_table(args, cache):
+    from . import transfer
+
     a_mat = _load_matrix(args, "a")
     b_mat = _load_matrix(args, "b")
     if not (a_mat.is_upper() and b_mat.is_upper()):
@@ -192,6 +200,8 @@ def cmd_f_table(args, cache):
 
 
 def cmd_h_table(args, cache):
+    from . import transfer
+
     a_mat = _load_matrix(args, "a")
     b_mat = _load_matrix(args, "b")
     _check_length_cap(args.cap_length, a_mat, b_mat)
@@ -200,6 +210,8 @@ def cmd_h_table(args, cache):
 
 
 def cmd_hall(args, cache):
+    from . import hall
+
     a_mat = _load_matrix(args, "a")
     b_mat = _load_matrix(args, "b")
     c_mat = _load_matrix(args, "c")
@@ -233,6 +245,10 @@ _VERIFY_KWARGS = {
 
 
 def cmd_verify(args, cache):
+    import inspect
+
+    from .verify import DRIVERS
+
     name = args.target
     if name not in DRIVERS:
         raise InputError(
@@ -339,7 +355,11 @@ def build_parser():
     common(p)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("target", help="|".join(sorted(DRIVERS)))
+    p.add_argument(
+        "target",
+        help="name of the suite, e.g. lemma-3.7; an unknown name exits 2 "
+        "and lists every target",
+    )
     common(p)
     # unset unless given, so the driver's own default applies and a cap
     # the driver does not take is refused

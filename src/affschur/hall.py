@@ -18,7 +18,6 @@ import itertools
 
 from .laurent import IntPoly, poly_interpolate
 from .affmat import dim_vector, theta_plus_by_dim
-from .schur import SchurElt, mult as schur_mult, a_block
 
 
 def euler(lam, mu):
@@ -467,6 +466,8 @@ def hall_mult_utilde(a_mat, b_mat, cap_dim=10):
 def zeta_check(a_mat, b_mat, r, cap_dim=10):
     """Cross-engine bridge: does zeta_r(utilde_A utilde_B) computed in the
     Hall algebra match A(0,r) B(0,r) computed in the Schur algebra?"""
+    from .schur import SchurElt, mult as schur_mult, a_block
+
     n = a_mat.n
     j0 = (0,) * n
     lhs = schur_mult(a_block(a_mat, j0, r), a_block(b_mat, j0, r))

@@ -163,29 +163,47 @@ class KLCache:
 
     def load(self, path):
         """Read a saved P-table; a malformed or invalid record raises
-        ValueError naming its line.  Each distinct window is checked and
-        its length computed once per load."""
-        lengths = {}
+        ValueError naming its line, and a file that is not text in the
+        locale's encoding raises ValueError naming the file.
 
-        def length(window):
-            ln = lengths.get(window)
-            if ln is None:
-                ln = lengths[window] = AffPerm(window).length()
-            return ln
-
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    key, p = _parse_record(line)
-                    _, ywin, wwin = key
-                    _check_entry(ywin, wwin, length(ywin), length(wwin), p)
-                except ValueError as exc:
-                    msg = "%s line %d: %s" % (path, lineno, exc)
-                    raise ValueError(msg) from None
-                self.p_table[key] = p
+        Each distinct window text is parsed and checked once per level r
+        (its length, its W_r sum, the AffPerm residue check, its length
+        l) and each distinct coefficient text becomes one shared IntPoly,
+        while every record is checked against the degree bound and the
+        diagonal rule.
+        """
+        windows = {}  # (r, text) -> (window, l(window)), checked
+        polys = {}  # coefficient text -> IntPoly
+        try:
+            with open(path) as fh:
+                lines = fh.read().split("\n")
+        except UnicodeDecodeError as exc:
+            raise ValueError("%s: %s" % (path, exc)) from None
+        for lineno, line in enumerate(lines, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                fields = line.split("|")
+                if len(fields) != 4:
+                    raise ValueError(
+                        "expected 4 '|'-separated fields, got %d" % len(fields)
+                    )
+                r_s, ytext, wtext, ctext = fields
+                r = int(r_s)
+                y = windows.get((r, ytext))
+                w = windows.get((r, wtext))
+                if y is None or w is None:
+                    y, w = _check_windows(r, ytext, wtext, windows)
+                (ywin, ly), (wwin, lw) = y, w
+                p = polys.get(ctext)
+                if p is None:
+                    p = polys[ctext] = IntPoly(_ints(ctext))
+                _check_entry(ywin, wwin, ly, lw, p)
+            except ValueError as exc:
+                msg = "%s line %d: %s" % (path, lineno, exc)
+                raise ValueError(msg) from None
+            self.p_table[(r, ywin, wwin)] = p
 
     def save(self, path=None):
         """Write the P-table atomically: a temporary file in the same
@@ -215,17 +233,10 @@ class KLCache:
                 os.remove(tmp)
 
 
-def _parse_record(line):
-    """(r, y.window, w.window), IntPoly from one r|y|w|coeffs record."""
-    fields = line.split("|")
-    if len(fields) != 4:
-        raise ValueError(
-            "expected 4 '|'-separated fields, got %d" % len(fields)
-        )
-    r_s, ywin, wwin, coeffs = fields
-    r = int(r_s)
-    y = tuple(int(t) for t in ywin.split(",")) if ywin else ()
-    w = tuple(int(t) for t in wwin.split(",")) if wwin else ()
+def _check_windows(r, ytext, wtext, windows):
+    """The (window, length) of the texts of y and w at level r, each
+    checked to be a window of W_r and entered in windows under (r, text)."""
+    y, w = _ints(ytext), _ints(wtext)
     if len(y) != r or len(w) != r:
         raise ValueError(
             "window lengths %d, %d differ from r = %d" % (len(y), len(w), r)
@@ -236,8 +247,15 @@ def _parse_record(line):
                 "window %s is outside W_%d: its sum is %d, not %d"
                 % (window, r, sum(window), r * (r + 1) // 2)
             )
-    p = IntPoly(tuple(int(t) for t in coeffs.split(",")) if coeffs else ())
-    return (r, y, w), p
+    for text, window in ((ytext, y), (wtext, w)):
+        if (r, text) not in windows:
+            windows[(r, text)] = (window, AffPerm(window).length())
+    return windows[(r, ytext)], windows[(r, wtext)]
+
+
+def _ints(text):
+    """The integers of a comma-separated record field."""
+    return tuple(int(t) for t in text.split(",")) if text else ()
 
 
 def _check_entry(ywin, wwin, ly, lw, p):

@@ -9,8 +9,6 @@ silently.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 def accumulate(terms, items, scale=None):
     """Add each (key, coefficient) pair of items into the dict terms.
@@ -140,18 +138,6 @@ class LaurentPoly:
 
     def only_even_exponents(self):
         return all(e % 2 == 0 for e in self._c)
-
-    def to_int_poly_in_q(self):
-        """Reinterpret as a polynomial in q = v^2.
-
-        Requires all exponents even and nonnegative.
-        """
-        if not self._c:
-            return IntPoly(())
-        if not self.only_even_exponents() or min(self._c) < 0:
-            raise ValueError("not a polynomial in q = v^2: %s" % self)
-        deg = max(self._c) // 2
-        return IntPoly(tuple(self._c.get(2 * k, 0) for k in range(deg + 1)))
 
     def to_json(self):
         return [[e, str(a)] for e, a in self.items()]
@@ -350,6 +336,8 @@ def poly_interpolate(samples, degree_bound):
     coefficient or a sample is missed, which signals that degree_bound
     was too small or the counts are inconsistent.
     """
+    from fractions import Fraction
+
     if len(samples) < degree_bound + 1:
         raise ValueError("need at least degree_bound + 1 samples")
     pts = samples[: degree_bound + 1]

@@ -8,7 +8,6 @@ modified algebra obtained by level stabilization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 
 from .laurent import LaurentPoly
@@ -50,15 +49,15 @@ def rho_idempotent(mu, m, r):
     return jdelta(mu, d, mu)
 
 
-@dataclass
 class StructTable:
     """A table of structure constants of one of the three kinds."""
 
-    kind: str  # "f", "g" or "h"
-    a: AffMatrix
-    b: AffMatrix
-    r: int | None = None
-    table: dict = field(default_factory=dict)
+    def __init__(self, kind, a, b, r=None, table=None):
+        self.kind = kind  # "f", "g" or "h"
+        self.a = a
+        self.b = b
+        self.r = r
+        self.table = {} if table is None else table
 
     def to_json(self):
         items = sorted(self.table.items(), key=lambda p: p[0].entries())

@@ -1,9 +1,11 @@
 import functools
 import inspect
 import json
+import os
 import pathlib
 import re
 import shlex
+import subprocess
 import sys
 
 import pytest
@@ -14,6 +16,7 @@ from affschur.verify import DRIVERS
 CROSS = '{"n": 2, "entries": [[1, 2, 1], [2, 1, 1]]}'
 DIAG = '{"n": 2, "entries": [[1, 1, 1], [2, 2, 1]]}'
 SEG = '{"n": 2, "entries": [[1, 2, 1]]}'
+SEG2 = '{"n": 2, "entries": [[1, 2, 2]]}'
 
 
 def run(capsys, *argv):
@@ -431,6 +434,20 @@ def test_cache_record_outside_w_r_exits_2_and_is_kept(tmp_path, capsys):
     assert path.read_text() == text
 
 
+def test_non_utf8_cache_file_exits_2_and_is_kept(tmp_path, capsys):
+    path = tmp_path / "kl.txt"
+    data = b"\xff\xfe"
+    path.write_bytes(data)
+    code, out, err = run(
+        capsys, "kl", "--r", "2", "--y", "1,2", "--w", "2,1",
+        "--cache", str(path),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+    assert path.read_bytes() == data
+
+
 def test_tampered_cache_entry_exits_2_and_is_kept(tmp_path, capsys):
     """A P record that passes the load checks but differs from the value
     theta recomputes is refused, naming y and w, not overwritten."""
@@ -521,3 +538,70 @@ def test_readme_examples_run(capsys):
         code, out, err = run(capsys, *shlex.split(line)[1:])
         assert code == 0, (line, err)
         json.loads(out)
+
+
+def _fresh_python(code):
+    """The standard output of code run by a new interpreter on the
+    package sources."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_cli_import_loads_no_command_layer():
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import affschur.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    added = set(_fresh_python(code).split())
+    assert "affschur.cli" in added
+    skipped = {
+        "affschur.schur", "affschur.transfer", "affschur.hall",
+        "affschur.verify", "dataclasses", "inspect", "fractions",
+    }
+    assert not added & skipped
+
+
+_CLI_CORE = {
+    "affschur", "affschur.cli", "affschur.affmat", "affschur.affweyl",
+    "affschur.heckekl", "affschur.laurent",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, layers",
+    [
+        (["kl", "--r", "3", "--y", "1,2,3", "--w", "3,2,1"], set()),
+        (["theta", "--n", "2", "--r", "2", "--a", CROSS], {"schur"}),
+        (
+            ["g-table", "--n", "2", "--r", "2", "--a", CROSS, "--b", CROSS],
+            {"schur", "transfer"},
+        ),
+        (
+            ["hall", "--n", "2", "--a", SEG, "--b", SEG, "--c", SEG2],
+            {"hall"},
+        ),
+    ],
+    ids=["kl", "theta", "g-table", "hall"],
+)
+def test_each_command_imports_only_its_layers(tmp_path, argv, layers):
+    argv = argv + ["--out", str(tmp_path / "report.json")]
+    code = (
+        "import sys\n"
+        "from affschur import cli\n"
+        "assert cli.main(%r) == 0\n"
+        "print(' '.join(m for m in sys.modules if m.startswith('affschur')))\n"
+        % argv
+    )
+    loaded = set(_fresh_python(code).split())
+    assert loaded == _CLI_CORE | {"affschur." + m for m in layers}

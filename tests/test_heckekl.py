@@ -142,6 +142,11 @@ def test_cache_round_trip(tmp_path):
     assert reloaded.p_table == cache.p_table
 
 
+# the window pairs and the coefficient text 1,1 that the last four cases
+# reuse first appear on a valid line
+_CACHE_PREFIX = "2|1,2|1,2|1\n3|1,2,3|-3,4,5|1,1\n3|1,2,3|2,1,3|1\n\n"
+
+
 @pytest.mark.parametrize(
     "record, message",
     [
@@ -152,12 +157,17 @@ def test_cache_round_trip(tmp_path):
         # residues distinct, so extended affine windows, but not in W_3
         ("3|1,2,3|4,2,3|1", r"window \(4, 2, 3\) is outside W_3"),
         ("3|2,3,4|4,2,3|1", r"window \(2, 3, 4\) is outside W_3"),
+        # texts seen on a valid line are still checked on every record
+        ("3|1,2,3|2,1,3|1,1", "degree bound"),
+        ("3|1,2,3|-3,4,5|1,1,1", "degree bound"),
+        ("2|1,2|1,2|1,1", "diagonal KL entry must be 1"),
+        ("3|1,2,3|1,2,3|2", "diagonal KL entry must be 1"),
     ],
 )
 def test_cache_load_rejects_bad_records(tmp_path, record, message):
     path = tmp_path / "kl.txt"
-    path.write_text("2|1,2|1,2|1\n\n" + record + "\n")
-    with pytest.raises(ValueError, match="line 3: .*" + message):
+    path.write_text(_CACHE_PREFIX + record + "\n")
+    with pytest.raises(ValueError, match="line 5: .*" + message):
         KLCache(str(path))
 
 

@@ -10,6 +10,8 @@ from affschur.laurent import (
     poly_interpolate,
 )
 
+from helpers import int_poly_in_q
+
 
 def lp(d):
     return LaurentPoly(d)
@@ -56,8 +58,12 @@ def test_min_max_exp():
 def test_even_exponents_and_q_conversion():
     a = lp({0: 1, 2: 1})
     assert a.only_even_exponents()
-    assert a.to_int_poly_in_q() == IntPoly((1, 1))
+    assert int_poly_in_q(a) == IntPoly((1, 1))
+    assert int_poly_in_q(lp({})) == IntPoly(())
     assert not lp({1: 1}).only_even_exponents()
+    for bad in (lp({1: 1}), lp({-2: 1, 0: 1})):
+        with pytest.raises(ValueError, match="not a polynomial in q"):
+            int_poly_in_q(bad)
 
 
 def test_json_round_trip():

@@ -42,6 +42,8 @@ from affschur.schur import (
     theta_by_elimination,
 )
 
+from helpers import int_poly_in_q
+
 A_CROSS = AffMatrix(2, {(1, 2): 1, (2, 1): 1})
 DIAG_11 = AffMatrix.diag(2, (1, 1))
 
@@ -383,7 +385,7 @@ def test_nu_constants_count_points():
         for c, val in e_basis_mult(a, b).items():
             assert val.only_even_exponents()
             for q in (2, 3, 4, 5):
-                count = val.to_int_poly_in_q().evaluate(q)
+                count = int_poly_in_q(val).evaluate(q)
                 assert count >= 0
 
 
