@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Run every verification suite and print a one-line summary per suite.
 
-With --json the full reports are written to the given file.  Exits
-nonzero when any suite reports a violation.
+With --json the full reports are written to the given file.  Exits 1
+when any suite reports a violation, and 2 when a suite raises
+ValueError or AssertionError (an input it refuses, or an internal check
+that fails): the summaries of the suites already run are printed, then
+the error, and no report is written.
 """
 
 import argparse
@@ -41,7 +44,12 @@ def main():
     failed = False
     for name in targets:
         t0 = time.monotonic()
-        report = DRIVERS[name]()
+        try:
+            report = DRIVERS[name]()
+        except (ValueError, AssertionError) as exc:
+            sys.stdout.flush()
+            print("error: %s: %s" % (name, exc), file=sys.stderr)
+            return 2
         elapsed = time.monotonic() - t0
         reports.append(report)
         status = "pass" if report["pass"] else "FAIL"

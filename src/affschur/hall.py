@@ -5,10 +5,13 @@ Nilpotent representations are direct sums of segment modules M^{i,j}
 by a_{i,i+len} = multiplicity.  Hall polynomials are recovered from
 exhaustive submodule counts over small finite fields by Lagrange
 interpolation, once per process and triple (never persisted: a
---cache file holds KL polynomials only); triples that path ranks prove
-zero are not counted.  Module types and dim End M(A) are read
-off the segments.  The zeta comparison replays the same
-products inside the Schur algebra through A(0, r).
+--cache file holds KL polynomials only).  The number of samples comes
+from Riedtmann's degree bound, and triples that the bound or path ranks
+prove zero are not counted.  Each product utilde_A utilde_B is checked
+once per process against the Riedtmann sum over C, which costs no
+counting.  Module types and dim End M(A) are read off the segments.
+The zeta comparison replays the same products inside the Schur algebra
+through A(0, r).
 """
 
 from __future__ import annotations
@@ -273,28 +276,6 @@ def _path_ranks(a_mat, max_len):
     return tuple(dims), tuple(tuple(chain) for chain in ranks)
 
 
-def _image_ranks(mod, starts, mods, max_len, field):
-    """ranks[v][l - 1] = dim (p(starts[v]) + mods[w]) / mods[w] for the
-    length-l path map p out of vertex v and w = v + l, l = 1..max_len.
-
-    starts[v] and mods[w] are lists of vectors in V_v and V_w, pushed
-    along one arrow at a time.  With starts = S and no mods these are
-    the path ranks of a submodule S; with the standard bases as starts
-    and mods = S, those of the quotient by S.
-    """
-    n = mod.n
-    base = [_rank(m, field) for m in mods]
-    ranks = []
-    for v in range(n):
-        vecs, chain = starts[v], []
-        for l in range(1, max_len + 1):
-            w = (v + l) % n
-            vecs = [_mat_apply(mod.arrows[(w - 1) % n], x, field) for x in vecs]
-            chain.append(_rank(vecs + mods[w], field) - base[w])
-        ranks.append(tuple(chain))
-    return tuple(ranks)
-
-
 class SizeCapError(ValueError):
     """Total module dimension exceeds the configured enumeration cap."""
 
@@ -309,10 +290,19 @@ def _dim_vectors(a_mat, b_mat, c_mat):
     return da, db, dc
 
 
+def _longest_segment(a_mat):
+    return max((j - i for (i, j), _ in a_mat.entries()), default=0)
+
+
 def hall_count(c_mat, a_mat, b_mat, q, cap_dim=10):
     """phi^C_{A,B}(q): submodules N of M(C) over F_q with N of type B
-    and M(C)/N of type A, counted by exhaustive enumeration.  Types are
-    compared by their path ranks."""
+    and M(C)/N of type A, counted by exhaustive enumeration.
+
+    Types are compared by their path ranks.  A path of length at least
+    the longest segment of C kills M(C), and so N and M(C)/N: only the
+    shorter lengths are pushed, and a target with a segment longer than
+    any of C counts 0 without enumerating.
+    """
     db = _dim_vectors(a_mat, b_mat, c_mat)[1]
     field = gf(q)
     mod_c = ModuleRealization(c_mat)
@@ -320,21 +310,53 @@ def hall_count(c_mat, a_mat, b_mat, q, cap_dim=10):
         raise SizeCapError(
             "total dimension %d exceeds cap %d" % (mod_c.total, cap_dim)
         )
-    max_len = mod_c.total
+    longest = _longest_segment(c_mat)
+    if max(_longest_segment(a_mat), _longest_segment(b_mat)) > longest:
+        return 0
+    max_len = longest - 1
     target_sub = _path_ranks(b_mat, max_len)[1]
     target_quot = _path_ranks(a_mat, max_len)[1]
-    zero = [[]] * mod_c.n
-    whole = [
-        [[int(r == c) for c in range(d)] for r in range(d)] for d in mod_c.dims
-    ]
-    count = 0
-    for combo in _submodules(mod_c, db, field):
-        if (
-            _image_ranks(mod_c, combo, zero, max_len, field) == target_sub
-            and _image_ranks(mod_c, whole, combo, max_len, field) == target_quot
-        ):
-            count += 1
-    return count
+    # images[v][l - 1] spans p(V_v) for the length-l path p out of v
+    n, arrows = mod_c.n, mod_c.arrows
+    images = []
+    for v, d in enumerate(mod_c.dims):
+        vecs = [[int(r == c) for c in range(d)] for r in range(d)]
+        chain = []
+        for l in range(1, max_len + 1):
+            step = arrows[(v + l - 1) % n]
+            vecs = [_mat_apply(step, x, field) for x in vecs]
+            vecs = [x for x in vecs if any(x)]
+            chain.append(vecs)
+        images.append(chain)
+    return sum(
+        1
+        for combo in _submodules(mod_c, db, field)
+        if _types_match(mod_c, combo, images, target_sub, target_quot, field)
+    )
+
+
+def _types_match(mod, combo, images, target_sub, target_quot, field):
+    """Whether the submodule combo = (S_v) and its quotient have the
+    target path ranks, stopping at the first rank that differs.
+
+    The rank of the length-l path p out of v is dim p(S_v) on S, and
+    dim (p(V_v) + S_w) / S_w on the quotient, w = v + l; each S_w is
+    given by a basis.
+    """
+    n, arrows = mod.n, mod.arrows
+    for v, want in enumerate(target_sub):
+        vecs = combo[v]
+        for l, rank in enumerate(want, 1):
+            step = arrows[(v + l - 1) % n]
+            vecs = _rref([_mat_apply(step, x, field) for x in vecs], field)[0]
+            if len(vecs) != rank:
+                return False
+    for v, want in enumerate(target_quot):
+        for l, rank in enumerate(want, 1):
+            s_w = combo[(v + l) % n]
+            if _rank(images[v][l - 1] + s_w, field) - len(s_w) != rank:
+                return False
+    return True
 
 
 def _submodules(mod, dvec, field):
@@ -389,33 +411,57 @@ def _ranks_forbid(a_mat, b_mat, c_mat, max_len):
     )
 
 
+def _degree_bound(a_mat, b_mat, c_mat):
+    """min(beta, sum_i d(B)_i d(A)_i), a bound on deg phi^C_{A,B} that is
+    negative exactly when beta is, and then phi^C_{A,B} = 0.
+
+    beta = -<d(A), d(B)> + eps_C - eps_A - eps_B with eps =
+    utilde_exponent: by Riedtmann's formula (Lie algebras generated by
+    indecomposables, 1994) phi = |Ext^1(A, B)_C| |Aut C| / (|Aut A|
+    |Aut B| |Hom(A, B)|), the category is hereditary, so dim Ext^1 -
+    dim Hom = -<d(A), d(B)>, and |Aut X| has degree dim End X.  The
+    second bound holds because the submodules lie in a product of
+    Grassmannians of that dimension.
+    """
+    da, db, dc = _dim_vectors(a_mat, b_mat, c_mat)
+    beta = (
+        -euler(da, db)
+        + utilde_exponent(c_mat)
+        - utilde_exponent(a_mat)
+        - utilde_exponent(b_mat)
+    )
+    return min(beta, sum(x * y for x, y in zip(db, da)))
+
+
 def hall_poly(a_mat, b_mat, c_mat, cap_dim=10):
     """The Hall polynomial phi^C_{A,B} in q, by interpolation.
 
-    Degree bound: sum_i d(B)_i d(A)_i (the submodule locus sits in a
-    product of Grassmannians of that dimension).  Every sampled count
-    must be reproduced by the interpolant.  Both size caps are checked
-    before the per-process memo is read, so a smaller cap_dim still
-    refuses a triple that is already known.  A triple that
-    _ranks_forbid rules out is zero without counting.
+    It is sampled at _degree_bound + 1 prime powers: the smaller of
+    Riedtmann's bound beta and sum_i d(B)_i d(A)_i.  A triple with
+    beta < 0, or one that _ranks_forbid rules out, is zero without
+    counting.  Every sampled count must be reproduced by the
+    interpolant; hall_mult_utilde checks each whole product against
+    the Riedtmann sum.  The total-dimension cap is checked before the
+    per-process memo is read, so a smaller cap_dim still refuses a
+    triple that is already known.
     """
-    da, db, dc = _dim_vectors(a_mat, b_mat, c_mat)
-    bound = sum(x * y for x, y in zip(db, da))
-    if bound + 1 > len(_PRIME_POWERS):
-        raise SizeCapError("degree bound %d too large to sample" % bound)
-    total = sum(dc)
+    total = sum(_dim_vectors(a_mat, b_mat, c_mat)[2])
     if total > cap_dim:
         raise SizeCapError(
             "total dimension %d exceeds cap %d" % (total, cap_dim)
         )
-    return _hall_poly(a_mat, b_mat, c_mat, bound, total)
+    return _hall_poly(a_mat, b_mat, c_mat)
 
 
 @cache
-def _hall_poly(a_mat, b_mat, c_mat, bound, total):
-    """hall_poly once its caps are checked; total has passed cap_dim."""
-    if _ranks_forbid(a_mat, b_mat, c_mat, total):
+def _hall_poly(a_mat, b_mat, c_mat):
+    """hall_poly once its total-dimension cap is checked."""
+    bound = _degree_bound(a_mat, b_mat, c_mat)
+    total = sum(dim_vector(c_mat))
+    if bound < 0 or _ranks_forbid(a_mat, b_mat, c_mat, total):
         return IntPoly(())
+    if bound + 1 > len(_PRIME_POWERS):
+        raise SizeCapError("degree bound %d too large to sample" % bound)
     samples = [
         (q, hall_count(c_mat, a_mat, b_mat, q, cap_dim=total))
         for q in _PRIME_POWERS[: bound + 1]
@@ -441,10 +487,58 @@ def utilde_exponent(a_mat):
     return end - sum(dims)
 
 
+# an integer above every sampled prime power; both sides of the Riedtmann
+# sum are rational functions of q, so it need not be a prime power
+_RIEDTMANN_Q = 64
+
+
+def _aut_order(x_mat, q):
+    """|Aut M(X)| = q^(dim End - sum_s m_s^2) prod_s |GL_{m_s}(F_q)|, with
+    m_s the multiplicity of segment s: End M(X) modulo its radical is
+    the product of the matrix rings M_{m_s}(F_q)."""
+    mults = [m for _, m in x_mat.entries()]
+    end = utilde_exponent(x_mat) + sum(dim_vector(x_mat))
+    order = q ** (end - sum(m * m for m in mults))
+    for m in mults:
+        for i in range(m):
+            order *= q**m - q**i
+    return order
+
+
+@cache
+def _check_riedtmann_sum(a_mat, b_mat):
+    """Raise AssertionError unless sum_C phi^C_{A,B}(q) |Aut A| |Aut B| /
+    |Aut C| = q^(-<d(A), d(B)>) at q = _RIEDTMANN_Q.
+
+    By Riedtmann's formula the C-term is |Ext^1(A, B)_C| / |Hom(A, B)|,
+    and the extension classes of A by B sum to |Ext^1(A, B)|.  Every
+    phi^C_{A,B} must already have passed hall_poly's caps.
+    """
+    from fractions import Fraction
+
+    q = _RIEDTMANN_Q
+    da, db = dim_vector(a_mat), dim_vector(b_mat)
+    d = tuple(x + y for x, y in zip(da, db))
+    terms = sum(
+        Fraction(
+            _hall_poly(a_mat, b_mat, c_mat).evaluate(q), _aut_order(c_mat, q)
+        )
+        for c_mat in theta_plus_by_dim(a_mat.n, d)
+    )
+    terms *= _aut_order(a_mat, q) * _aut_order(b_mat, q)
+    if terms != Fraction(q) ** -euler(da, db):
+        raise AssertionError(
+            "Hall polynomials of A = %s, B = %s fail the Riedtmann sum"
+            % (a_mat, b_mat)
+        )
+
+
 def hall_mult_utilde(a_mat, b_mat, cap_dim=10):
     """The product utilde^+_A utilde^+_B expanded in the utilde basis.
 
     Coefficient of C: v^{<d(A), d(B)> + eps_A + eps_B - eps_C} phi(v^2).
+    The Hall polynomials are checked against the Riedtmann sum once per
+    (A, B) and process.
     """
     if a_mat.n != b_mat.n:
         raise ValueError("mismatched n")
@@ -460,6 +554,7 @@ def hall_mult_utilde(a_mat, b_mat, cap_dim=10):
             continue
         eps_c = utilde_exponent(c_mat)
         out[c_mat] = phi.to_laurent().shift(e_pair + eps_a + eps_b - eps_c)
+    _check_riedtmann_sum(a_mat, b_mat)
     return out
 
 

@@ -136,9 +136,6 @@ class LaurentPoly:
     def max_exp(self):
         return max(self._c) if self._c else None
 
-    def only_even_exponents(self):
-        return all(e % 2 == 0 for e in self._c)
-
     def to_json(self):
         return [[e, str(a)] for e, a in self.items()]
 

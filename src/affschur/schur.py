@@ -348,6 +348,7 @@ def clear_caches():
         bar_bracket,
         hall.gf,
         hall._hall_poly,
+        hall._check_riedtmann_sum,
         transfer._full_f_table,
     ):
         memoized.cache_clear()

@@ -170,6 +170,27 @@ def test_hall_reports_the_matrices_n_without_flag(capsys):
     assert report["phi"] == ["1", "1"]
 
 
+def test_hall_answers_a_negative_riedtmann_bound_without_counting(
+    capsys, monkeypatch
+):
+    from affschur import hall, schur
+
+    def count(*args, **kwargs):
+        raise AssertionError("hall_count called")
+
+    # the submodules of dimension 2 of the uniserial M^{1,4} are uniserial,
+    # so none is semisimple; no path rank of C forbids the triple
+    semisimple = '{"n": 2, "entries": [[1, 2, 1], [2, 3, 1]]}'
+    uniserial = '{"n": 2, "entries": [[1, 4, 1]]}'
+    schur.clear_caches()
+    monkeypatch.setattr(hall, "hall_count", count)
+    code, out, err = run(
+        capsys, "hall", "--a", SEG, "--b", semisimple, "--c", uniserial
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["phi"] == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [

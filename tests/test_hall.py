@@ -16,7 +16,7 @@ from affschur.hall import (
     utilde_exponent,
     zeta_check,
 )
-from affschur.laurent import LaurentPoly
+from affschur.laurent import IntPoly, LaurentPoly
 from affschur.verify import enumerate_theta_plus
 
 S1 = AffMatrix(2, {(1, 2): 1})
@@ -181,6 +181,30 @@ def standard_bases(mod):
     ]
 
 
+def image_ranks(mod, starts, mods, max_len, field):
+    """ranks[v][l - 1] = dim (p(starts[v]) + mods[w]) / mods[w] for the
+    length-l path map p out of vertex v and w = v + l, l = 1..max_len.
+
+    starts[v] and mods[w] are lists of vectors in V_v and V_w, pushed
+    along one arrow at a time.  With starts = S and no mods these are
+    the path ranks of a submodule S; with the standard bases as starts
+    and mods = S, those of the quotient by S.  Every length is pushed,
+    with no early exit: the oracle that hall_count is checked against.
+    """
+    n = mod.n
+    base = [hall._rank(m, field) for m in mods]
+    ranks = []
+    for v in range(n):
+        vecs, chain = starts[v], []
+        for l in range(1, max_len + 1):
+            w = (v + l) % n
+            step = mod.arrows[(w - 1) % n]
+            vecs = [hall._mat_apply(step, x, field) for x in vecs]
+            chain.append(hall._rank(vecs + mods[w], field) - base[w])
+        ranks.append(tuple(chain))
+    return tuple(ranks)
+
+
 def test_path_ranks_match_path_matrices():
     mats = {c for _, _, c in zeta_slice()}
     assert len(mats) > 200
@@ -188,15 +212,16 @@ def test_path_ranks_match_path_matrices():
         mod = ModuleRealization(c)
         zero = [[]] * mod.n
         for q in (2, 3):
-            ranks = hall._image_ranks(
+            ranks = image_ranks(
                 mod, standard_bases(mod), zero, mod.total, gf(q)
             )
             assert hall._path_ranks(c, mod.total) == (tuple(mod.dims), ranks)
 
 
-def end_dimension(mod, field):
-    """dim End of a module: the solutions (f_v) of f_{v+1} x_v = x_v f_v,
-    one unknown per entry of each f_v, by elimination over field."""
+def end_equations(mod, field):
+    """The equations f_{v+1} x_v = x_v f_v of End of a module over field,
+    one unknown per entry of each f_v (row-major, vertex after vertex),
+    as (rows, offsets): f_v[i][j] is unknown offsets[v] + i dims[v] + j."""
     n, dims = mod.n, mod.dims
     offsets = [sum(d * d for d in dims[:v]) for v in range(n)]
     nvars = sum(d * d for d in dims)
@@ -216,7 +241,42 @@ def end_dimension(mod, field):
                         k = offsets[v] + t * dims[v] + j
                         row[k] = field.add[row[k]][field.neg[1]]
                 rows.append(row)
-    return nvars - hall._rank(rows, field)
+    return rows, offsets
+
+
+def end_dimension(mod, field):
+    """dim End of a module: the solutions of end_equations, by
+    elimination over field."""
+    rows, _ = end_equations(mod, field)
+    return sum(d * d for d in mod.dims) - hall._rank(rows, field)
+
+
+def automorphism_count(mod, field):
+    """|Aut| of a module over field: every endomorphism, from a basis of
+    the solutions of end_equations, whose vertex maps are all invertible."""
+    rows, offsets = end_equations(mod, field)
+    nvars = sum(d * d for d in mod.dims)
+    rref, pivots = hall._rref(rows, field)
+    basis = []
+    for f in (c for c in range(nvars) if c not in pivots):
+        vec = [0] * nvars
+        vec[f] = 1
+        for row, p in zip(rref, pivots):
+            vec[p] = field.neg[row[f]]
+        basis.append(vec)
+    count = 0
+    for coeffs in itertools.product(range(field.q), repeat=len(basis)):
+        end = [0] * nvars
+        for c, vec in zip(coeffs, basis):
+            end = [field.add[e][field.mul[c][x]] for e, x in zip(end, vec)]
+        count += all(
+            hall._rank(
+                [end[off + i * d : off + (i + 1) * d] for i in range(d)], field
+            )
+            == d
+            for off, d in zip(offsets, mod.dims)
+        )
+    return count
 
 
 def test_utilde_exponent_matches_end_by_elimination():
@@ -225,6 +285,20 @@ def test_utilde_exponent_matches_end_by_elimination():
         mod = ModuleRealization(c)
         for q in (2, 3):
             assert utilde_exponent(c) == end_dimension(mod, gf(q)) - mod.total
+
+
+def test_aut_order_matches_a_count_of_automorphisms():
+    mats = sorted({c for _, _, c in zeta_slice()}, key=repr)
+    checked = {2: 0, 3: 0}
+    for c in mats:
+        mod = ModuleRealization(c)
+        dim_end = utilde_exponent(c) + mod.total
+        for q, most in ((2, 10), (3, 6)):
+            if dim_end <= most:
+                count = automorphism_count(mod, gf(q))
+                assert hall._aut_order(c, q) == count, c
+                checked[q] += 1
+    assert checked[2] > 200 and checked[3] > 150
 
 
 def test_rank_test_is_sound_but_not_sufficient():
@@ -241,6 +315,56 @@ def test_rank_test_is_sound_but_not_sufficient():
     # the socle of M13 is S2, so S1 is no submodule, yet no rank forbids it
     assert not hall._ranks_forbid(S2, S1, M13, 2)
     assert hall_poly(S2, S1, M13).is_zero()
+
+
+def test_negative_riedtmann_bound_counts_zero():
+    negative = pruned = 0
+    for a, b, c in zeta_slice():
+        if hall._degree_bound(a, b, c) >= 0:
+            continue
+        negative += 1
+        pruned += hall._ranks_forbid(a, b, c, sum(dim_vector(c)))
+        assert hall_count(c, a, b, 2) == 0, (a, b, c)
+        assert hall_count(c, a, b, 3) == 0, (a, b, c)
+    # most of them pass the rank test
+    assert negative - pruned > 500 and pruned > 0
+
+
+def test_hall_poly_reproduces_a_count_past_its_samples():
+    nonzero = tight = 0
+    for a, b, c in zeta_slice():
+        phi = hall_poly(a, b, c)
+        if phi.is_zero():
+            continue
+        nonzero += 1
+        bound = hall._degree_bound(a, b, c)
+        tight += phi.degree() == bound
+        q = hall._PRIME_POWERS[bound + 1]
+        assert phi.evaluate(q) == hall_count(c, a, b, q), (a, b, c)
+    assert nonzero > 700
+    assert tight > 600
+
+
+def test_riedtmann_sum_catches_a_perturbed_hall_polynomial(monkeypatch):
+    schur.clear_caches()
+    product = hall_mult_utilde(SEMISIMPLE, SEMISIMPLE)
+    assert len(product) > 1
+    off = max(product, key=repr)
+    true_poly = hall._hall_poly
+
+    def perturbed(a, b, c):
+        phi = true_poly(a, b, c)
+        if c == off:
+            return IntPoly((phi.coeff(0) + 1,) + phi.coeffs[1:])
+        return phi
+
+    hall._check_riedtmann_sum.cache_clear()
+    monkeypatch.setattr(hall, "_hall_poly", perturbed)
+    with pytest.raises(AssertionError, match="Riedtmann sum") as err:
+        hall_mult_utilde(SEMISIMPLE, SEMISIMPLE)
+    assert str(err.value).count(repr(SEMISIMPLE)) == 2
+    monkeypatch.setattr(hall, "_hall_poly", true_poly)
+    assert hall_mult_utilde(SEMISIMPLE, SEMISIMPLE) == product
 
 
 def gaussian_binomial(m, k, q):
@@ -298,7 +422,7 @@ def brute_force_count(c, a, b, q):
     def ranks(m):
         # the path ranks of M(m), pushed out of its whole vertex spaces
         mod_m = ModuleRealization(m)
-        return hall._image_ranks(
+        return image_ranks(
             mod_m, standard_bases(mod_m), [[]] * n, total, field
         )
 
@@ -307,8 +431,8 @@ def brute_force_count(c, a, b, q):
     for combo in itertools.product(*grass):
         if not stable(combo):
             continue
-        sub = hall._image_ranks(mod, combo, [[]] * n, total, field)
-        quot = hall._image_ranks(mod, whole, combo, total, field)
+        sub = image_ranks(mod, combo, [[]] * n, total, field)
+        quot = image_ranks(mod, whole, combo, total, field)
         count += sub == ranks(b) and quot == ranks(a)
     return count
 
@@ -341,6 +465,17 @@ def test_hall_poly_cap_refuses_a_pruned_triple():
     assert hall_poly(M13, zero, SEMISIMPLE).is_zero()
     with pytest.raises(SizeCapError):
         hall_poly(M13, zero, SEMISIMPLE, cap_dim=1)
+
+
+def test_hall_count_refuses_a_segment_longer_than_any_of_c(monkeypatch):
+    def enumerate_anyway(*args):
+        raise AssertionError("submodules enumerated")
+
+    monkeypatch.setattr(hall, "_submodules", enumerate_anyway)
+    zero = AffMatrix(2, {})
+    for q in (2, 3):
+        assert hall_count(SEMISIMPLE, M13, zero, q) == 0
+        assert hall_count(SEMISIMPLE, zero, M13, q) == 0
 
 
 def test_hall_poly_counts_once(monkeypatch):

@@ -1,5 +1,6 @@
 """The command-line scripts under scripts/, each run once at a tiny size."""
 
+import importlib.util
 import json
 import os
 import pathlib
@@ -53,6 +54,37 @@ def test_run_verification_refuses_an_unwritable_json_path(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "--json" in proc.stderr
+
+
+def test_run_verification_ends_an_internal_failure_with_exit_2(
+    tmp_path, monkeypatch, capsys
+):
+    from affschur import verify
+
+    def fail():
+        raise AssertionError("Hall polynomials fail the Riedtmann sum")
+
+    spec = importlib.util.spec_from_file_location(
+        "run_verification", ROOT / "scripts" / "run_verification.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setitem(verify.DRIVERS, "lemma-3.7", fail)
+    out = tmp_path / "reports.json"
+    monkeypatch.setattr(
+        sys, "argv",
+        ["run_verification.py", "lemma-3.6", "lemma-3.7", "lemma-3.1",
+         "--json", str(out)],
+    )
+    assert script.main() == 2
+    captured = capsys.readouterr()
+    assert [line.split()[:2] for line in captured.out.splitlines()] == [
+        ["lemma-3.6", "pass"]
+    ]
+    assert captured.err == (
+        "error: lemma-3.7: Hall polynomials fail the Riedtmann sum\n"
+    )
+    assert not out.exists()
 
 
 def test_kl_survey():
