@@ -259,10 +259,6 @@ class Composition:
     def sigma(self):
         return sum(self.parts)
 
-    def part(self, i):
-        """lambda_i for arbitrary integer i (n-periodic)."""
-        return self.parts[(i - 1) % self.n]
-
     def block(self, m):
         """The block R^lambda_m of consecutive integers, for any m in Z.
 
@@ -302,9 +298,6 @@ class Composition:
 
     def __repr__(self):
         return "Composition%s" % (self.parts,)
-
-    def to_json(self):
-        return {"n": self.n, "parts": list(self.parts)}
 
 
 def _coset_steps(lam, mu):
@@ -393,12 +386,15 @@ def jdelta(lam, w, mu):
 def jdelta_inv(a_mat):
     """Invert the triple bijection: A -> (lambda, d, mu) with jdelta(...) == A.
 
-    d is built by the monotone filling rule: row blocks are processed in
-    increasing order over a periodic strip wide enough to cover the
-    column support; within a row block, column blocks are visited in
-    increasing order, and the a_{k,l} smallest unused members of R^mu_l
-    map, in increasing order, onto the smallest unused members of
-    R^lambda_k.  Correctness is enforced by a round-trip check.
+    d is the shortest element of its double coset: it sends each cell
+    (k, l) of A increasingly, in order, from R^mu_l onto R^lambda_k.  A
+    stored entry a = a_ij lies in the cell with column residue
+    l = (j - 1) mod n + 1 and row k = i + l - j, and maps positions
+    src..src+a-1 of R^mu_l onto values dst..dst+a-1 of R^lambda_k, where
+    src sums the entries a_i'j' with j' = j (mod n) and i' - j' < i - j
+    (the cells above it in its column) and dst the entries a_ij' of row i
+    with j' < j (the cells left of it in its row).  Minimality and a
+    round trip through jdelta are checked.
     """
     n = a_mat.n
     lam = Composition(a_mat.ro())
@@ -406,36 +402,19 @@ def jdelta_inv(a_mat):
     r = a_mat.sigma()
     if r == 0:
         raise ValueError("zero matrix has no permutation attached")
-    span = a_mat.col_span()
-    width = max(abs(span[0] - 1), abs(span[1] - n)) // n + 2
-    row_entries = {}  # row residue i -> sorted list of (col, mult)
-    for (i, j), m in a_mat.entries():
-        row_entries.setdefault(i, []).append((j, m))
-    used_mu = {}  # block index l -> count consumed
-    used_lam = {}
-    images = {}  # position in Z -> image in Z
-    for s in range(-width, width + 1):
-        for i in range(1, n + 1):
-            k = i + s * n
-            for (j, m) in sorted(row_entries.get(i, [])):
-                l = j + s * n
-                mu_block = mu.block(l)
-                lam_block = lam.block(k)
-                um = used_mu.get(l, 0)
-                ul = used_lam.get(k, 0)
-                srcs = mu_block[um : um + m]
-                dsts = lam_block[ul : ul + m]
-                if len(srcs) < m or len(dsts) < m:
-                    raise ValueError("row/column sums inconsistent with entries")
-                used_mu[l] = um + m
-                used_lam[k] = ul + m
-                for src, dst in zip(srcs, dsts):
-                    images[src] = dst
-    window = []
-    for j in range(1, r + 1):
-        if j not in images:
-            raise AssertionError("periodic strip too narrow in jdelta_inv")
-        window.append(images[j])
+    cells = a_mat.entries()  # by row, then column
+    above, col_sum = {}, [0] * n
+    for (i, j), a in sorted(cells, key=lambda c: c[0][0] - c[0][1]):
+        above[i, j] = col_sum[(j - 1) % n]
+        col_sum[(j - 1) % n] += a
+    window, row_sum = [0] * r, [0] * n
+    for (i, j), a in cells:
+        l = (j - 1) % n + 1
+        src, dst = above[i, j], row_sum[i - 1]
+        row_sum[i - 1] += a
+        srcs = mu.block(l)[src : src + a]
+        for p, x in zip(srcs, lam.block(i + l - j)[dst : dst + a]):
+            window[p - 1] = x
     d = AffPerm(window)
     # d is minimal in its double coset: every lambda- and mu-step goes up
     minimal = all(step(d, i)[1] for step, i in _coset_steps(lam, mu))

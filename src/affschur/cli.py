@@ -289,6 +289,10 @@ COMMANDS = {
     "verify": cmd_verify,
 }
 
+# the commands that compute with the --cache file; the others accept the
+# flag but never read, check or create the file
+_CACHE_COMMANDS = ("kl", "theta", "mult", "verify")
+
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -303,7 +307,11 @@ def build_parser():
         p.add_argument("--r", type=int, help="level")
         p.add_argument("--N", type=int, help="target rank for transfer maps")
         p.add_argument("--k", type=int, help="eta shift")
-        p.add_argument("--cache", help="path of the persistent KL table")
+        p.add_argument(
+            "--cache",
+            help="path of the persistent KL table (used by kl, theta, mult "
+            "and verify)",
+        )
         p.add_argument("--out", help="write the JSON report to this file")
         p.add_argument(
             "--cap-length",
@@ -379,18 +387,19 @@ def _file_op(flag, path, action, *args):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    path = args.cache if args.command in _CACHE_COMMANDS else None
     try:
-        if args.cache:
-            fresh = not os.path.exists(args.cache)
-            cache = _file_op("--cache", args.cache, KLCache, args.cache)
+        if path:
+            fresh = not os.path.exists(path)
+            cache = _file_op("--cache", path, KLCache, path)
             loaded = len(cache.p_table)
         else:
             cache = default_cache()
         report = COMMANDS[args.command](args, cache)
         # the file is written only when it is new or the command grew
         # the P-table, so a read-only command leaves it untouched
-        if args.cache and (fresh or len(cache.p_table) > loaded):
-            _file_op("--cache", args.cache, cache.save)
+        if path and (fresh or len(cache.p_table) > loaded):
+            _file_op("--cache", path, cache.save)
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
         if args.out:
             _file_op("--out", args.out, pathlib.Path(args.out).write_text, text)

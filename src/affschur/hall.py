@@ -469,6 +469,7 @@ def _hall_poly(a_mat, b_mat, c_mat):
     return poly_interpolate(samples, bound)
 
 
+@cache
 def utilde_exponent(a_mat):
     """dim End(M(A)) - dim M(A), in closed form.
 

@@ -139,10 +139,6 @@ class LaurentPoly:
     def to_json(self):
         return [[e, str(a)] for e, a in self.items()]
 
-    @staticmethod
-    def from_json(data):
-        return LaurentPoly({int(e): int(a) for e, a in data})
-
     def __repr__(self):
         if not self._c:
             return "0"
@@ -172,8 +168,8 @@ class Combination:
     attributes that fix its ambient module (the period r of a Hecke
     algebra, say) as its __slots__: equality compares them, and every
     element derived from another copies them.  It validates keys in
-    _check_key and supplies its basis constructors, __repr__ and, where
-    needed, to_json.  All arithmetic lives here.
+    _check_key and supplies its basis constructors and __repr__.  All
+    arithmetic lives here.
     """
 
     __slots__ = ("terms",)

@@ -66,14 +66,6 @@ class SchurElt(Combination):
         ]
         return " + ".join(parts) if parts else "0"
 
-    def to_json(self):
-        items = sorted(self.terms.items(), key=lambda p: p[0].entries())
-        return {
-            "n": self.n,
-            "r": self.r,
-            "terms": [[a.to_json(), c.to_json()] for a, c in items],
-        }
-
 
 def leq_bo(b_mat, a_mat):
     """B <=^Bo A: equal row/column sums and y_B <= y_A in Bruhat order."""
@@ -349,6 +341,7 @@ def clear_caches():
         hall.gf,
         hall._hall_poly,
         hall._check_riedtmann_sum,
+        hall.utilde_exponent,
         transfer._full_f_table,
     ):
         memoized.cache_clear()

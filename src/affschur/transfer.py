@@ -140,7 +140,6 @@ def _f_from_lambda(a_mat, b_mat, lam, extract):
 # rechecking a group means one more g-table at a level one higher; past
 # this level the KL recursion dominates everything else in a run
 _F_RECHECK_LEVEL_CAP = 6
-_K0_SCAN_LIMIT = 12  # find_k0 tries k = -1, ..., -_K0_SCAN_LIMIT
 _H_MAX_TRIES = 3  # levels h_constants tries before giving up
 
 
@@ -253,14 +252,19 @@ def verify_thm48(a_mat, b_mat, r, k, big_n):
 
 def find_k0(a_mat, b_mat, r):
     """The largest k <= -1 making the shifted triple strictly upper:
-    eta_k(A), eta_k(B) and eta_{2k}(X) for every X in the g-support."""
-    support = list(g_constants(a_mat, b_mat, r))
-    for k in range(-1, -_K0_SCAN_LIMIT - 1, -1):
-        if not (eta(a_mat, k).is_upper() and eta(b_mat, k).is_upper()):
-            continue
-        if all(eta(x_mat, 2 * k).is_upper() for x_mat in support):
-            return k
-    raise AssertionError("no admissible k found within the scan limit")
+    eta_k(A), eta_k(B) and eta_{2k}(X) for every X in the g-support.
+
+    eta_m(M) is strictly upper iff mn < delta_M = min(j - i) over the
+    entries of M, i.e. m <= floor((delta_M - 1) / n).
+    """
+    n = a_mat.n
+
+    def top(m_mat):
+        return (min(j - i for (i, j), _ in m_mat.entries()) - 1) // n
+
+    bounds = [top(m) for m in (a_mat, b_mat) if m.sigma()]
+    bounds += [top(x) // 2 for x in g_constants(a_mat, b_mat, r) if x.sigma()]
+    return min([-1] + bounds)
 
 
 def verify_thm48_part2(a_mat, b_mat, r, big_n):

@@ -149,9 +149,12 @@ def _young_subgroup(lam):
 def test_coset_calculus_matches_enumeration_on_band():
     # the walked coset and the closed forms against the products u d x
     # over S_lambda x S_mu: the element set, both extremes, the size, the
-    # climbed longest element, and J_Delta read off at every element
-    for n, r in itertools.product((2, 3), (2, 3, 4)):
-        for a in enumerate_theta_band(n, r, band=1):
+    # climbed longest element, and J_Delta read off at every element; band
+    # 2 puts cells across a period boundary
+    scopes = [(n, r, 1) for n in (2, 3) for r in (2, 3, 4)]
+    scopes += [(2, 2, 2), (2, 3, 2), (2, 4, 2), (3, 2, 2), (3, 3, 2)]
+    for n, r, band in scopes:
+        for a in enumerate_theta_band(n, r, band=band):
             lam, d, mu = jdelta_inv(a)
             right = _young_subgroup(mu)
             enumerated = {u * d * x for u in _young_subgroup(lam) for x in right}

@@ -439,6 +439,37 @@ def test_bad_cache_file_exits_2_and_is_kept(tmp_path, capsys, record):
     assert path.read_text() == text
 
 
+def test_commands_without_kl_step_leave_the_cache_file_alone(
+    tmp_path, capsys, monkeypatch
+):
+    """g-table, f-table, h-table and hall accept --cache but never read,
+    check or create the file."""
+    path = tmp_path / "kl.txt"
+    data = b"2|1,2|2,1\n\xff\n"  # truncated record, then not text
+    path.write_bytes(data)
+
+    def refuse(*args):
+        raise AssertionError("--cache file opened")
+
+    monkeypatch.setattr(cli, "KLCache", refuse)
+    code, out, err = run(
+        capsys, "g-table", "--n", "2", "--r", "2", "--a", CROSS, "--b", CROSS,
+        "--cache", str(path),
+    )
+    assert code == 0 and err == ""
+    assert json.loads(out)["command"] == "g-table"
+    assert path.read_bytes() == data
+    missing = tmp_path / "missing.txt"
+    for argv in (
+        ["f-table", "--n", "2", "--a", SEG, "--b", SEG],
+        ["h-table", "--n", "2", "--a", CROSS, "--b", CROSS],
+        ["hall", "--n", "2", "--a", SEG, "--b", SEG, "--c", SEG2],
+    ):
+        code, _, err = run(capsys, *argv, "--cache", str(missing))
+        assert code == 0 and err == ""
+    assert not missing.exists()
+
+
 def test_cache_record_outside_w_r_exits_2_and_is_kept(tmp_path, capsys):
     """P_{y,w} is 0 when the rho-parts of y and w differ; a record keyed
     on such a pair is refused at load, not read back as the answer."""

@@ -66,9 +66,9 @@ def test_even_exponents_and_q_conversion():
             int_poly_in_q(bad)
 
 
-def test_json_round_trip():
+def test_to_json_writes_exponents_and_decimal_strings():
     a = lp({-2: 10**30, 4: -7})
-    assert LaurentPoly.from_json(a.to_json()) == a
+    assert a.to_json() == [[-2, "1" + "0" * 30], [4, "-7"]]
 
 
 def test_intpoly_basics():

@@ -116,17 +116,33 @@ def test_thm48_vacuous_when_weights_mismatch():
     assert verify_thm48(a, b, 2, 1, 3)
 
 
+def _k_admissible(a, b, support, k):
+    return (
+        eta(a, k).is_upper()
+        and eta(b, k).is_upper()
+        and all(eta(x, 2 * k).is_upper() for x in support)
+    )
+
+
 def test_find_k0_on_band_pairs():
-    mats = enumerate_theta_band(2, 2, band=1)
-    found = 0
-    for a in mats:
-        for b in mats:
-            if a.co() != b.ro():
-                continue
-            k = find_k0(a, b, 2)
-            assert k <= -1
-            found += 1
-    assert found > 0
+    # k0 is admissible by the definition through eta and is_upper, and no
+    # larger k <= -1 is; band 2 at (2, 2) reaches k0 = -2
+    found = below = 0
+    for n, r, band in ((2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 2, 2)):
+        mats = enumerate_theta_band(n, r, band=band)
+        for a in mats:
+            for b in mats:
+                if a.co() != b.ro():
+                    continue
+                k = find_k0(a, b, r)
+                support = list(g_table(a, b, r).table)
+                assert k <= -1
+                assert _k_admissible(a, b, support, k)
+                if k < -1:
+                    assert not _k_admissible(a, b, support, k + 1)
+                    below += 1
+                found += 1
+    assert found > 0 and below > 0
 
 
 def test_strip_E_examples():
