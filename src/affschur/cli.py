@@ -244,7 +244,10 @@ _VERIFY_KWARGS = {
 }
 
 
-def cmd_verify(args, cache):
+def _verify_kwargs(args):
+    """The driver keywords of the verify flags given, with the --cache
+    path standing in for the cache; an unknown target, a flag the driver
+    does not take or a bad value is an InputError."""
     import inspect
 
     from .verify import DRIVERS
@@ -266,14 +269,21 @@ def cmd_verify(args, cache):
                 "verify %s does not take --%s" % (name, flag.replace("_", "-"))
             )
         kwargs[param] = value
-    if "cache" in kwargs:
-        kwargs["cache"] = cache
     if "ks" in kwargs:
         kwargs["ks"] = (kwargs["ks"],)
     _check_rank(kwargs.get("n"), kwargs.get("r"))
     if kwargs.get("samples", 1) < 1:
         raise InputError("--samples must be >= 1")
-    report = DRIVERS[name](**kwargs)
+    return kwargs
+
+
+def cmd_verify(args, cache):
+    from .verify import DRIVERS
+
+    kwargs = _verify_kwargs(args)
+    if "cache" in kwargs:
+        kwargs["cache"] = cache
+    report = DRIVERS[args.target](**kwargs)
     report["command"] = "verify"
     return report
 
@@ -389,6 +399,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     path = args.cache if args.command in _CACHE_COMMANDS else None
     try:
+        if args.command == "verify":
+            _verify_kwargs(args)  # refuse before the --cache file is read
         if path:
             fresh = not os.path.exists(path)
             cache = _file_op("--cache", path, KLCache, path)

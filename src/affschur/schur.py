@@ -94,14 +94,15 @@ def _young_order(lam):
     return math.prod(map(math.factorial, lam.parts))
 
 
-def _decompose_invariant(h, lam, nu, per):
-    """Write a (left-S_lambda, right-S_nu)-invariant element as a sum of
-    double-coset sums; returns {matrix: coefficient} over e_A'' = T-coset sums.
+def _decompose_invariant(h, lam, nu):
+    """Write x_lambda h, for a column h of a (left-S_lambda,
+    right-S_nu)-invariant element, as a sum of double-coset sums; returns
+    {matrix: coefficient} over e_A'' = T-coset sums.
 
     Terms are grouped by the J_Delta matrix of their coset; each group
-    must carry one coefficient on all coset_size(A'') / per elements, per
-    = |S_lambda| when h is a column and 1 when it is a whole T-basis sum.
+    must carry one coefficient on coset_size(A'') / |S_lambda| elements.
     """
+    per = _young_order(lam)
     groups = {}
     for w, c in h.terms.items():
         groups.setdefault(jdelta(lam, w, nu), []).append(c)
@@ -130,7 +131,7 @@ def _e_mult(a_mat, b_mat):
     """e_basis_mult of a pair with co(A) = ro(B)."""
     lam, nu = jdelta_inv(a_mat)[0], jdelta_inv(b_mat)[2]
     h = t_mul(_coset_column(a_mat), _coset_column(b_mat), lam.young_generators())
-    return _decompose_invariant(h, lam, nu, _young_order(lam))
+    return _decompose_invariant(h, lam, nu)
 
 
 def _bracket_mult(a_mat, b_mat):
@@ -202,7 +203,7 @@ def bar_bracket(b_mat):
     barh = t_bar(_coset_column(b_mat), lam.young_generators()).scale(
         LaurentPoly.v_power(shift)
     )
-    e_coeffs = _decompose_invariant(barh, lam, mu, _young_order(lam))
+    e_coeffs = _decompose_invariant(barh, lam, mu)
     terms = {
         c_mat: c.shift(c_mat.d_exponent()) for c_mat, c in e_coeffs.items()
     }

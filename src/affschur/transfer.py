@@ -76,28 +76,26 @@ def _tuple_add(x, y):
     return tuple(a + b for a, b in zip(x, y))
 
 
-def _f_candidates(a_mat, b_mat):
-    d = _tuple_add(dim_vector(a_mat), dim_vector(b_mat))
-    return theta_plus_by_dim(a_mat.n, d)
-
-
 def _candidate_lambda(a_mat, b_mat, c_mat):
     """The smallest lambda >= 0 making Lemma-4.4 padding valid for this
     candidate C: lambda + ro(A) - ro(C) >= 0 and mu = lambda + co(A) -
-    ro(B) >= 0 componentwise."""
+    ro(B) >= 0 componentwise, raised until the Hecke level sum(lambda) +
+    sigma(A) is at least 2."""
     ro_a, co_a, ro_b = a_mat.ro(), a_mat.co(), b_mat.ro()
     ro_c = c_mat.ro()
-    return tuple(
+    lam = tuple(
         max(0, ro_b[i] - co_a[i], ro_c[i] - ro_a[i])
         for i in range(a_mat.n)
     )
+    while sum(lam) + a_mat.sigma() < 2:
+        lam = tuple(x + 1 for x in lam)
+    return lam
 
 
-def _f_from_lambda(a_mat, b_mat, lam, extract):
-    """Read f_{A,B,C} off the padded g-table for the C matrices in
-    extract, or for every C the padding covers when extract is None.
-    Every g-key must match the Lemma-4.4 diagonal pattern for some
-    Theta^+ matrix; keys outside the pattern are an error."""
+def _f_from_lambda(a_mat, b_mat, lam):
+    """Read f_{A,B,C} off the padded g-table for every C the padding
+    covers.  Every g-key must match the Lemma-4.4 diagonal pattern for
+    some Theta^+ matrix; keys outside the pattern are an error."""
     n = a_mat.n
     mu = _tuple_add(lam, a_mat.co())
     mu = tuple(x - y for x, y in zip(mu, b_mat.ro()))
@@ -122,22 +120,10 @@ def _f_from_lambda(a_mat, b_mat, lam, extract):
             )
         if val:
             decoded[c_off] = val
-    if extract is None:
-        return decoded
-    table = {}
-    for c_mat in extract:
-        shift = tuple(
-            l + x - y for l, x, y in zip(lam, ro_a, c_mat.ro())
-        )
-        if any(x < 0 for x in shift):
-            raise ValueError("lambda does not cover candidate %r" % c_mat)
-        val = g.get(c_mat + AffMatrix.diag(n, shift))
-        if val:
-            table[c_mat] = val
-    return table
+    return decoded
 
 
-# rechecking a group means one more g-table at a level one higher; past
+# rechecking a weight means one more g-table at a level one higher; past
 # this level the KL recursion dominates everything else in a run
 _F_RECHECK_LEVEL_CAP = 6
 _H_MAX_TRIES = 3  # levels h_constants tries before giving up
@@ -147,16 +133,14 @@ def f_constants(a_mat, b_mat, keys=None, check=True):
     """Structure constants of theta+_A theta+_B in the canonical basis of
     the Hall positive part, recovered by diagonal padding.
 
-    Each candidate support matrix gets the smallest padding weight that
-    covers it; candidates sharing a weight share one g-table.  With
-    check=True every extraction whose level stays within reach is
-    repeated at a second padding weight and must agree.  keys restricts
-    the computation to the given C matrices.  Each extraction is widened
-    to every C its padding weight covers, so absent support within reach
-    of the weight is certified zero without enumerating far candidates
-    (and, without keys, the candidate enumeration is cross-checked
-    against the actual g-support); keys with check=False read only the
-    keys.  Only the full checked table is memoized.
+    Each candidate C gets the smallest padding weight that covers it,
+    and each weight gives one g-table, decoded in full: the table holds
+    every C that a weight certifies, absent ones being zero.  The
+    candidates are all of Theta^+ at the dimension vector of the
+    product, or the given keys, which then only choose the weights.
+    With check=True each weight whose level stays within reach is read
+    again one step larger and must agree.  Only the full checked table
+    is memoized.
     """
     if not (a_mat.is_upper() and b_mat.is_upper()):
         raise ValueError("f-constants require strictly upper matrices")
@@ -177,25 +161,13 @@ def _f_table(a_mat, b_mat, keys, check):
         # theta+ of the zero matrix is the unit of the positive part
         c_mat = b_mat if a_mat.sigma() == 0 else a_mat
         table = {c_mat: LaurentPoly({0: 1})}
-        if keys is not None and c_mat not in set(keys):
-            table = {}
         return StructTable("f", a_mat, b_mat, None, table)
-    cover = check or keys is None
-    if keys is not None:
-        d = _tuple_add(dim_vector(a_mat), dim_vector(b_mat))
-        candidates = sorted(
-            (c for c in set(keys) if c.is_upper() and dim_vector(c) == d),
-            key=lambda c: c.entries(),
-        )
+    d = _tuple_add(dim_vector(a_mat), dim_vector(b_mat))
+    if keys is None:
+        candidates = theta_plus_by_dim(a_mat.n, d)
     else:
-        candidates = _f_candidates(a_mat, b_mat)
-    by_lambda = {}
-    for c_mat in candidates:
-        lam = _candidate_lambda(a_mat, b_mat, c_mat)
-        # the Hecke level sum(lam) + sigma(A) must be at least 2
-        while sum(lam) + a_mat.sigma() < 2:
-            lam = tuple(x + 1 for x in lam)
-        by_lambda.setdefault(lam, []).append(c_mat)
+        candidates = [c for c in keys if c.is_upper() and dim_vector(c) == d]
+    lams = {_candidate_lambda(a_mat, b_mat, c_mat) for c_mat in candidates}
     ro_a = a_mat.ro()
 
     def covered(lam, c_mat):
@@ -204,21 +176,19 @@ def _f_table(a_mat, b_mat, keys, check):
         )
 
     table = {}
-    for lam, group in sorted(by_lambda.items()):
-        part = _f_from_lambda(a_mat, b_mat, lam, None if cover else group)
+    for lam in sorted(lams):
+        part = _f_from_lambda(a_mat, b_mat, lam)
         if check and sum(lam) + 1 + a_mat.sigma() <= _F_RECHECK_LEVEL_CAP:
             # a single-component bump already changes the padded level;
             # bumping every component inflates it by n and is far slower
             bigger = (lam[0] + 1,) + lam[1:]
-            part2 = _f_from_lambda(
-                a_mat, b_mat, bigger, None if cover else group
-            )
-            if cover:
-                # the wider weight covers more candidates; compare on
-                # the region the first weight certifies
-                part2 = {
-                    c: val for c, val in part2.items() if covered(lam, c)
-                }
+            # the wider weight covers more candidates; compare on the
+            # region the first weight certifies
+            part2 = {
+                c: val
+                for c, val in _f_from_lambda(a_mat, b_mat, bigger).items()
+                if covered(lam, c)
+            }
             if part != part2:
                 raise AssertionError(
                     "f-table depends on the padding weight: %r vs %r"
@@ -237,22 +207,16 @@ def g_table(a_mat, b_mat, r):
     return StructTable("g", a_mat, b_mat, r, g_constants(a_mat, b_mat, r))
 
 
-def verify_thm48(a_mat, b_mat, r, k, big_n):
-    """Pattern equality between the g-table of the shifted embedded pair
-    at rank N and the eta_{2k}-reindexed g-table at rank n."""
-    g_small = g_constants(a_mat, b_mat, r)
-    expected = {
-        tilde(eta(x_mat, 2 * k), big_n): val for x_mat, val in g_small.items()
-    }
-    g_big = g_constants(
-        tilde(eta(a_mat, k), big_n), tilde(eta(b_mat, k), big_n), r
-    )
-    return g_big == expected
+def embed_table(table, m, big_n):
+    """{tilde(eta_m(X), N): value} for {X: value}: a table at rank n
+    carried to rank N, its keys shifted by m periods first."""
+    return {tilde(eta(x_mat, m), big_n): val for x_mat, val in table.items()}
 
 
-def find_k0(a_mat, b_mat, r):
+def find_k0(a_mat, b_mat, table):
     """The largest k <= -1 making the shifted triple strictly upper:
-    eta_k(A), eta_k(B) and eta_{2k}(X) for every X in the g-support.
+    eta_k(A), eta_k(B) and eta_{2k}(X) for every X in the support of
+    table, the g-table of A and B.
 
     eta_m(M) is strictly upper iff mn < delta_M = min(j - i) over the
     entries of M, i.e. m <= floor((delta_M - 1) / n).
@@ -263,30 +227,8 @@ def find_k0(a_mat, b_mat, r):
         return (min(j - i for (i, j), _ in m_mat.entries()) - 1) // n
 
     bounds = [top(m) for m in (a_mat, b_mat) if m.sigma()]
-    bounds += [top(x) // 2 for x in g_constants(a_mat, b_mat, r) if x.sigma()]
+    bounds += [top(x) // 2 for x in table if x.sigma()]
     return min([-1] + bounds)
-
-
-def verify_thm48_part2(a_mat, b_mat, r, big_n):
-    """g_{A,B,C,r} = f of the eta_k-shifted, tilde-embedded triple.
-
-    Only the support keys of the g-table are pushed through the
-    f-extraction, at one padding weight each.
-    """
-    g_small = g_constants(a_mat, b_mat, r)
-    if not g_small:
-        return True
-    k = find_k0(a_mat, b_mat, r)
-    expected = {
-        tilde(eta(x_mat, 2 * k), big_n): val for x_mat, val in g_small.items()
-    }
-    f_tab = f_constants(
-        tilde(eta(a_mat, k), big_n),
-        tilde(eta(b_mat, k), big_n),
-        keys=list(expected),
-        check=False,
-    ).table
-    return f_tab == expected
 
 
 def strip_E(c_mat):
@@ -316,12 +258,13 @@ def h_constants(a_mat, b_mat):
     r0 = max(a_mat.sigma(), b_mat.sigma(), 2)
     if (r0 - a_mat.sigma()) % n:
         r0 += n - (r0 - a_mat.sigma()) % n
+    t1 = _h_at_level(a_mat, b_mat, r0)
     for _ in range(_H_MAX_TRIES):
-        t1 = _h_at_level(a_mat, b_mat, r0)
-        t2 = _h_at_level(a_mat, b_mat, r0 + n)
+        r0 += n
+        t2 = _h_at_level(a_mat, b_mat, r0)
         if t1 is not None and t1 == t2:
             return StructTable("h", a_mat, b_mat, None, t1)
-        r0 += n
+        t1 = t2
     raise AssertionError("h-table failed to stabilize up to level %d" % r0)
 
 

@@ -95,6 +95,17 @@ def test_canonical_basis():
     budget.check()
 
 
+def test_lemma_37_beyond_the_default_scope():
+    # reads l(y_A+) off the closed-form longest element, with no coset
+    # enumeration: (2, 6) has cosets of up to 720 elements
+    budget = Budget(5)
+    for n, r in ((2, 6), (3, 5)):
+        rep = verify.verify_lemma_37(n=n, r=r)
+        assert rep["pass"], rep["violations"][:3]
+        assert rep["checked"] > 0
+    budget.check()
+
+
 def test_canonical_basis_at_level_five():
     budget = Budget(20)
     rep = verify.verify_prop_38(n=2, r=5)

@@ -470,6 +470,20 @@ def test_commands_without_kl_step_leave_the_cache_file_alone(
     assert not missing.exists()
 
 
+def test_verify_refuses_cache_before_reading_the_file(tmp_path, capsys):
+    """A target that does not take --cache, or an unknown one, is
+    refused before a malformed --cache file is read."""
+    path = tmp_path / "kl.txt"
+    data = b"2|1,2|2,1\n"  # truncated record
+    path.write_bytes(data)
+    code, out, err = run(capsys, "verify", "lemma-3.6", "--cache", str(path))
+    assert code == 2 and out == ""
+    assert "does not take --cache" in err and "line 1" not in err
+    code, _, err = run(capsys, "verify", "no-such", "--cache", str(path))
+    assert code == 2 and "unknown verification target" in err
+    assert path.read_bytes() == data
+
+
 def test_cache_record_outside_w_r_exits_2_and_is_kept(tmp_path, capsys):
     """P_{y,w} is 0 when the rho-parts of y and w differ; a record keyed
     on such a pair is refused at load, not read back as the answer."""

@@ -10,6 +10,7 @@ from affschur.affweyl import (
     Composition,
     bruhat_leq,
     coset_longest,
+    coset_size,
     double_coset,
     identity,
     jdelta,
@@ -97,6 +98,18 @@ def is_left_minimal(w, lam):
     return not any(w.left_descent(i) for i in lam.young_generators())
 
 
+def _decompose_whole(h, lam, nu):
+    """A whole (S_lambda, S_nu)-invariant T-basis sum as {matrix:
+    coefficient}: each double coset carries one coefficient on all of
+    its coset_size elements."""
+    groups = {}
+    for w, c in h.terms.items():
+        groups.setdefault(jdelta(lam, w, nu), []).append(c)
+    for a_mat, cs in groups.items():
+        assert len(cs) == coset_size(a_mat) and all(c == cs[0] for c in cs)
+    return {a_mat: cs[0] for a_mat, cs in groups.items()}
+
+
 def _e_mult_by_whole_coset(a_mat, b_mat):
     """e_A e_B as a T-basis product: the whole double-coset sum of A
     times the mu-minimal elements of the coset of B, decomposed into
@@ -106,7 +119,7 @@ def _e_mult_by_whole_coset(a_mat, b_mat):
     reps = [w for w in double_coset(mu, d_b, nu)[2] if is_left_minimal(w, mu)]
     h2 = HeckeElt(d_b.r, {w: LP_ONE for w in reps})
     h = t_mul(double_coset_sum(lam, d_a, mu), h2)
-    return schur._decompose_invariant(h, lam, nu, 1)
+    return _decompose_whole(h, lam, nu)
 
 
 def test_e_mult_matches_the_whole_coset_oracle():
@@ -207,7 +220,10 @@ def test_theta_records_true_kl_polynomials():
 def test_decompose_invariant_reads_cosets_without_enumerating(monkeypatch):
     a = AffMatrix(2, {(1, 1): 1, (1, 2): 1, (2, 1): 1})  # coset of 4 elements
     lam, d, mu = jdelta_inv(a)
-    h = double_coset_sum(lam, d, mu).scale(lp({1: 1}))
+    whole = double_coset_sum(lam, d, mu).scale(lp({1: 1}))
+    h = whole._new(
+        {w: c for w, c in whole.terms.items() if is_left_minimal(w, lam)}
+    )  # the column: one element of each of the 2 left cosets
     expected_bar = _bar_by_whole_coset(a)
 
     def enumerate_coset(*args):
@@ -215,10 +231,10 @@ def test_decompose_invariant_reads_cosets_without_enumerating(monkeypatch):
 
     monkeypatch.setattr(affweyl, "double_coset", enumerate_coset)
     assert not hasattr(schur, "double_coset")
-    assert schur._decompose_invariant(h, lam, mu, 1) == {a: lp({1: 1})}
+    assert schur._decompose_invariant(h, lam, mu) == {a: lp({1: 1})}
     partial = h._new(dict(list(h.terms.items())[1:]))
     with pytest.raises(AssertionError, match="not constant"):
-        schur._decompose_invariant(partial, lam, mu, 1)
+        schur._decompose_invariant(partial, lam, mu)
     # nor do the column and bar of the Schur side
     schur._coset_column.cache_clear()
     schur.bar_bracket.cache_clear()
@@ -234,7 +250,7 @@ def _bar_by_whole_coset(b_mat):
         LaurentPoly.v_power(-b_mat.d_exponent())
     )
     barh = t_bar(h).scale(LaurentPoly.v_power(2 * mu.longest_length()))
-    e_coeffs = schur._decompose_invariant(barh, lam, mu, 1)
+    e_coeffs = _decompose_whole(barh, lam, mu)
     terms = {
         c_mat: c.shift(c_mat.d_exponent()) for c_mat, c in e_coeffs.items()
     }

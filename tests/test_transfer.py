@@ -1,10 +1,11 @@
 import pytest
 
-from affschur import verify
+from affschur import schur, transfer, verify
 from affschur.affmat import AffMatrix, enumerate_theta_band
 from affschur.laurent import LaurentPoly
-from affschur.schur import SchurElt, mult, theta
+from affschur.schur import SchurElt, g_constants, mult, theta
 from affschur.transfer import (
+    embed_table,
     eta,
     f_constants,
     find_k0,
@@ -13,8 +14,6 @@ from affschur.transfer import (
     iota,
     strip_E,
     tilde,
-    verify_thm48,
-    verify_thm48_part2,
 )
 
 A_CROSS = AffMatrix(2, {(1, 2): 1, (2, 1): 1})
@@ -101,19 +100,62 @@ def test_f_constants_rejects_non_upper():
         f_constants(A_CROSS, S1)
 
 
+def shifted(m_mat, k, big_n):
+    return tilde(eta(m_mat, k), big_n)
+
+
 def test_thm48_trivial_shift():
-    assert verify_thm48(A_CROSS, A_CROSS, 2, 0, 2)
+    g = g_constants(A_CROSS, A_CROSS, 2)
+    assert g and embed_table(g, 0, 2) == g
+    big = shifted(A_CROSS, 0, 2)
+    assert g_constants(big, big, 2) == g
 
 
 def test_thm48_worked_pair():
-    assert verify_thm48(A_CROSS, A_CROSS, 2, 1, 3)
-    assert verify_thm48_part2(A_CROSS, A_CROSS, 2, 3)
+    g = g_constants(A_CROSS, A_CROSS, 2)
+    big = shifted(A_CROSS, 1, 3)
+    assert g and g_constants(big, big, 2) == embed_table(g, 2, 3)
+    # part 2: g at rank 2 is f of the eta_{k0}-shifted triple at rank 3
+    k = find_k0(A_CROSS, A_CROSS, g)
+    assert k == -1
+    expected = embed_table(g, 2 * k, 3)
+    big = shifted(A_CROSS, k, 3)
+    f_tab = f_constants(big, big, keys=list(expected), check=False).table
+    assert f_tab == expected
 
 
 def test_thm48_vacuous_when_weights_mismatch():
     a = AffMatrix.diag(2, (2, 0))
     b = AffMatrix.diag(2, (0, 2))
-    assert verify_thm48(a, b, 2, 1, 3)
+    g = g_constants(a, b, 2)
+    assert g == {}
+    assert g_constants(shifted(a, 1, 3), shifted(b, 1, 3), 2) == {}
+
+
+def test_thm48_builds_each_g_table_once(monkeypatch):
+    """Per pair: its g-table at rank n, one rank-N table per k, and one
+    padded table per padding weight of part 2."""
+    calls = []
+    weights = []
+
+    def counted(a_mat, b_mat, r):
+        calls.append(a_mat.n)
+        return g_constants(a_mat, b_mat, r)
+
+    def counted_weight(a_mat, b_mat, lam):
+        weights.append(lam)
+        return real_weight(a_mat, b_mat, lam)
+
+    real_weight = transfer._f_from_lambda
+    for mod in (schur, transfer, verify):
+        monkeypatch.setattr(mod, "g_constants", counted)
+    monkeypatch.setattr(transfer, "_f_from_lambda", counted_weight)
+    rep = verify.verify_thm_48(n=2, r=3)
+    assert rep["pass"]
+    pairs = rep["checked"] // 3  # two ks and part 2
+    assert pairs == 848 and weights
+    assert calls.count(2) == pairs
+    assert len(calls) == 3 * pairs + len(weights)
 
 
 def _k_admissible(a, b, support, k):
@@ -134,8 +176,9 @@ def test_find_k0_on_band_pairs():
             for b in mats:
                 if a.co() != b.ro():
                     continue
-                k = find_k0(a, b, r)
-                support = list(g_table(a, b, r).table)
+                table = g_table(a, b, r).table
+                k = find_k0(a, b, table)
+                support = list(table)
                 assert k <= -1
                 assert _k_admissible(a, b, support, k)
                 if k < -1:
@@ -158,6 +201,26 @@ def test_h_constants_worked_table():
         A_CROSS: lp({1: 1, -1: 1}),
         AffMatrix(2, {(1, 2): 2, (2, 1): 2}): lp({-2: 1, 0: 2, 2: 1}),
     }
+
+
+def test_h_constants_builds_each_level_once(monkeypatch):
+    """A pair that retries: level 4 is the upper table of the first try
+    and the lower table of the second, built once."""
+    a = AffMatrix(2, {(1, 0): 1, (1, 1): 1})
+    b = AffMatrix(2, {(1, 0): 1, (2, 3): 1})
+    levels = []
+    real = transfer._h_at_level
+
+    def recorded(a_mat, b_mat, r):
+        levels.append(r)
+        return real(a_mat, b_mat, r)
+
+    monkeypatch.setattr(transfer, "_h_at_level", recorded)
+    assert h_constants(a, b).table == {
+        a: lp({-1: 1, 1: 1}),
+        AffMatrix(2, {(1, 0): 2, (1, 1): 1, (2, 3): 1}): lp({-1: 1, 1: 1}),
+    }
+    assert levels == [2, 4, 6]
 
 
 def test_h_constants_sigma_mismatch_gives_zero():
