@@ -15,7 +15,7 @@ from functools import cache
 class AffMatrix:
     """Immutable periodic matrix; entries stored as {(i, j): a} with 1 <= i <= n."""
 
-    __slots__ = ("n", "_e", "_hash")
+    __slots__ = ("n", "_e", "_hash", "_ro", "_co", "_d")
 
     def __init__(self, n, entries):
         if n < 1:
@@ -31,7 +31,7 @@ class AffMatrix:
                 del e[key]
         self.n = n
         self._e = e
-        self._hash = None
+        self._hash = self._ro = self._co = self._d = None
 
     @staticmethod
     def diag(n, parts):
@@ -57,17 +57,21 @@ class AffMatrix:
 
     def ro(self):
         """Row sums as an n-tuple (indices 1..n)."""
-        out = [0] * self.n
-        for (i, _), a in self._e.items():
-            out[i - 1] += a
-        return tuple(out)
+        if self._ro is None:
+            out = [0] * self.n
+            for (i, _), a in self._e.items():
+                out[i - 1] += a
+            self._ro = tuple(out)
+        return self._ro
 
     def co(self):
         """Column sums as an n-tuple (column residues 1..n)."""
-        out = [0] * self.n
-        for (_, j), a in self._e.items():
-            out[(j - 1) % self.n] += a
-        return tuple(out)
+        if self._co is None:
+            out = [0] * self.n
+            for (_, j), a in self._e.items():
+                out[(j - 1) % self.n] += a
+            self._co = tuple(out)
+        return self._co
 
     def is_nonnegative(self):
         return all(a >= 0 for a in self._e.values())
@@ -124,16 +128,18 @@ class AffMatrix:
         entries; for each pair of stored entries the number of valid
         shifts has a closed form.
         """
-        d = 0
-        n = self.n
-        for (i, j), a in self._e.items():
-            for (k0, l0), b in self._e.items():
-                # shifts s with k0 + s*n <= i and l0 + s*n > j
-                hi = (i - k0) // n
-                lo = -((l0 - j - 1) // n)  # smallest s with l0 + s*n >= j + 1
-                if hi >= lo:
-                    d += a * b * (hi - lo + 1)
-        return d
+        if self._d is None:
+            d = 0
+            n = self.n
+            for (i, j), a in self._e.items():
+                for (k0, l0), b in self._e.items():
+                    # shifts s with k0 + s*n <= i and l0 + s*n > j
+                    hi = (i - k0) // n
+                    lo = -((l0 - j - 1) // n)  # smallest s with l0 + s*n >= j + 1
+                    if hi >= lo:
+                        d += a * b * (hi - lo + 1)
+            self._d = d
+        return self._d
 
     def sigma_ij(self, i, j):
         """sigma_{i,j}(A): corner sum above-right (i < j) or below-left (i > j)."""

@@ -367,19 +367,34 @@ def coset_longest(lam, w, mu):
 def jdelta(lam, w, mu):
     """The matrix A = (|R^lambda_k  intersect  w R^mu_l|) in Theta(n, r),
     one and the same for every w in the double coset S_lambda w S_mu."""
-    r = lam.sigma()
-    if mu.sigma() != r:
+    if mu.sigma() != lam.sigma():
         raise ValueError("sigma(lambda) != sigma(mu)")
-    n = lam.n
-    row, col = lam.block_indices(), mu.block_indices()
-    # a = 1..r lies in R^mu_l with l = col[a - 1], and x = w(a) lies in
-    # R^lambda_k with k = row[(x - 1) mod r] + n * floor((x - 1) / r); the
-    # constructor moves each (k, l) into rows 1..n and adds up the repeats
-    entries = [
-        ((row[(x - 1) % r] + (x - 1) // r * n, l), 1)
-        for x, l in zip(w.window, col)
-    ]
-    return AffMatrix(n, entries)
+    rows, cols = lam.block_indices(), mu.block_indices()
+    return cells_matrix(lam.n, jdelta_key(rows, cols, lam.n, w.window))
+
+
+def jdelta_key(rows, cols, n, window, a=0):
+    """The cells of jdelta(lam, rho^a w, mu) for w with the given window,
+    one per slot, as a sorted tuple with repeats: a key naming the double
+    coset of rho^a w without building its matrix.  rows and cols are
+    lam.block_indices() and mu.block_indices().
+
+    Slot p lies in R^mu_l with l = cols[p - 1], and x = w(p) + a lies in
+    R^lambda_k with k = rows[(x - 1) mod r] + n * floor((x - 1) / r); the
+    cell (k, l) moved into rows 1..n is (rows[(x - 1) mod r],
+    l - n * floor((x - 1) / r)).
+    """
+    r = len(rows)
+    b = a - 1
+    return tuple(
+        sorted((rows[(x + b) % r], l - (x + b) // r * n) for x, l in zip(window, cols))
+    )
+
+
+def cells_matrix(n, cells):
+    """The matrix whose entry at each cell of a jdelta_key is the number
+    of times the key holds it."""
+    return AffMatrix(n, [(cell, 1) for cell in cells])
 
 
 @cache

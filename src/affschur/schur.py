@@ -4,8 +4,12 @@ Elements are LaurentPoly-combinations of the normalized basis {[A]} with
 A running over Theta(n, r).  Products are computed in the Hecke
 endomorphism model (Dipper-James): e_A sends x_mu to T_{S_lambda d_A S_mu}
 = x_lambda col_A, col_A the sum of T_sigma over the lambda-minimal sigma
-of the coset, so e_A e_B and bar([B]) are read off the column product
-col_A col_B and the column t_bar(col_B, J_lambda) in x_lambda H (heckekl).
+of the coset, so e_A e_B is x_lambda col_A col_B in x_lambda H (heckekl)
+and bar([B]) is read off the column t_bar(col_B, J_lambda).  col_B is
+walked from d_B by right steps that go up, so x_lambda col_A col_B is
+x_lambda col_A T_{d_B} carried along that walk, one T_{s_j} step per
+element.  Each term's double coset is named by a tuple (jdelta_key), and
+one matrix is built per coset.
 The canonical basis theta_{A,r} is read off the parabolic KL column of
 the longest double-coset element, which holds only the coefficients at
 elements longest in their left S_lambda-coset; an independent
@@ -21,16 +25,15 @@ import math
 from .laurent import Combination, LaurentPoly, LP_ONE, accumulate
 from .affmat import AffMatrix, sqsubseteq, compositions
 from .affweyl import (
+    cells_matrix,
     coset_longest,
     coset_size,
-    jdelta,
     jdelta_inv,
+    jdelta_key,
     bruhat_leq,
-    orbit,
-    rho,
     strip_rho,
 )
-from .heckekl import HeckeElt, t_mul, t_bar
+from .heckekl import HeckeElt, _mul_simple, mul_basis, t_bar
 from .heckekl import coset_step, default_cache, kl_column
 
 
@@ -78,16 +81,31 @@ def leq_bo(b_mat, a_mat):
 
 @cache
 def _coset_column(a_mat):
-    """col_A: the lambda-minimal elements of S_lambda d_A S_mu, the orbit
-    of d_A under right mu-steps by coset_step (Deodhar: sigma s is minimal
-    or s_k sigma, k in J_lambda).  x_lambda col_A = T_{S_lambda d_A S_mu}
+    """(col_A, walk): col_A the lambda-minimal elements of S_lambda d_A
+    S_mu, reached from d_A by the right mu-steps coset_step that go up
+    (Deodhar: sigma s is minimal or s_k sigma, k in J_lambda; a prefix of
+    a reduced word of a minimal representative is minimal).  walk lists
+    each sigma once, after the one that reached it, with the (j, sigma s_j)
+    that first reached an element.  x_lambda col_A = T_{S_lambda d_A S_mu}
     exactly when there are coset_size(A) / |S_lambda| of them: checked."""
     lam, d, mu = jdelta_inv(a_mat)
-    step = partial(coset_step, J=lam.young_generators())
-    reps = orbit(d, [(step, j) for j in mu.young_generators()])
-    if len(reps) * _young_order(lam) != coset_size(a_mat):
+    J, right = lam.young_generators(), mu.young_generators()
+    seen = {d}
+    todo = [d]
+    walk = []
+    while todo:
+        sigma = todo.pop()
+        steps = []
+        for j in right:
+            y, up = coset_step(sigma, j, J)
+            if up and y not in seen:
+                seen.add(y)
+                steps.append((j, y))
+        todo.extend(y for _, y in steps)
+        walk.append((sigma, tuple(steps)))
+    if len(walk) * _young_order(lam) != coset_size(a_mat):
         raise AssertionError("double-coset factorization failed for %r" % a_mat)
-    return HeckeElt(d.r, dict.fromkeys(reps, LP_ONE))
+    return HeckeElt(d.r, {sigma: LP_ONE for sigma, _ in walk}), tuple(walk)
 
 
 def _young_order(lam):
@@ -99,15 +117,18 @@ def _decompose_invariant(h, lam, nu):
     right-S_nu)-invariant element, as a sum of double-coset sums; returns
     {matrix: coefficient} over e_A'' = T-coset sums.
 
-    Terms are grouped by the J_Delta matrix of their coset; each group
-    must carry one coefficient on coset_size(A'') / |S_lambda| elements.
+    Terms are grouped by the jdelta_key of their coset, one J_Delta
+    matrix per group; each group must carry one coefficient on
+    coset_size(A'') / |S_lambda| elements.
     """
     per = _young_order(lam)
+    key = partial(jdelta_key, lam.block_indices(), nu.block_indices(), lam.n)
     groups = {}
     for w, c in h.terms.items():
-        groups.setdefault(jdelta(lam, w, nu), []).append(c)
+        groups.setdefault(key(w.window), []).append(c)
     out = {}
-    for a_mat, cs in groups.items():
+    for cells, cs in groups.items():
+        a_mat = cells_matrix(lam.n, cells)
         if len(cs) * per != coset_size(a_mat) or any(c != cs[0] for c in cs):
             raise AssertionError(
                 "coefficient not constant on the double coset of %r" % a_mat
@@ -128,9 +149,22 @@ def e_basis_mult(a_mat, b_mat):
 
 @cache
 def _e_mult(a_mat, b_mat):
-    """e_basis_mult of a pair with co(A) = ro(B)."""
-    lam, nu = jdelta_inv(a_mat)[0], jdelta_inv(b_mat)[2]
-    h = t_mul(_coset_column(a_mat), _coset_column(b_mat), lam.young_generators())
+    """e_basis_mult of a pair with co(A) = ro(B): x_lambda col_A col_B as
+    x_lambda col_A T_{d_B} carried along the up-step walk of col_B, with
+    x_lambda col_A T_sigma = (x_lambda col_A T_sigma') T_{s_j} for the
+    step sigma' s_j = sigma that reached sigma; each product is kept only
+    until the steps from its sigma are taken."""
+    lam = jdelta_inv(a_mat)[0]
+    _, d_b, nu = jdelta_inv(b_mat)
+    J = lam.young_generators()
+    col_a, walk = _coset_column(a_mat)[0], _coset_column(b_mat)[1]
+    pending = {d_b: mul_basis(col_a, d_b, J)}
+    h = HeckeElt.zero(col_a.r)
+    for sigma, steps in walk:
+        h_sigma = pending.pop(sigma)
+        h.add_scaled(h_sigma)
+        for j, y in steps:
+            pending[y] = _mul_simple(h_sigma, j, J)
     return _decompose_invariant(h, lam, nu)
 
 
@@ -177,13 +211,15 @@ def theta(a_mat, r=None, cache=None):
     a, x = strip_rho(coset_longest(lam, d, mu))
     J = [(j - a - 1) % r + 1 for j in lam.young_generators()]
     wj, col = kl_column(x, J, cache)
-    shift, right = rho(r, a), mu.young_generators()
+    key = partial(jdelta_key, lam.block_indices(), mu.block_indices(), lam.n)
+    right = mu.young_generators()
     e = wj.length() - x.length()
-    terms = {
-        jdelta(lam, shift * sigma, mu): p.to_laurent(e + sigma.length())
+    coeffs = {
+        key(sigma.window, a): p.to_laurent(e + sigma.length())
         for sigma, p in col.items()
         if not any(coset_step(sigma, j, J)[1] for j in right)
     }
+    terms = {cells_matrix(a_mat.n, cells): c for cells, c in coeffs.items()}
     res = SchurElt(a_mat.n, r, terms)
     if res.coeff(a_mat) != LP_ONE:
         raise AssertionError("theta leading coefficient not 1 for %r" % a_mat)
@@ -200,7 +236,7 @@ def bar_bracket(b_mat):
     """
     lam, _, mu = jdelta_inv(b_mat)
     shift = b_mat.d_exponent() + 2 * (mu.longest_length() - lam.longest_length())
-    barh = t_bar(_coset_column(b_mat), lam.young_generators()).scale(
+    barh = t_bar(_coset_column(b_mat)[0], lam.young_generators()).scale(
         LaurentPoly.v_power(shift)
     )
     e_coeffs = _decompose_invariant(barh, lam, mu)

@@ -138,8 +138,13 @@ def verify_prop_38(n=2, r=2, band=1, cache=None):
 
 
 def _composable_pairs(mats):
-    for a_mat, b_mat in itertools.product(mats, mats):
-        if a_mat.co() == b_mat.ro():
+    """The pairs (A, B) of mats with co(A) = ro(B), A-major in mats order
+    and B in mats order; B is looked up by its row sums."""
+    by_ro = {}
+    for b_mat in mats:
+        by_ro.setdefault(b_mat.ro(), []).append(b_mat)
+    for a_mat in mats:
+        for b_mat in by_ro.get(a_mat.co(), ()):
             yield a_mat, b_mat
 
 

@@ -114,6 +114,14 @@ def test_canonical_basis_at_level_five():
     budget.check()
 
 
+def test_positivity_at_level_five():
+    budget = Budget(20)
+    rep = verify.verify_cor_49(n=2, r=5)
+    assert rep["pass"], rep["violations"][:3]
+    assert rep["checked"] == 19494
+    budget.check()
+
+
 def test_positivity_of_g_constants():
     budget = Budget(600)
     for n, r in ((2, 2), (2, 3), (3, 3)):

@@ -7,12 +7,15 @@ from affschur.affweyl import (
     AffPerm,
     Composition,
     bruhat_leq,
+    cells_matrix,
     coset_longest,
     coset_size,
     double_coset,
+    enumerate_wr,
     identity,
     jdelta,
     jdelta_inv,
+    jdelta_key,
     reduced_word,
     rho,
     simple,
@@ -115,6 +118,32 @@ def test_jdelta_examples():
         2, {(1, 2): 1, (2, 1): 1}
     )
     assert jdelta(one, rho(2), one) == AffMatrix(2, {(1, 0): 1, (2, 1): 1})
+
+
+def test_jdelta_key_matches_jdelta_with_rho_shifts():
+    # the shifted key of w names the coset of rho^a w; the reference
+    # counts |R^lambda_k intersect rho^a w R^mu_l| slot by slot, the
+    # constructor moving each cell into rows 1..n
+    pairs = [((2, 1, 1), (1, 0, 3)), ((1, 3), (2, 2))]
+    checked = 0
+    for lam, mu in (tuple(map(Composition, p)) for p in pairs):
+        rows, cols = lam.block_indices(), mu.block_indices()
+        for layer in enumerate_wr(4, 5):
+            for w in layer:
+                for a in (-2, 0, 1, 3):
+                    key = jdelta_key(rows, cols, lam.n, w.window, a)
+                    shifted = rho(4, a) * w
+                    by_slot = AffMatrix(
+                        lam.n,
+                        [
+                            ((rows[(x - 1) % 4] + (x - 1) // 4 * lam.n, l), 1)
+                            for x, l in zip(shifted.window, cols)
+                        ],
+                    )
+                    assert jdelta(lam, shifted, mu) == cells_matrix(lam.n, key)
+                    assert cells_matrix(lam.n, key) == by_slot
+                    checked += 1
+    assert checked == 2 * 4 * sum(map(len, enumerate_wr(4, 5)))
 
 
 def test_jdelta_inv_examples():

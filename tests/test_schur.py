@@ -1,9 +1,10 @@
 import random
+import re
 import sys
 
 import pytest
 
-from affschur import affweyl, hall, schur, transfer
+from affschur import affweyl, hall, heckekl, schur, transfer
 from affschur.affmat import AffMatrix, enumerate_theta_band, sqsubseteq
 from affschur.affweyl import (
     AffPerm,
@@ -123,7 +124,7 @@ def _e_mult_by_whole_coset(a_mat, b_mat):
 
 
 def test_e_mult_matches_the_whole_coset_oracle():
-    """The column product against the whole-coset T-basis product on
+    """The walk over col_B against the whole-coset T-basis product on
     every composable band-1 pair with n = 2, r <= 4 and n = 3, r <= 3."""
     pairs = 0
     for n, r in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3)):
@@ -144,7 +145,7 @@ def test_coset_column_checks_one_element_per_left_coset(monkeypatch):
     reps = [w for w in double_coset(lam, d, mu)[2] if is_left_minimal(w, lam)]
     assert len(reps) == 2 and d in reps
     schur._coset_column.cache_clear()
-    assert set(schur._coset_column(a).terms) == set(reps)
+    assert set(schur._coset_column(a)[0].terms) == set(reps)
 
     def stay_at_d(sigma, i, J):
         # the walk from d never reaches the other left coset
@@ -154,6 +155,23 @@ def test_coset_column_checks_one_element_per_left_coset(monkeypatch):
     monkeypatch.setattr(schur, "coset_step", stay_at_d)
     with pytest.raises(AssertionError, match="factorization failed"):
         schur._coset_column(a)
+    # the product walks col_B with the same check, naming B
+    schur.clear_caches()
+    with pytest.raises(AssertionError, match=re.escape("failed for %r" % a)):
+        e_basis_mult(AffMatrix.diag(2, a.ro()), a)
+
+
+def test_products_and_bar_do_not_call_t_mul(monkeypatch):
+    def no_t_mul(*args, **kwargs):
+        raise RuntimeError("t_mul called")
+
+    # a composable band-1 pair of Theta(3, 4) with six g-constants
+    a = b = AffMatrix(3, {(1, 0): 1, (1, 2): 1, (2, 1): 1, (3, 4): 1})
+    monkeypatch.setattr(schur, "t_mul", no_t_mul, raising=False)
+    monkeypatch.setattr(heckekl, "t_mul", no_t_mul)
+    schur.clear_caches()
+    assert len(g_constants(a, b, 4)) == 6
+    assert schur.bar_bracket(b).coeff(b) == LP_ONE
 
 
 def test_theta_worked_value():
