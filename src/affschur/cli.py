@@ -239,7 +239,6 @@ _VERIFY_KWARGS = {
     "k": "ks",
     "samples": "samples",
     "cap_dim": "cap_dim",
-    "cap_length": "cap_length",
     "cache": "cache",
 }
 
@@ -266,7 +265,7 @@ def _verify_kwargs(args):
             continue
         if param not in params:
             raise InputError(
-                "verify %s does not take --%s" % (name, flag.replace("_", "-"))
+                "verify %s does not take %s" % (name, _FLAGS[flag][0])
             )
         kwargs[param] = value
     if "ks" in kwargs:
@@ -288,15 +287,52 @@ def cmd_verify(args, cache):
     return report
 
 
+# each flag a command may read: its option string and argparse keywords
+_FLAGS = {
+    "target": ("target", {"help": "name of the suite, e.g. lemma-3.7; an "
+                          "unknown name exits 2 and lists every target"}),
+    "n": ("--n", {"type": int, "help": "number of rows per period"}),
+    "r": ("--r", {"type": int, "help": "level"}),
+    "N": ("--N", {"type": int, "help": "target rank for transfer maps"}),
+    "k": ("--k", {"type": int, "help": "eta shift"}),
+    "y": ("--y", {"help": "window of y, comma separated"}),
+    "w": ("--w", {"help": "window of w, comma separated"}),
+    "a": ("--a", {"help": "matrix A (JSON or file)"}),
+    "b": ("--b", {"help": "matrix B (JSON or file)"}),
+    "c": ("--c", {"help": "matrix C (JSON or file)"}),
+    "basis": ("--basis", {"choices": ("bracket", "theta"), "default": "bracket"}),
+    "cap_length": ("--cap-length", {
+        "type": int, "default": 40,
+        "help": "refuse a matrix argument whose longest double-coset "
+        "element, or a kl window w, is longer than this"}),
+    "cap_dim": ("--cap-dim", {
+        "type": int, "help": "refuse Hall counts beyond this total dimension"}),
+    "samples": ("--samples", {"type": int, "help": "sample size for suites"}),
+    "cache": ("--cache", {"help": "path of the persistent KL table (read by "
+                          "kl, theta, mult and verify)"}),
+    "out": ("--out", {"help": "write the JSON report to this file"}),
+}
+
+# command -> (its function, its help, the flags it reads besides --cache
+# and --out); a flag given as (name, default) takes that default, and a
+# verify flag is unset unless given, so the driver's own default applies
 COMMANDS = {
-    "kl": cmd_kl,
-    "theta": cmd_theta,
-    "mult": cmd_mult,
-    "g-table": cmd_g_table,
-    "f-table": cmd_f_table,
-    "h-table": cmd_h_table,
-    "hall": cmd_hall,
-    "verify": cmd_verify,
+    "kl": (cmd_kl, "a Kazhdan-Lusztig polynomial",
+           ("r", "y", "w", "cap_length")),
+    "theta": (cmd_theta, "a canonical basis element",
+              ("n", "r", "a", "cap_length")),
+    "mult": (cmd_mult, "product of two basis elements",
+             ("n", "r", "a", "b", "basis", "cap_length")),
+    "g-table": (cmd_g_table, "canonical structure constants at fixed level",
+                ("n", "r", "a", "b", "cap_length")),
+    "f-table": (cmd_f_table, "Hall positive-part structure constants",
+                ("n", "a", "b", "cap_length")),
+    "h-table": (cmd_h_table, "modified-algebra structure constants",
+                ("n", "a", "b", "cap_length")),
+    "hall": (cmd_hall, "a Hall polynomial phi^C_{A,B}",
+             ("n", "a", "b", "c", ("cap_dim", 10))),
+    "verify": (cmd_verify, "run a verification suite",
+               ("target", "n", "r", "N", "k", "samples", "cap_dim")),
 }
 
 # the commands that compute with the --cache file; the others accept the
@@ -311,77 +347,12 @@ def build_parser():
         "quantum Schur and Hall algebras, exactly over Z[v, v^-1].",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--n", type=int, help="number of rows per period")
-        p.add_argument("--r", type=int, help="level")
-        p.add_argument("--N", type=int, help="target rank for transfer maps")
-        p.add_argument("--k", type=int, help="eta shift")
-        p.add_argument(
-            "--cache",
-            help="path of the persistent KL table (used by kl, theta, mult "
-            "and verify)",
-        )
-        p.add_argument("--out", help="write the JSON report to this file")
-        p.add_argument(
-            "--cap-length",
-            type=int,
-            default=40,
-            help="refuse a matrix argument whose longest double-coset "
-            "element, or a kl window w, is longer than this (not used by "
-            "hall or verify)",
-        )
-        p.add_argument(
-            "--cap-dim",
-            type=int,
-            default=10,
-            help="refuse Hall counts beyond this total dimension",
-        )
-        p.add_argument("--samples", type=int, help="sample size for suites")
-
-    p = sub.add_parser("kl", help="a Kazhdan-Lusztig polynomial")
-    p.add_argument("--y", help="window of y, comma separated")
-    p.add_argument("--w", help="window of w, comma separated")
-    common(p)
-
-    p = sub.add_parser("theta", help="a canonical basis element")
-    p.add_argument("--a", help="matrix A (JSON or file)")
-    common(p)
-
-    p = sub.add_parser("mult", help="product of two basis elements")
-    p.add_argument("--a", help="matrix A (JSON or file)")
-    p.add_argument("--b", help="matrix B (JSON or file)")
-    p.add_argument(
-        "--basis", choices=("bracket", "theta"), default="bracket"
-    )
-    common(p)
-
-    for name, helptext in (
-        ("g-table", "canonical structure constants at fixed level"),
-        ("f-table", "Hall positive-part structure constants"),
-        ("h-table", "modified-algebra structure constants"),
-    ):
+    for name, (_, helptext, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
-        p.add_argument("--a", help="matrix A (JSON or file)")
-        p.add_argument("--b", help="matrix B (JSON or file)")
-        common(p)
-
-    p = sub.add_parser("hall", help="a Hall polynomial phi^C_{A,B}")
-    p.add_argument("--a", help="matrix A (JSON or file)")
-    p.add_argument("--b", help="matrix B (JSON or file)")
-    p.add_argument("--c", help="matrix C (JSON or file)")
-    common(p)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument(
-        "target",
-        help="name of the suite, e.g. lemma-3.7; an unknown name exits 2 "
-        "and lists every target",
-    )
-    common(p)
-    # unset unless given, so the driver's own default applies and a cap
-    # the driver does not take is refused
-    p.set_defaults(cap_dim=None, cap_length=None)
+        for flag in flags + ("cache", "out"):
+            flag, default = flag if isinstance(flag, tuple) else (flag, None)
+            option, kwargs = _FLAGS[flag]
+            p.add_argument(option, **dict({"default": default}, **kwargs))
     return parser
 
 
@@ -407,7 +378,7 @@ def main(argv=None):
             loaded = len(cache.p_table)
         else:
             cache = default_cache()
-        report = COMMANDS[args.command](args, cache)
+        report = COMMANDS[args.command][0](args, cache)
         # the file is written only when it is new or the command grew
         # the P-table, so a read-only command leaves it untouched
         if path and (fresh or len(cache.p_table) > loaded):

@@ -294,7 +294,7 @@ def _longest_segment(a_mat):
     return max((j - i for (i, j), _ in a_mat.entries()), default=0)
 
 
-def hall_count(c_mat, a_mat, b_mat, q, cap_dim=10):
+def hall_count(c_mat, a_mat, b_mat, q):
     """phi^C_{A,B}(q): submodules N of M(C) over F_q with N of type B
     and M(C)/N of type A, counted by exhaustive enumeration.
 
@@ -306,10 +306,6 @@ def hall_count(c_mat, a_mat, b_mat, q, cap_dim=10):
     db = _dim_vectors(a_mat, b_mat, c_mat)[1]
     field = gf(q)
     mod_c = ModuleRealization(c_mat)
-    if mod_c.total > cap_dim:
-        raise SizeCapError(
-            "total dimension %d exceeds cap %d" % (mod_c.total, cap_dim)
-        )
     longest = _longest_segment(c_mat)
     if max(_longest_segment(a_mat), _longest_segment(b_mat)) > longest:
         return 0
@@ -463,7 +459,7 @@ def _hall_poly(a_mat, b_mat, c_mat):
     if bound + 1 > len(_PRIME_POWERS):
         raise SizeCapError("degree bound %d too large to sample" % bound)
     samples = [
-        (q, hall_count(c_mat, a_mat, b_mat, q, cap_dim=total))
+        (q, hall_count(c_mat, a_mat, b_mat, q))
         for q in _PRIME_POWERS[: bound + 1]
     ]
     return poly_interpolate(samples, bound)
@@ -564,10 +560,8 @@ def zeta_check(a_mat, b_mat, r, cap_dim=10):
     Hall algebra match A(0,r) B(0,r) computed in the Schur algebra?"""
     from .schur import SchurElt, mult as schur_mult, a_block
 
-    n = a_mat.n
-    j0 = (0,) * n
-    lhs = schur_mult(a_block(a_mat, j0, r), a_block(b_mat, j0, r))
-    rhs = SchurElt.zero(n, r)
+    lhs = schur_mult(a_block(a_mat, r), a_block(b_mat, r))
+    rhs = SchurElt.zero(a_mat.n, r)
     for c_mat, coeff in hall_mult_utilde(a_mat, b_mat, cap_dim=cap_dim).items():
-        rhs.add_scaled(a_block(c_mat, j0, r), coeff)
+        rhs.add_scaled(a_block(c_mat, r), coeff)
     return lhs == rhs

@@ -59,8 +59,8 @@ class LaurentPoly:
         return out
 
     @staticmethod
-    def v_power(e, coeff=1):
-        return LaurentPoly({e: coeff}) if coeff else LaurentPoly()
+    def v_power(e):
+        return LaurentPoly({e: 1})
 
     def items(self):
         return sorted(self._c.items())

@@ -259,9 +259,9 @@ def tau(x):
     return SchurElt(x.n, x.r, {a.transpose(): c for a, c in x.terms.items()})
 
 
-def a_block(a_mat, j, r):
-    """A(j, r) = sum over lambda in Lambda(n, r - sigma(A)) of
-    v^{lambda . j} [A + diag(lambda)]; zero if sigma(A) > r.
+def a_block(a_mat, r):
+    """A(0, r) = sum over lambda in Lambda(n, r - sigma(A)) of
+    [A + diag(lambda)]; zero if sigma(A) > r.
 
     A must have zero diagonal.
     """
@@ -271,10 +271,9 @@ def a_block(a_mat, j, r):
     rem = r - a_mat.sigma()
     if rem < 0:
         return SchurElt.zero(n, r)
-    terms = {}
-    for lam in compositions(n, rem):
-        dot = sum(l * ji for l, ji in zip(lam, j))
-        terms[a_mat + AffMatrix.diag(n, lam)] = LaurentPoly.v_power(dot)
+    terms = {
+        a_mat + AffMatrix.diag(n, lam): LP_ONE for lam in compositions(n, rem)
+    }
     return SchurElt(n, r, terms)
 
 

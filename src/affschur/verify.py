@@ -4,8 +4,16 @@ Each driver exhaustively checks one identity over a finite slice of the
 relevant index set and returns a machine-readable report: the slice
 parameters, how many instances were checked, and a list of violations
 with enough payload to reproduce each failure.  The index sets are
-infinite, so enumeration-style suites run over the band truncation
-(entries within a fixed distance of the diagonal).
+infinite, so each driver runs over a fixed scope, which its report
+prints alongside the parameters a caller sets:
+
+- the band truncation BAND = 1 (entries within that distance of the
+  diagonal), for every driver that enumerates Theta(n, r);
+- the sampling seed SEED = 0 of thm-4.8, thm-5.4, thm-5.5 and thm-6.3;
+- the shifts LEMMA_46_MS = (-1, 1) of lemma-4.6;
+- the f-pair scope of thm-4.10 and cor-4.11: sigma <= 2, segments <= 2;
+- the h-pair scope of thm-5.4 and thm-5.5: sigma <= 2;
+- the zeta scope: n in (2, 3), sigma <= 3, r <= 4, segments <= 2.
 """
 
 from __future__ import annotations
@@ -30,6 +38,13 @@ from .schur import (
 from . import transfer
 from . import hall
 
+BAND = 1
+SEED = 0
+LEMMA_46_MS = (-1, 1)
+F_SIGMA_CAP, F_MAX_LEN = 2, 2
+H_SIGMA_CAP = 2
+ZETA_NS, ZETA_SIGMA_CAP, ZETA_R_CAP, ZETA_MAX_LEN = (2, 3), 3, 4, 2
+
 
 def _report(name, params, checked, violations):
     return {
@@ -45,13 +60,13 @@ def _mat_key(a_mat):
     return [[i, j, v] for (i, j), v in a_mat.entries()]
 
 
-def verify_lemma_31(n=2, r=2, band=1, cache=None):
+def verify_lemma_31(n=2, r=2, cache=None):
     """C'_{d+} decomposes into double-coset sums with KL coefficients:
     the T_w coefficient equals v^{-l(d+)} P_{y+, d+} for w in the coset
     of y, and every support coset satisfies y <= d."""
     violations = []
     checked = 0
-    for a_mat in enumerate_theta_band(n, r, band):
+    for a_mat in enumerate_theta_band(n, r, BAND):
         lam, d, mu = jdelta_inv(a_mat)
         d_plus = coset_longest(lam, d, mu)
         c = cprime(d_plus, cache)
@@ -78,13 +93,13 @@ def verify_lemma_31(n=2, r=2, band=1, cache=None):
                     }
                 )
     return _report(
-        "lemma-3.1", {"n": n, "r": r, "band": band}, checked, violations
+        "lemma-3.1", {"n": n, "r": r, "band": BAND}, checked, violations
     )
 
 
-def verify_lemma_36(n=2, r=2, band=1):
+def verify_lemma_36(n=2, r=2):
     """B <=^Bo A implies B sqsubseteq A."""
-    mats = enumerate_theta_band(n, r, band)
+    mats = enumerate_theta_band(n, r, BAND)
     violations = []
     checked = 0
     for b_mat, a_mat in itertools.product(mats, mats):
@@ -94,15 +109,15 @@ def verify_lemma_36(n=2, r=2, band=1):
                 {"B": _mat_key(b_mat), "A": _mat_key(a_mat)}
             )
     return _report(
-        "lemma-3.6", {"n": n, "r": r, "band": band}, checked, violations
+        "lemma-3.6", {"n": n, "r": r, "band": BAND}, checked, violations
     )
 
 
-def verify_lemma_37(n=2, r=2, band=1):
+def verify_lemma_37(n=2, r=2):
     """l(y_A+) = d_A + l(w_{0, co(A)})."""
     violations = []
     checked = 0
-    for a_mat in enumerate_theta_band(n, r, band):
+    for a_mat in enumerate_theta_band(n, r, BAND):
         checked += 1
         lhs = coset_longest(*jdelta_inv(a_mat)).length()
         rhs = a_mat.d_exponent() + Composition(a_mat.co()).longest_length()
@@ -111,16 +126,16 @@ def verify_lemma_37(n=2, r=2, band=1):
                 {"A": _mat_key(a_mat), "lhs": lhs, "rhs": rhs}
             )
     return _report(
-        "lemma-3.7", {"n": n, "r": r, "band": band}, checked, violations
+        "lemma-3.7", {"n": n, "r": r, "band": BAND}, checked, violations
     )
 
 
-def verify_prop_38(n=2, r=2, band=1, cache=None):
+def verify_prop_38(n=2, r=2, cache=None):
     """The closed-form canonical basis element is bar-invariant,
     triangular, and agrees with bar-triangular elimination."""
     violations = []
     checked = 0
-    for a_mat in enumerate_theta_band(n, r, band):
+    for a_mat in enumerate_theta_band(n, r, BAND):
         checked += 1
         th = theta(a_mat, r, cache)
         problems = []
@@ -133,7 +148,7 @@ def verify_prop_38(n=2, r=2, band=1, cache=None):
         if problems:
             violations.append({"A": _mat_key(a_mat), "problems": problems})
     return _report(
-        "prop-3.8", {"n": n, "r": r, "band": band}, checked, violations
+        "prop-3.8", {"n": n, "r": r, "band": BAND}, checked, violations
     )
 
 
@@ -168,24 +183,24 @@ def _positivity(tables):
     return checked, violations
 
 
-def verify_cor_49(n=2, r=2, band=1):
+def verify_cor_49(n=2, r=2):
     """Every g-constant lies in N[v, v^-1]."""
     checked, violations = _positivity(
         (a_mat, b_mat, g_constants(a_mat, b_mat, r))
-        for a_mat, b_mat in _composable_pairs(enumerate_theta_band(n, r, band))
+        for a_mat, b_mat in _composable_pairs(enumerate_theta_band(n, r, BAND))
     )
     return _report(
-        "cor-4.9", {"n": n, "r": r, "band": band}, checked, violations
+        "cor-4.9", {"n": n, "r": r, "band": BAND}, checked, violations
     )
 
 
-def verify_lemma_46(n=2, r=2, band=1, ms=(-1, 1)):
+def verify_lemma_46(n=2, r=2):
     """Right and left multiplication by the shifted idempotent realizes
     eta_m on canonical basis elements."""
     violations = []
     checked = 0
-    for a_mat in enumerate_theta_band(n, r, band):
-        for m in ms:
+    for a_mat in enumerate_theta_band(n, r, BAND):
+        for m in LEMMA_46_MS:
             checked += 1
             th = theta(a_mat, r)
             target = theta(transfer.eta(a_mat, m), r)
@@ -208,19 +223,19 @@ def verify_lemma_46(n=2, r=2, band=1, ms=(-1, 1)):
                 )
     return _report(
         "lemma-4.6",
-        {"n": n, "r": r, "band": band, "ms": list(ms)},
+        {"n": n, "r": r, "band": BAND, "ms": list(LEMMA_46_MS)},
         checked,
         violations,
     )
 
 
-def _sample_pairs(pairs, samples, seed):
-    """samples of the pairs, drawn with a fixed seed; all of them when
+def _sample_pairs(pairs, samples):
+    """samples of the pairs, drawn with the fixed SEED; all of them when
     samples is None or not smaller than their number."""
     pairs = list(pairs)
     if samples is None or samples >= len(pairs):
         return pairs
-    return random.Random(seed).sample(pairs, samples)
+    return random.Random(SEED).sample(pairs, samples)
 
 
 def _embedded(k, big_n, *mats):
@@ -228,7 +243,7 @@ def _embedded(k, big_n, *mats):
     return [transfer.tilde(transfer.eta(m, k), big_n) for m in mats]
 
 
-def verify_thm_48(n=2, r=2, big_n=3, ks=(-1, 1), band=1, samples=None, seed=0):
+def verify_thm_48(n=2, r=2, big_n=3, ks=(-1, 1), samples=None):
     """Part 1: g-table pattern equality under the shifted embedding.
     Part 2: each g-constant equals the f-constant of a shifted triple.
 
@@ -240,7 +255,7 @@ def verify_thm_48(n=2, r=2, big_n=3, ks=(-1, 1), band=1, samples=None, seed=0):
     violations = []
     checked = 0
     for a_mat, b_mat in _sample_pairs(
-        _composable_pairs(enumerate_theta_band(n, r, band)), samples, seed
+        _composable_pairs(enumerate_theta_band(n, r, BAND)), samples
     ):
         g = g_constants(a_mat, b_mat, r)
         for k in ks:
@@ -274,9 +289,9 @@ def verify_thm_48(n=2, r=2, big_n=3, ks=(-1, 1), band=1, samples=None, seed=0):
             "r": r,
             "N": big_n,
             "ks": list(ks),
-            "band": band,
+            "band": BAND,
             "samples": samples,
-            "seed": seed,
+            "seed": SEED,
         },
         checked,
         violations,
@@ -301,26 +316,27 @@ def enumerate_theta_plus(n, sigma_cap, max_len):
     return sorted(set(out), key=lambda m: (m.sigma(), m.entries()))
 
 
-def _f_pair_scope(n, sigma_cap, max_len):
-    """Factor pairs for the f-table suites: every pair at unit segment
-    length, plus pairs of total mass at most 3 with segments up to
-    max_len.  Maximal-mass pairs of long segments force padded levels
-    where the KL recursion is out of reach."""
+def _f_pair_scope(n):
+    """Factor pairs for the f-table suites, of factors with sigma at most
+    F_SIGMA_CAP: every pair at unit segment length, plus pairs of total
+    mass at most 3 with segments up to F_MAX_LEN.  Maximal-mass pairs of
+    long segments force padded levels where the KL recursion is out of
+    reach."""
     pairs = []
     seen = set()
-    long_mats = enumerate_theta_plus(n, sigma_cap, max_len)
+    long_mats = enumerate_theta_plus(n, F_SIGMA_CAP, F_MAX_LEN)
     for a_mat, b_mat in itertools.product(long_mats, long_mats):
         if a_mat.sigma() + b_mat.sigma() <= 3:
             pairs.append((a_mat, b_mat))
             seen.add((a_mat, b_mat))
-    short_mats = enumerate_theta_plus(n, sigma_cap, 1)
+    short_mats = enumerate_theta_plus(n, F_SIGMA_CAP, 1)
     for a_mat, b_mat in itertools.product(short_mats, short_mats):
         if (a_mat, b_mat) not in seen:
             pairs.append((a_mat, b_mat))
     return pairs
 
 
-def verify_thm_410(n=2, big_n=3, sigma_cap=2, max_len=2):
+def verify_thm_410(n=2, big_n=3):
     """f-tables are invariant under the tilde embedding.
 
     The rank-big_n side is extracted, with its check, at the padding
@@ -330,7 +346,7 @@ def verify_thm_410(n=2, big_n=3, sigma_cap=2, max_len=2):
     """
     violations = []
     checked = 0
-    for a_mat, b_mat in _f_pair_scope(n, sigma_cap, max_len):
+    for a_mat, b_mat in _f_pair_scope(n):
         checked += 1
         small = transfer.f_constants(a_mat, b_mat).table
         expected = transfer.embed_table(small, 0, big_n)
@@ -343,32 +359,33 @@ def verify_thm_410(n=2, big_n=3, sigma_cap=2, max_len=2):
             violations.append({"A": _mat_key(a_mat), "B": _mat_key(b_mat)})
     return _report(
         "thm-4.10",
-        {"n": n, "N": big_n, "sigma_cap": sigma_cap, "max_len": max_len},
+        {"n": n, "N": big_n, "sigma_cap": F_SIGMA_CAP, "max_len": F_MAX_LEN},
         checked,
         violations,
     )
 
 
-def verify_cor_411(n=2, sigma_cap=2, max_len=2):
+def verify_cor_411(n=2):
     """Every f-constant lies in N[v, v^-1]."""
     checked, violations = _positivity(
         (a_mat, b_mat, transfer.f_constants(a_mat, b_mat).table)
-        for a_mat, b_mat in _f_pair_scope(n, sigma_cap, max_len)
+        for a_mat, b_mat in _f_pair_scope(n)
     )
     return _report(
         "cor-4.11",
-        {"n": n, "sigma_cap": sigma_cap, "max_len": max_len},
+        {"n": n, "sigma_cap": F_SIGMA_CAP, "max_len": F_MAX_LEN},
         checked,
         violations,
     )
 
 
-def _stripped_aperiodic(n, sigma_cap, band):
-    """Aperiodic matrices with minimal diagonal zero, by band truncation."""
+def _stripped_aperiodic(n, sigma_cap):
+    """Aperiodic matrices with minimal diagonal zero and sigma at most
+    sigma_cap, by band truncation."""
     out = []
     seen = set()
     for r in range(1, sigma_cap + 1):
-        for a_mat in enumerate_theta_band(n, r, band):
+        for a_mat in enumerate_theta_band(n, r, BAND):
             c_mat, _ = transfer.strip_E(a_mat)
             if c_mat.sigma() == 0 or not c_mat.is_aperiodic():
                 continue
@@ -378,10 +395,11 @@ def _stripped_aperiodic(n, sigma_cap, band):
     return sorted(out, key=lambda m: (m.sigma(), m.entries()))
 
 
-def _h_pairs(n, sigma_cap, band, samples, seed):
-    """The sampled pairs of stripped aperiodic matrices with equal sigma
-    mod n, the inputs of the h-table suites."""
-    mats = _stripped_aperiodic(n, sigma_cap, band)
+def _h_pairs(n, samples):
+    """The sampled pairs of stripped aperiodic matrices with sigma at
+    most H_SIGMA_CAP and equal sigma mod n, the inputs of the h-table
+    suites."""
+    mats = _stripped_aperiodic(n, H_SIGMA_CAP)
     return _sample_pairs(
         (
             (a, b)
@@ -389,16 +407,15 @@ def _h_pairs(n, sigma_cap, band, samples, seed):
             if a.sigma() % n == b.sigma() % n
         ),
         samples,
-        seed,
     )
 
 
-def verify_thm_54(n=2, sigma_cap=2, band=1, samples=20, seed=0):
+def verify_thm_54(n=2, samples=20):
     """h-tables stabilize between consecutive admissible levels, with
     aperiodic E-stripped keys throughout."""
     violations = []
     checked = 0
-    for a_mat, b_mat in _h_pairs(n, sigma_cap, band, samples, seed):
+    for a_mat, b_mat in _h_pairs(n, samples):
         checked += 1
         try:
             table = transfer.h_constants(a_mat, b_mat).table
@@ -424,48 +441,44 @@ def verify_thm_54(n=2, sigma_cap=2, band=1, samples=20, seed=0):
         "thm-5.4",
         {
             "n": n,
-            "sigma_cap": sigma_cap,
-            "band": band,
+            "sigma_cap": H_SIGMA_CAP,
+            "band": BAND,
             "samples": samples,
-            "seed": seed,
+            "seed": SEED,
         },
         checked,
         violations,
     )
 
 
-def verify_thm_55(n=2, sigma_cap=2, band=1, samples=20, seed=0):
+def verify_thm_55(n=2, samples=20):
     """Every h-constant lies in N[v, v^-1]."""
     checked, violations = _positivity(
         (a_mat, b_mat, transfer.h_constants(a_mat, b_mat).table)
-        for a_mat, b_mat in _h_pairs(n, sigma_cap, band, samples, seed)
+        for a_mat, b_mat in _h_pairs(n, samples)
     )
     return _report(
         "thm-5.5",
         {
             "n": n,
-            "sigma_cap": sigma_cap,
-            "band": band,
+            "sigma_cap": H_SIGMA_CAP,
+            "band": BAND,
             "samples": samples,
-            "seed": seed,
+            "seed": SEED,
         },
         checked,
         violations,
     )
 
 
-def verify_thm_63(n=2, r=2, band=1, samples=10, seed=0):
+def verify_thm_63(n=2, r=2, samples=10):
     """Fixed-level instance of the modified-algebra positivity: each
     g-key at level r strips to an h-key with the same coefficient, and
     all coefficients are nonnegative."""
-    mats = [
-        m
-        for m in _stripped_aperiodic(n, r, band)
-        if m.sigma() == r
-    ]
+    mats = [m for m in _stripped_aperiodic(n, r) if m.sigma() == r]
     violations = []
     checked = 0
-    for a_mat, b_mat in _sample_pairs(_composable_pairs(mats), samples, seed):
+    for a_mat, b_mat in _sample_pairs(_composable_pairs(mats), samples):
         g = g_constants(a_mat, b_mat, r)
         h_table = transfer.h_constants(a_mat, b_mat).table
         for c_pad, val in sorted(g.items(), key=lambda p: p[0].entries()):
@@ -487,23 +500,23 @@ def verify_thm_63(n=2, r=2, band=1, samples=10, seed=0):
                 )
     return _report(
         "thm-6.3",
-        {"n": n, "r": r, "band": band, "samples": samples, "seed": seed},
+        {"n": n, "r": r, "band": BAND, "samples": samples, "seed": SEED},
         checked,
         violations,
     )
 
 
-def verify_zeta(ns=(2, 3), sigma_cap=3, r_cap=4, max_len=2, cap_dim=10):
+def verify_zeta(cap_dim=10):
     """The Hall-to-Schur comparison: products computed by submodule
     counting match products computed in the Hecke endomorphism model."""
     violations = []
     checked = 0
-    for n in ns:
-        mats = enumerate_theta_plus(n, sigma_cap, max_len)
+    for n in ZETA_NS:
+        mats = enumerate_theta_plus(n, ZETA_SIGMA_CAP, ZETA_MAX_LEN)
         for a_mat, b_mat in itertools.product(mats, mats):
-            if a_mat.sigma() + b_mat.sigma() > sigma_cap:
+            if a_mat.sigma() + b_mat.sigma() > ZETA_SIGMA_CAP:
                 continue
-            for r in range(2, r_cap + 1):
+            for r in range(2, ZETA_R_CAP + 1):
                 checked += 1
                 if not hall.zeta_check(a_mat, b_mat, r, cap_dim=cap_dim):
                     violations.append(
@@ -517,10 +530,10 @@ def verify_zeta(ns=(2, 3), sigma_cap=3, r_cap=4, max_len=2, cap_dim=10):
     return _report(
         "zeta",
         {
-            "ns": list(ns),
-            "sigma_cap": sigma_cap,
-            "r_cap": r_cap,
-            "max_len": max_len,
+            "ns": list(ZETA_NS),
+            "sigma_cap": ZETA_SIGMA_CAP,
+            "r_cap": ZETA_R_CAP,
+            "max_len": ZETA_MAX_LEN,
         },
         checked,
         violations,

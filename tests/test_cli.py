@@ -550,7 +550,6 @@ VERIFY_FLAGS = [
     ("--k", "2", "ks", (2,)),
     ("--samples", "5", "samples", 5),
     ("--cap-dim", "7", "cap_dim", 7),
-    ("--cap-length", "5", "cap_length", 5),
 ]
 
 
@@ -568,6 +567,8 @@ def test_verify_passes_exactly_the_flags_a_driver_takes(
 
     monkeypatch.setitem(DRIVERS, target, fake)
     params = inspect.signature(real).parameters
+    # a driver parameter that no verify flag sets would be a dead knob
+    assert set(params) <= set(cli._VERIFY_KWARGS.values())
     flags = [f for f in VERIFY_FLAGS if f[2] in params]
     argv = ["verify", target] + [x for f in flags for x in f[:2]]
     cache_path = tmp_path / "kl.txt"
@@ -587,7 +588,77 @@ def test_verify_passes_exactly_the_flags_a_driver_takes(
         code, _, err = run(capsys, "verify", target, flag, text)
         assert code == 2
         assert "does not take %s" % flag in err
+    # no driver takes --cap-length, so verify has no such flag
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", target, "--cap-length", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cap-length 5" in capsys.readouterr().err
     assert len(calls) == 1
+
+
+# the flags more than one command reads, each with a value to pass
+SHARED_FLAGS = {
+    "--n": "2",
+    "--r": "3",
+    "--N": "3",
+    "--k": "1",
+    "--cap-length": "40",
+    "--cap-dim": "10",
+    "--samples": "1",
+}
+
+# (a command line, the shared flags its command reads); the first six
+# are the command shapes of the benchmark's cli-warm workload
+COMMAND_FLAGS = [
+    (["kl", "--r", "3", "--y=1,2,3", "--w=-1,3,4"], {"--r", "--cap-length"}),
+    (
+        ["theta", "--n", "2", "--r", "2", "--a", CROSS],
+        {"--n", "--r", "--cap-length"},
+    ),
+    (
+        ["mult", "--n", "2", "--r", "2", "--basis", "theta",
+         "--a", CROSS, "--b", DIAG],
+        {"--n", "--r", "--cap-length"},
+    ),
+    (
+        ["g-table", "--n", "2", "--r", "2", "--a", CROSS, "--b", CROSS],
+        {"--n", "--r", "--cap-length"},
+    ),
+    (["f-table", "--n", "2", "--a", SEG, "--b", SEG], {"--n", "--cap-length"}),
+    (
+        ["hall", "--n", "2", "--a", SEG, "--b", SEG, "--c", SEG2],
+        {"--n", "--cap-dim"},
+    ),
+    (["h-table", "--n", "2", "--a", CROSS, "--b", CROSS], {"--n", "--cap-length"}),
+    (
+        ["verify", "lemma-3.1"],
+        {"--n", "--r", "--N", "--k", "--samples", "--cap-dim"},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, reads", COMMAND_FLAGS, ids=[argv[0] for argv, _ in COMMAND_FLAGS]
+)
+def test_each_command_takes_only_the_flags_it_reads(
+    tmp_path, capsys, argv, reads
+):
+    code, out, err = run(capsys, *argv, "--cache", str(tmp_path / "kl.txt"))
+    assert code == 0, err
+    assert json.loads(out)["violations"] == []
+
+    given = [x for flag in sorted(reads) for x in (flag, SHARED_FLAGS[flag])]
+    args = cli.build_parser().parse_args(argv + given + ["--out", "r.json"])
+    for flag in reads:
+        dest = flag.lstrip("-").replace("-", "_")
+        assert getattr(args, dest) == int(SHARED_FLAGS[flag])
+
+    for flag in sorted(set(SHARED_FLAGS) - reads):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + [flag, SHARED_FLAGS[flag]])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: %s %s" % (flag, SHARED_FLAGS[flag]) in err
 
 
 def test_readme_examples_run(capsys):

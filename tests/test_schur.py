@@ -355,7 +355,7 @@ def test_leq_bo_example():
 
 
 def test_a_block_zero_matrix_gives_identity():
-    ident = a_block(AffMatrix(2, {}), (0, 0), 2)
+    ident = a_block(AffMatrix(2, {}), 2)
     assert ident.coeff(AffMatrix.diag(2, (2, 0))) == LP_ONE
     assert ident.coeff(AffMatrix.diag(2, (1, 1))) == LP_ONE
     assert ident.coeff(AffMatrix.diag(2, (0, 2))) == LP_ONE
@@ -367,8 +367,8 @@ def test_a_block_zero_matrix_gives_identity():
 
 def test_a_block_saturated_and_overflow():
     a = AffMatrix(2, {(1, 2): 2})
-    assert a_block(a, (0, 0), 2) == SchurElt.bracket(a, 2)
-    assert a_block(a, (0, 0), 1).is_zero()
+    assert a_block(a, 2) == SchurElt.bracket(a, 2)
+    assert a_block(a, 1).is_zero()
 
 
 def test_g_constants_worked_value():
