@@ -2,19 +2,21 @@
 """Survey Kazhdan-Lusztig polynomials up to a length bound.
 
 Prints every nontrivial P_{y,w} (those different from 0 and 1) found
-while expanding C'_w for all w of length at most --max-length, and a
-count of how many pairs were trivial.  With --cache the P-table is read
-from that file first and written back when the file is new or the
-table grew; a file that cannot be read, parsed or written ends the run
-with exit code 2 and one line on stderr.
+while expanding C'_w for all w of W_r of length at most --max-length,
+in key order, and a count of how many pairs were trivial.  With --cache
+the P-table is read from that file first and written back when the file
+is new or the table grew; the report covers only the surveyed w, so it
+is the same with or without the file, whatever else the file holds.  A
+file that cannot be read, parsed or written ends the run with exit code
+2 and one line on stderr.
 """
 
 import argparse
 import os
 import sys
 
-from affschur.affweyl import AffPerm, enumerate_wr
-from affschur.heckekl import KLCache, cprime
+from affschur.affweyl import enumerate_wr
+from affschur.heckekl import KLCache, _sorted_rows, cprime
 
 
 def refuse(path, exc):
@@ -38,29 +40,36 @@ def main():
     except (OSError, ValueError) as exc:
         return refuse(args.cache, exc)
     loaded = len(cache.p_table)
-    for layer in enumerate_wr(args.r, args.max_length):
+    lengths = {}  # window -> length, for every surveyed w
+    for length, layer in enumerate(enumerate_wr(args.r, args.max_length)):
         for w in sorted(layer, key=lambda x: x.window):
             cprime(w, cache)
+            lengths[w.window] = length
     if args.cache and (fresh or len(cache.p_table) > loaded):
         try:
             cache.save()
         except OSError as exc:
             return refuse(args.cache, exc)
     trivial = 0
-    for (r, ywin, wwin), p in sorted(cache.p_table.items()):
-        if p.degree() <= 0:
-            trivial += 1
+    for r, ywin, row in _sorted_rows(cache.p_table):
+        if r != args.r:
             continue
-        print(
-            "P[%s <= %s] = %r (lengths %d, %d)"
-            % (
-                ",".join(map(str, ywin)),
-                ",".join(map(str, wwin)),
-                p,
-                AffPerm(ywin).length(),
-                AffPerm(wwin).length(),
+        for wwin, p in row:
+            if wwin not in lengths:
+                continue
+            if p.degree() <= 0:
+                trivial += 1
+                continue
+            print(
+                "P[%s <= %s] = %r (lengths %d, %d)"
+                % (
+                    ",".join(map(str, ywin)),
+                    ",".join(map(str, wwin)),
+                    p,
+                    lengths[ywin],
+                    lengths[wwin],
+                )
             )
-        )
     print("trivial pairs:", trivial)
     return 0
 

@@ -170,7 +170,10 @@ class KLCache:
         (its length, its W_r sum, the AffPerm residue check, its length
         l) and each distinct coefficient text becomes one shared IntPoly,
         while every record is checked against the degree bound and the
-        diagonal rule.
+        diagonal rule.  A key may repeat only with the same P: a repeat
+        with another P (or a P that differs from one already in the
+        table) raises ValueError naming its line, so no record silently
+        overrides another.
         """
         windows = {}  # (r, text) -> (window, l(window)), checked
         polys = {}  # coefficient text -> IntPoly
@@ -200,15 +203,22 @@ class KLCache:
                 if p is None:
                     p = polys[ctext] = IntPoly(_ints(ctext))
                 _check_entry(ywin, wwin, ly, lw, p)
+                old = self.p_table.setdefault((r, ywin, wwin), p)
+                if old is not p and old != p:
+                    raise ValueError(
+                        "P_{y,w} for y = %s, w = %s given as %r, stored as %r"
+                        % (ywin, wwin, p, old)
+                    )
             except ValueError as exc:
                 msg = "%s line %d: %s" % (path, lineno, exc)
                 raise ValueError(msg) from None
-            self.p_table[(r, ywin, wwin)] = p
 
     def save(self, path=None):
         """Write the P-table atomically: a temporary file in the same
-        directory replaces path only once it is complete.  Each distinct
-        window or coefficient tuple is formatted once per save."""
+        directory replaces path only once it is complete.  Records come
+        in key order, row by row (_sorted_rows); each "r|y|" prefix is
+        formatted once per row and each distinct window or coefficient
+        tuple once per save."""
         path = path or self.path
         if path is None:
             raise ValueError("no cache path configured")
@@ -223,14 +233,32 @@ class KLCache:
         tmp = "%s.%d.tmp" % (path, os.getpid())
         try:
             with open(tmp, "w") as fh:
-                fh.writelines(
-                    "%d|%s|%s|%s\n" % (r, text(ywin), text(wwin), text(p.coeffs))
-                    for (r, ywin, wwin), p in sorted(self.p_table.items())
-                )
+                for r, ywin, row in _sorted_rows(self.p_table):
+                    prefix = "%d|%s|" % (r, text(ywin))
+                    fh.writelines(
+                        "%s%s|%s\n" % (prefix, text(wwin), text(p.coeffs))
+                        for wwin, p in row
+                    )
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)
+
+
+def _sorted_rows(p_table):
+    """The records of a P-table in key order, one row per (r, y.window):
+    (r, y.window, [(w.window, P), ...]) with the rows sorted by (r,
+    y.window) and each row by w.window, which is the order of the sorted
+    keys (r, y.window, w.window)."""
+    rows = {}
+    for (r, ywin, wwin), p in p_table.items():
+        row = rows.get((r, ywin))
+        if row is None:
+            row = rows[(r, ywin)] = {}
+        row[wwin] = p
+    for r, ywin in sorted(rows):
+        row = rows[(r, ywin)]
+        yield r, ywin, [(wwin, row[wwin]) for wwin in sorted(row)]
 
 
 def _check_windows(r, ytext, wtext, windows):
@@ -282,16 +310,23 @@ def cprime(w, cache=None):
 
     C'_w = sum_{y <= w} v^{l(y) - l(w)} P_{y,w} T~_y, so the coefficient
     of T_y is v^{-l(w)} P_{y,w}(v^2).  For extended elements C'_{rho^a x}
-    = T_rho^a C'_x.  This is the column of x for J empty.
+    = T_rho^a C'_x.  This is the column of x for J empty; each distinct
+    P of the column is converted once per call, and the keys that share
+    it share the resulting LaurentPoly.
     """
     a, x = strip_rho(w)
     col = _column((), None, x, cache or _default_cache)
     lx = x.length()
-    if a == 0:
-        terms = {y: p.to_laurent(-lx) for y, p in col.items()}
-    else:
+    laurent = {}  # P.coeffs -> v^{-l(x)} P(v^2), for this call only
+    terms = {}
+    for y, p in col.items():
+        c = laurent.get(p.coeffs)
+        if c is None:
+            c = laurent[p.coeffs] = p.to_laurent(-lx)
+        terms[y] = c
+    if a:
         shift = rho(w.r, a)
-        terms = {shift * y: p.to_laurent(-lx) for y, p in col.items()}
+        terms = {shift * y: c for y, c in terms.items()}
     return HeckeElt.zero(w.r)._new(terms)
 
 
@@ -401,12 +436,15 @@ def kl_poly(y, w, cache=None):
     """The Kazhdan-Lusztig polynomial P_{y,w} in q = v^2.
 
     Follows the extension rule P_{rho^a y, rho^b w} = delta_{a,b} P_{y,w}.
-    The P-table is read first: its keys are windows of W_r only.
+    The P-table is read first: its keys are windows of W_r only, so y and
+    w of different periods never match one and raise ValueError after it.
     """
     cache = cache or _default_cache
     p = cache.p_table.get((w.r, y.window, w.window))
     if p is not None:
         return p
+    if y.r != w.r:
+        raise ValueError("mismatched periods")
     ay, y0 = strip_rho(y)
     aw, w0 = strip_rho(w)
     if ay != aw:

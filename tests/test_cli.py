@@ -439,6 +439,23 @@ def test_bad_cache_file_exits_2_and_is_kept(tmp_path, capsys, record):
     assert path.read_text() == text
 
 
+@pytest.mark.parametrize("first, second", [("1", "1,1"), ("1,1", "1")])
+def test_cache_key_repeated_with_another_p_exits_2(
+    tmp_path, capsys, first, second
+):
+    """Neither record of a repeated key wins over the other."""
+    path = tmp_path / "kl.txt"
+    text = "3|1,2,3|3,2,1|%s\n3|1,2,3|3,2,1|%s\n" % (first, second)
+    path.write_text(text)
+    code, out, err = run(
+        capsys, "kl", "--r", "3", "--y", "1,2,3", "--w", "3,2,1",
+        "--cache", str(path),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "line 2: P_{y,w}" in err
+    assert path.read_text() == text
+
+
 def test_commands_without_kl_step_leave_the_cache_file_alone(
     tmp_path, capsys, monkeypatch
 ):

@@ -106,6 +106,13 @@ def test_kl_rho_mismatch_vanishes():
     assert kl_poly(rho(2), rho(2) * s1).evaluate(3) == 1
 
 
+def test_kl_poly_refuses_mismatched_periods():
+    with pytest.raises(ValueError, match="mismatched periods"):
+        kl_poly(AffPerm((1, 2)), AffPerm((3, 2, 1)))
+    with pytest.raises(ValueError, match="mismatched periods"):
+        kl_poly(identity(3), simple(2, 1))
+
+
 def test_cprime_small_values():
     assert cprime(identity(2)) == T(identity(2))
     s1 = simple(2, 1)
@@ -142,9 +149,13 @@ def test_cache_round_trip(tmp_path):
     assert reloaded.p_table == cache.p_table
 
 
-# the window pairs and the coefficient text 1,1 that the last four cases
-# reuse first appear on a valid line
-_CACHE_PREFIX = "2|1,2|1,2|1\n3|1,2,3|-3,4,5|1,1\n3|1,2,3|2,1,3|1\n\n"
+# the window pairs and the coefficient text 1,1 that the cases below
+# reuse first appear on a valid line; line 5 repeats line 2 with the same
+# P, which is accepted, so every case is refused on line 6
+_CACHE_PREFIX = (
+    "2|1,2|1,2|1\n3|1,2,3|-3,4,5|1,1\n3|1,2,3|2,1,3|1\n\n"
+    "3|1,2,3|-3,4,5|1,1\n"
+)
 
 
 @pytest.mark.parametrize(
@@ -162,12 +173,14 @@ _CACHE_PREFIX = "2|1,2|1,2|1\n3|1,2,3|-3,4,5|1,1\n3|1,2,3|2,1,3|1\n\n"
         ("3|1,2,3|-3,4,5|1,1,1", "degree bound"),
         ("2|1,2|1,2|1,1", "diagonal KL entry must be 1"),
         ("3|1,2,3|1,2,3|2", "diagonal KL entry must be 1"),
+        # a key that repeats with another P, valid on its own
+        ("3|1,2,3|-3,4,5|1", r"w = \(-3, 4, 5\) given as 1, stored as 1 \+ q"),
     ],
 )
 def test_cache_load_rejects_bad_records(tmp_path, record, message):
     path = tmp_path / "kl.txt"
     path.write_text(_CACHE_PREFIX + record + "\n")
-    with pytest.raises(ValueError, match="line 5: .*" + message):
+    with pytest.raises(ValueError, match="line 6: .*" + message):
         KLCache(str(path))
 
 
@@ -200,6 +213,23 @@ def test_cache_save_writes_sorted_records(tmp_path):
     text = path.read_text()
     assert text == _records(cache.p_table)
     assert "3|1,2,3|-3,4,5|1,1\n" in text
+
+
+def test_cache_save_matches_the_oracle_at_survey_scale(tmp_path):
+    """Rows of W_3 (negative windows, P = 1 + q) before all of W_5 up to
+    length 7: the grouped save writes what sorting every key gives."""
+    path = tmp_path / "kl.txt"
+    cache = KLCache()
+    cprime(AffPerm((-3, 4, 5)), cache)
+    for r, max_length in ((3, 4), (5, 7)):
+        for layer in enumerate_wr(r, max_length):
+            for w in layer:
+                cprime(w, cache)
+    assert (3, (1, 2, 3), (-3, 4, 5)) in cache.p_table
+    assert sum(key[0] == 5 for key in cache.p_table) == 37531
+    cache.save(str(path))
+    assert path.read_text() == _records(cache.p_table)
+    assert KLCache(str(path)).p_table == cache.p_table
 
 
 def test_cache_save_is_atomic(tmp_path):

@@ -110,6 +110,20 @@ def test_kl_survey_saves_its_cache_only_when_the_table_grows(tmp_path):
     assert len(path.read_text()) > len(text)
 
 
+def test_kl_survey_reports_the_same_with_a_larger_cache(tmp_path):
+    """Records the --cache file brings in for other levels or longer w
+    stay out of the report."""
+    path = str(tmp_path / "kl.txt")
+    fill = run_script("kl_survey.py", "--r", "4", "--max-length", "4",
+                      "--cache", path)
+    assert fill.returncode == 0, fill.stderr
+    args = ("--r", "3", "--max-length", "2")
+    cached = run_script("kl_survey.py", *args, "--cache", path)
+    plain = run_script("kl_survey.py", *args)
+    assert cached.returncode == plain.returncode == 0, cached.stderr
+    assert cached.stdout == plain.stdout == "trivial pairs: 31\n"
+
+
 @pytest.mark.parametrize(
     "name, text, named",
     [
