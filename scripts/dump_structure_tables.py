@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Dump the g-, f- and h-tables for every composable pair at a fixed
-level, as one JSON document.
+level, as one JSON document.  The pairs come from the band truncation
+verify.BAND, and h-tables are kept for stripped pairs of total sigma at
+most verify.H_SIGMA_CAP, the scopes of the verification drivers.
 
 Example:
     python3 scripts/dump_structure_tables.py --n 2 --r 2 --out tables.json
@@ -13,24 +15,18 @@ import sys
 
 from affschur.affmat import enumerate_theta_band
 from affschur import transfer
+from affschur.verify import BAND, H_SIGMA_CAP
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=2)
     parser.add_argument("--r", type=int, default=2)
-    parser.add_argument("--band", type=int, default=1)
-    parser.add_argument(
-        "--h-sigma-cap",
-        type=int,
-        default=2,
-        help="skip h-tables whose stripped pair exceeds this total sigma",
-    )
     parser.add_argument("--out", help="output path (default: stdout)")
     args = parser.parse_args()
 
-    mats = enumerate_theta_band(args.n, args.r, args.band)
-    out = {"n": args.n, "r": args.r, "band": args.band, "g": [], "h": []}
+    mats = enumerate_theta_band(args.n, args.r, BAND)
+    out = {"n": args.n, "r": args.r, "band": BAND, "g": [], "h": []}
     stripped = set()
     for a, b in itertools.product(mats, mats):
         if a.co() != b.ro():
@@ -44,7 +40,7 @@ def main():
             and a0.is_aperiodic()
             and b0.is_aperiodic()
             and a0.sigma() % args.n == b0.sigma() % args.n
-            and a0.sigma() + b0.sigma() <= args.h_sigma_cap
+            and a0.sigma() + b0.sigma() <= H_SIGMA_CAP
             and (a0, b0) not in stripped
         ):
             stripped.add((a0, b0))

@@ -225,8 +225,8 @@ def dim_vector(a):
 
 
 @cache
-def _theta_plus_by_dim_cached(n, dvec):
-    """All Theta^+ matrices with the given dimension vector, as a tuple.
+def theta_plus_by_dim(n, dvec):
+    """All A in Theta^+(n) with dim_vector(A) == dvec (a tuple), as a tuple.
 
     Enumerated by assigning multiplicities to segments (i, length) in a
     fixed order; segment lengths are bounded by the total dimension.
@@ -257,13 +257,8 @@ def _theta_plus_by_dim_cached(n, dvec):
             new_rem = tuple(r - m * d for r, d in zip(remaining, sd))
             rec(idx + 1, new_rem, chosen + [((i, ln), m)] if m else chosen)
 
-    rec(0, tuple(dvec), [])
+    rec(0, dvec, [])
     return tuple(out)
-
-
-def theta_plus_by_dim(n, dvec):
-    """List of all A in Theta^+(n) with dim_vector(A) == dvec."""
-    return list(_theta_plus_by_dim_cached(n, tuple(dvec)))
 
 
 def enumerate_theta_band(n, r, band=1):

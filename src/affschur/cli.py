@@ -7,6 +7,12 @@ when an input is rejected, a --cache or --out path cannot be read or
 written, or a check inside the library fails, with an "error:" line on
 stderr.
 
+Only kl opens the --cache file: the KL recursion behind theta, mult,
+the tables and the verify targets reads KL columns, never a stored P
+record, so for them the file could only be parsed and checked, never
+used.  theta, mult, g-table, f-table and hall still accept --cache and
+ignore it; verify and h-table refuse it.
+
 Each command imports only the layers it runs: the module itself loads
 the matrix, Weyl-group and KL layers every command's input needs, and
 schur, transfer, hall and verify are imported by the commands that use
@@ -23,7 +29,7 @@ import sys
 
 from .affmat import AffMatrix
 from .affweyl import AffPerm, Composition
-from .heckekl import KLCache, kl_poly, default_cache
+from .heckekl import KLCache, kl_poly
 
 
 class InputError(ValueError):
@@ -102,7 +108,7 @@ def _parse_window(text):
         raise InputError("bad window %r: %s" % (text, exc))
 
 
-def cmd_kl(args, cache):
+def cmd_kl(args):
     _require(args, "r", "y", "w")
     _check_rank(r=args.r)
     y = _parse_window(args.y)
@@ -112,7 +118,15 @@ def cmd_kl(args, cache):
     if w.length() > args.cap_length:
         msg = "w has length %d, above --cap-length %d"
         raise InputError(msg % (w.length(), args.cap_length))
+    path = args.cache
+    fresh = path is not None and not os.path.exists(path)
+    cache = _file_op("--cache", path, KLCache, path)
+    loaded = len(cache.p_table)
     p = kl_poly(y, w, cache)
+    # the file is written only when it is new or the query grew the
+    # P-table, so a query it answers leaves it untouched
+    if path and (fresh or len(cache.p_table) > loaded):
+        _file_op("--cache", path, cache.save)
     return {
         "command": "kl",
         "r": args.r,
@@ -136,11 +150,11 @@ def _level_matrices(args, *names):
     return mats
 
 
-def cmd_theta(args, cache):
+def cmd_theta(args):
     from .schur import theta
 
     (a_mat,) = _level_matrices(args, "a")
-    th = theta(a_mat, args.r, cache)
+    th = theta(a_mat, args.r)
     return {
         "command": "theta",
         "n": a_mat.n,
@@ -151,12 +165,12 @@ def cmd_theta(args, cache):
     }
 
 
-def cmd_mult(args, cache):
+def cmd_mult(args):
     from .schur import SchurElt, theta, mult
 
     a_mat, b_mat = _level_matrices(args, "a", "b")
     if args.basis == "theta":
-        x = mult(theta(a_mat, args.r, cache), theta(b_mat, args.r, cache))
+        x = mult(theta(a_mat, args.r), theta(b_mat, args.r))
     else:
         x = mult(
             SchurElt.bracket(a_mat, args.r), SchurElt.bracket(b_mat, args.r)
@@ -173,7 +187,7 @@ def cmd_mult(args, cache):
     }
 
 
-def cmd_g_table(args, cache):
+def cmd_g_table(args):
     from . import transfer
 
     a_mat, b_mat = _level_matrices(args, "a", "b")
@@ -184,7 +198,7 @@ def cmd_g_table(args, cache):
     }
 
 
-def cmd_f_table(args, cache):
+def cmd_f_table(args):
     from . import transfer
 
     a_mat = _load_matrix(args, "a")
@@ -199,7 +213,7 @@ def cmd_f_table(args, cache):
     }
 
 
-def cmd_h_table(args, cache):
+def cmd_h_table(args):
     from . import transfer
 
     a_mat = _load_matrix(args, "a")
@@ -209,7 +223,7 @@ def cmd_h_table(args, cache):
     return {"command": "h-table", "violations": [], **table.to_json()}
 
 
-def cmd_hall(args, cache):
+def cmd_hall(args):
     from . import hall
 
     a_mat = _load_matrix(args, "a")
@@ -239,14 +253,12 @@ _VERIFY_KWARGS = {
     "k": "ks",
     "samples": "samples",
     "cap_dim": "cap_dim",
-    "cache": "cache",
 }
 
 
 def _verify_kwargs(args):
-    """The driver keywords of the verify flags given, with the --cache
-    path standing in for the cache; an unknown target, a flag the driver
-    does not take or a bad value is an InputError."""
+    """The driver keywords of the verify flags given; an unknown target,
+    a flag the driver does not take or a bad value is an InputError."""
     import inspect
 
     from .verify import DRIVERS
@@ -276,12 +288,10 @@ def _verify_kwargs(args):
     return kwargs
 
 
-def cmd_verify(args, cache):
+def cmd_verify(args):
     from .verify import DRIVERS
 
-    kwargs = _verify_kwargs(args)
-    if "cache" in kwargs:
-        kwargs["cache"] = cache
+    kwargs = _verify_kwargs(args)  # refuses an unknown target
     report = DRIVERS[args.target](**kwargs)
     report["command"] = "verify"
     return report
@@ -308,36 +318,34 @@ _FLAGS = {
     "cap_dim": ("--cap-dim", {
         "type": int, "help": "refuse Hall counts beyond this total dimension"}),
     "samples": ("--samples", {"type": int, "help": "sample size for suites"}),
-    "cache": ("--cache", {"help": "path of the persistent KL table (read by "
-                          "kl, theta, mult and verify)"}),
+    "cache": ("--cache", {"help": "path of the persistent KL table (read by kl)"}),
     "out": ("--out", {"help": "write the JSON report to this file"}),
 }
 
-# command -> (its function, its help, the flags it reads besides --cache
-# and --out); a flag given as (name, default) takes that default, and a
-# verify flag is unset unless given, so the driver's own default applies
+# command -> (its function, its help, the flags it takes besides --out).
+# Only kl reads --cache; theta, mult, g-table, f-table and hall take it
+# and ignore it, because the benchmark's cli-warm workload passes it to
+# them (ROADMAP item 2).  A flag given as (name, default) takes that
+# default, and a verify flag is unset unless given, so the driver's own
+# default applies
 COMMANDS = {
     "kl": (cmd_kl, "a Kazhdan-Lusztig polynomial",
-           ("r", "y", "w", "cap_length")),
+           ("r", "y", "w", "cap_length", "cache")),
     "theta": (cmd_theta, "a canonical basis element",
-              ("n", "r", "a", "cap_length")),
+              ("n", "r", "a", "cap_length", "cache")),
     "mult": (cmd_mult, "product of two basis elements",
-             ("n", "r", "a", "b", "basis", "cap_length")),
+             ("n", "r", "a", "b", "basis", "cap_length", "cache")),
     "g-table": (cmd_g_table, "canonical structure constants at fixed level",
-                ("n", "r", "a", "b", "cap_length")),
+                ("n", "r", "a", "b", "cap_length", "cache")),
     "f-table": (cmd_f_table, "Hall positive-part structure constants",
-                ("n", "a", "b", "cap_length")),
+                ("n", "a", "b", "cap_length", "cache")),
     "h-table": (cmd_h_table, "modified-algebra structure constants",
                 ("n", "a", "b", "cap_length")),
     "hall": (cmd_hall, "a Hall polynomial phi^C_{A,B}",
-             ("n", "a", "b", "c", ("cap_dim", 10))),
+             ("n", "a", "b", "c", ("cap_dim", 10), "cache")),
     "verify": (cmd_verify, "run a verification suite",
                ("target", "n", "r", "N", "k", "samples", "cap_dim")),
 }
-
-# the commands that compute with the --cache file; the others accept the
-# flag but never read, check or create the file
-_CACHE_COMMANDS = ("kl", "theta", "mult", "verify")
 
 
 def build_parser():
@@ -349,7 +357,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, helptext, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
-        for flag in flags + ("cache", "out"):
+        for flag in flags + ("out",):
             flag, default = flag if isinstance(flag, tuple) else (flag, None)
             option, kwargs = _FLAGS[flag]
             p.add_argument(option, **dict({"default": default}, **kwargs))
@@ -368,21 +376,8 @@ def _file_op(flag, path, action, *args):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    path = args.cache if args.command in _CACHE_COMMANDS else None
     try:
-        if args.command == "verify":
-            _verify_kwargs(args)  # refuse before the --cache file is read
-        if path:
-            fresh = not os.path.exists(path)
-            cache = _file_op("--cache", path, KLCache, path)
-            loaded = len(cache.p_table)
-        else:
-            cache = default_cache()
-        report = COMMANDS[args.command][0](args, cache)
-        # the file is written only when it is new or the command grew
-        # the P-table, so a read-only command leaves it untouched
-        if path and (fresh or len(cache.p_table) > loaded):
-            _file_op("--cache", path, cache.save)
+        report = COMMANDS[args.command][0](args)
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
         if args.out:
             _file_op("--out", args.out, pathlib.Path(args.out).write_text, text)

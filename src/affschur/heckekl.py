@@ -140,24 +140,24 @@ def t_bar(h, J=()):
 
 
 class KLCache:
-    """Shared cache of KL columns, KL polynomials and theta elements.
+    """A table of KL columns and one of KL polynomials.
 
-    cprime, kl_column, kl_poly and schur.theta take one (default_cache()
-    if none); g-, f- and h-tables always use the default one.  The column
-    table holds the P columns of the recursion (module docstring), and
-    every column puts its own P entries into the P-table under their
-    ordinary keys, so only windows of W_r are ever keys there.  The
-    P-table persists to disk as one record per line:
-    r|window(y)|window(w)|coeffs(P), coefficients in decimal from degree
-    0.  Loaded entries are validated against the classical degree bound
-    and must have both windows in W_r.
+    cprime and kl_poly take one (default_cache() if none); kl_column, and
+    through it theta and the g-, f- and h-tables, always use the default
+    one.  The column table holds the P columns of the recursion (module
+    docstring), and every column puts its own P entries into the P-table
+    under their ordinary keys, so only windows of W_r are ever keys
+    there.  The recursion reads columns only, never a P record, so only
+    kl_poly answers from a loaded P-table.  The P-table persists to disk
+    as one record per line: r|window(y)|window(w)|coeffs(P), coefficients
+    in decimal from degree 0.  Loaded entries are validated against the
+    classical degree bound and must have both windows in W_r.
     """
 
     def __init__(self, path=None):
         self.path = path
         self.cprime_table = {}  # (J, tau.window) -> {sigma: P}
         self.p_table = {}  # (r, y.window, w.window) -> IntPoly
-        self.theta_table = {}  # AffMatrix -> SchurElt, filled by schur.theta
         if path and os.path.exists(path):
             self.load(path)
 
@@ -330,9 +330,10 @@ def cprime(w, cache=None):
     return HeckeElt.zero(w.r)._new(terms)
 
 
-def kl_column(x, J, cache=None):
+def kl_column(x, J):
     """The parabolic KL column of x in W_r, for x longest in W_J x and J a
-    proper subset of the generators 1..r (so W_J is finite).
+    proper subset of the generators 1..r (so W_J is finite), built in the
+    default KLCache.
 
     Returns (w_J, col): col maps each minimal representative sigma of
     W_J sigma below x to P_{w_J sigma, x}, so the coefficient of
@@ -344,7 +345,7 @@ def kl_column(x, J, cache=None):
     if len(J) >= x.r:
         raise ValueError("W_J is infinite for J = %s" % (J,))
     wj = climb(identity(x.r), [(AffPerm.right_mul_simple, k) for k in J])
-    return wj, _column(J, wj, wj * x, cache or _default_cache)
+    return wj, _column(J, wj, wj * x, _default_cache)
 
 
 def coset_step(sigma, i, J):

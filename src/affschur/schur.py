@@ -188,8 +188,16 @@ def mult(x, y):
     return out
 
 
-def theta(a_mat, r=None, cache=None):
-    """The canonical basis element theta_{A,r}, kept in cache.theta_table.
+def theta(a_mat, r=None):
+    """The canonical basis element theta_{A,r}; r must be sigma(A)."""
+    if r is not None and a_mat.sigma() != r:
+        raise ValueError("sigma(A) != r")
+    return _theta(a_mat)
+
+
+@cache
+def _theta(a_mat):
+    """theta_{A,r} for r = sigma(A), from the default KLCache.
 
     Reads the parabolic KL column of the longest double-coset element
     d+ = rho^a x: the T-support of C'_{d+} is a union of (S_lambda, S_mu)
@@ -200,17 +208,11 @@ def theta(a_mat, r=None, cache=None):
     P_{w_J sigma, x} at each sigma minimal in W_J sigma; y+ =
     rho^a w_J sigma for the sigma with no mu-step going up.
     """
-    r = a_mat.sigma() if r is None else r
-    if a_mat.sigma() != r:
-        raise ValueError("sigma(A) != r")
-    cache = cache or default_cache()
-    res = cache.theta_table.get(a_mat)
-    if res is not None:
-        return res
+    r = a_mat.sigma()
     lam, d, mu = jdelta_inv(a_mat)
     a, x = strip_rho(coset_longest(lam, d, mu))
     J = [(j - a - 1) % r + 1 for j in lam.young_generators()]
-    wj, col = kl_column(x, J, cache)
+    wj, col = kl_column(x, J)
     key = partial(jdelta_key, lam.block_indices(), mu.block_indices(), lam.n)
     right = mu.young_generators()
     e = wj.length() - x.length()
@@ -223,7 +225,6 @@ def theta(a_mat, r=None, cache=None):
     res = SchurElt(a_mat.n, r, terms)
     if res.coeff(a_mat) != LP_ONE:
         raise AssertionError("theta leading coefficient not 1 for %r" % a_mat)
-    cache.theta_table[a_mat] = res
     return res
 
 
@@ -360,12 +361,12 @@ def is_triangular(th, a_mat):
 
 
 def clear_caches():
-    """Empty every per-process memo of the package and the three tables
-    of the default KLCache."""
+    """Empty every per-process memo of the package and the two tables of
+    the default KLCache."""
     from . import affmat, affweyl, hall, heckekl, transfer
 
     for memoized in (
-        affmat._theta_plus_by_dim_cached,
+        affmat.theta_plus_by_dim,
         affweyl.reduced_word,
         affweyl._bruhat_leq_step,
         affweyl.double_coset,
@@ -373,6 +374,7 @@ def clear_caches():
         heckekl.t_inverse,
         _coset_column,
         _e_mult,
+        _theta,
         bar_bracket,
         hall.gf,
         hall._hall_poly,
@@ -384,4 +386,3 @@ def clear_caches():
     kl = default_cache()
     kl.cprime_table.clear()
     kl.p_table.clear()
-    kl.theta_table.clear()

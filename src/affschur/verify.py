@@ -60,7 +60,7 @@ def _mat_key(a_mat):
     return [[i, j, v] for (i, j), v in a_mat.entries()]
 
 
-def verify_lemma_31(n=2, r=2, cache=None):
+def verify_lemma_31(n=2, r=2):
     """C'_{d+} decomposes into double-coset sums with KL coefficients:
     the T_w coefficient equals v^{-l(d+)} P_{y+, d+} for w in the coset
     of y, and every support coset satisfies y <= d."""
@@ -69,7 +69,7 @@ def verify_lemma_31(n=2, r=2, cache=None):
     for a_mat in enumerate_theta_band(n, r, BAND):
         lam, d, mu = jdelta_inv(a_mat)
         d_plus = coset_longest(lam, d, mu)
-        c = cprime(d_plus, cache)
+        c = cprime(d_plus)
         seen = set()
         for w in sorted(c.terms, key=lambda x: x.window):
             if w in seen:
@@ -78,9 +78,7 @@ def verify_lemma_31(n=2, r=2, cache=None):
             seen |= elems
             checked += 1
             expected = (
-                kl_poly(y_plus, d_plus, cache)
-                .to_laurent()
-                .shift(-d_plus.length())
+                kl_poly(y_plus, d_plus).to_laurent().shift(-d_plus.length())
             )
             bad = [x for x in elems if c.coeff(x) != expected]
             if bad or not bruhat_leq(y_min, d):
@@ -130,14 +128,14 @@ def verify_lemma_37(n=2, r=2):
     )
 
 
-def verify_prop_38(n=2, r=2, cache=None):
+def verify_prop_38(n=2, r=2):
     """The closed-form canonical basis element is bar-invariant,
     triangular, and agrees with bar-triangular elimination."""
     violations = []
     checked = 0
     for a_mat in enumerate_theta_band(n, r, BAND):
         checked += 1
-        th = theta(a_mat, r, cache)
+        th = theta(a_mat, r)
         problems = []
         if bar(th) != th:
             problems.append("not bar-invariant")

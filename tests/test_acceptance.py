@@ -10,7 +10,7 @@ import itertools
 import random
 import time
 
-from affschur import verify
+from affschur import schur, verify
 from affschur.affmat import AffMatrix, dim_vector, enumerate_theta_band, theta_plus_by_dim
 from affschur.affweyl import enumerate_wr
 from affschur.hall import hall_count, hall_poly
@@ -49,8 +49,9 @@ def test_hecke_kl_core():
 
             gap = AffPerm(wwin).length() - AffPerm(ywin).length()
             assert 2 * p.degree() <= gap - 1
+    schur.clear_caches()
     for n, r in ((2, 2), (2, 3), (3, 3)):
-        rep = verify.verify_lemma_31(n=n, r=r, cache=cache)
+        rep = verify.verify_lemma_31(n=n, r=r)
         assert rep["pass"], rep["violations"][:3]
     budget.check()
 

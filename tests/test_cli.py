@@ -278,16 +278,15 @@ def test_out_file_and_cache(tmp_path, capsys):
     cache_path = tmp_path / "kl.txt"
     code = cli.main(
         [
-            "theta",
-            "--n", "2", "--r", "2",
-            "--a", CROSS,
+            "kl",
+            "--r", "2", "--y", "1,2", "--w", "2,1",
             "--out", str(out_path),
             "--cache", str(cache_path),
         ]
     )
     capsys.readouterr()
     assert code == 0
-    assert json.loads(out_path.read_text())["command"] == "theta"
+    assert json.loads(out_path.read_text())["command"] == "kl"
     assert cache_path.exists()
 
 
@@ -456,13 +455,63 @@ def test_cache_key_repeated_with_another_p_exits_2(
     assert path.read_text() == text
 
 
+# a command line of each command besides kl that takes --cache
+_CACHE_IGNORED = [
+    ["theta", "--n", "2", "--r", "2", "--a", CROSS],
+    ["mult", "--n", "2", "--r", "2", "--basis", "theta",
+     "--a", CROSS, "--b", CROSS],
+    ["g-table", "--n", "2", "--r", "2", "--a", CROSS, "--b", CROSS],
+    ["f-table", "--n", "2", "--a", SEG, "--b", SEG],
+    ["hall", "--n", "2", "--a", SEG, "--b", SEG, "--c", SEG2],
+]
+
+
 def test_commands_without_kl_step_leave_the_cache_file_alone(
     tmp_path, capsys, monkeypatch
 ):
-    """g-table, f-table, h-table and hall accept --cache but never read,
-    check or create the file."""
+    """The commands besides kl that take --cache never read, check or
+    create the file: the KL recursion reads columns, never a P record."""
     path = tmp_path / "kl.txt"
     data = b"2|1,2|2,1\n\xff\n"  # truncated record, then not text
+    path.write_bytes(data)
+    missing = tmp_path / "missing.txt"
+
+    def refuse(*args):
+        raise AssertionError("--cache file opened")
+
+    monkeypatch.setattr(cli, "KLCache", refuse)
+    for argv in _CACHE_IGNORED:
+        code, out, err = run(capsys, *argv, "--cache", str(path))
+        assert code == 0 and err == "", argv
+        assert json.loads(out)["command"] == argv[0]
+        code, _, err = run(capsys, *argv, "--cache", str(missing))
+        assert code == 0 and err == "", argv
+    assert path.read_bytes() == data
+    assert not missing.exists()
+
+
+def test_verify_refuses_cache_before_reading_the_file(tmp_path, capsys):
+    """verify takes no --cache, for any target or an unknown one, and
+    refuses it before a malformed --cache file is read."""
+    path = tmp_path / "kl.txt"
+    data = b"2|1,2|2,1\n"  # truncated record
+    path.write_bytes(data)
+    for target in ("lemma-3.1", "prop-3.8", "lemma-3.6", "no-such"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", target, "--cache", str(path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --cache" in captured.err
+    assert path.read_bytes() == data
+
+
+def test_kl_checks_its_flags_before_opening_the_cache(
+    tmp_path, capsys, monkeypatch
+):
+    """A missing --r is refused before a malformed --cache file is read."""
+    path = tmp_path / "kl.txt"
+    data = b"2|1,2|2,1\n"  # truncated record
     path.write_bytes(data)
 
     def refuse(*args):
@@ -470,34 +519,10 @@ def test_commands_without_kl_step_leave_the_cache_file_alone(
 
     monkeypatch.setattr(cli, "KLCache", refuse)
     code, out, err = run(
-        capsys, "g-table", "--n", "2", "--r", "2", "--a", CROSS, "--b", CROSS,
-        "--cache", str(path),
+        capsys, "kl", "--y=1,2,3", "--w=3,2,1", "--cache", str(path)
     )
-    assert code == 0 and err == ""
-    assert json.loads(out)["command"] == "g-table"
-    assert path.read_bytes() == data
-    missing = tmp_path / "missing.txt"
-    for argv in (
-        ["f-table", "--n", "2", "--a", SEG, "--b", SEG],
-        ["h-table", "--n", "2", "--a", CROSS, "--b", CROSS],
-        ["hall", "--n", "2", "--a", SEG, "--b", SEG, "--c", SEG2],
-    ):
-        code, _, err = run(capsys, *argv, "--cache", str(missing))
-        assert code == 0 and err == ""
-    assert not missing.exists()
-
-
-def test_verify_refuses_cache_before_reading_the_file(tmp_path, capsys):
-    """A target that does not take --cache, or an unknown one, is
-    refused before a malformed --cache file is read."""
-    path = tmp_path / "kl.txt"
-    data = b"2|1,2|2,1\n"  # truncated record
-    path.write_bytes(data)
-    code, out, err = run(capsys, "verify", "lemma-3.6", "--cache", str(path))
     assert code == 2 and out == ""
-    assert "does not take --cache" in err and "line 1" not in err
-    code, _, err = run(capsys, "verify", "no-such", "--cache", str(path))
-    assert code == 2 and "unknown verification target" in err
+    assert err == "error: --r is required for this command\n"
     assert path.read_bytes() == data
 
 
@@ -533,15 +558,20 @@ def test_non_utf8_cache_file_exits_2_and_is_kept(tmp_path, capsys):
 
 def test_tampered_cache_entry_exits_2_and_is_kept(tmp_path, capsys):
     """A P record that passes the load checks but differs from the value
-    theta recomputes is refused, naming y and w, not overwritten."""
+    kl recomputes is refused, naming y and w, not overwritten."""
     path = tmp_path / "kl.txt"
-    a = '{"n": 2, "entries": [[1, 2, 2], [2, 1, 1]]}'
-    argv = ["theta", "--n", "2", "--r", "3", "--a", a, "--cache", str(path)]
+    argv = ["kl", "--r", "3", "--y=1,2,3", "--w=3,2,1", "--cache", str(path)]
     assert run(capsys, *argv)[0] == 0
     records = [line.split("|") for line in path.read_text().splitlines()]
-    rec = next(rec for rec in records if rec[1] != rec[2])  # y != w
+    queried = ["3", "1,2,3", "3,2,1"]
+    rec = next(
+        rec for rec in records
+        if rec[2] == "3,2,1" and rec[1] not in ("1,2,3", "3,2,1")
+    )  # another y != w of the queried column
     first, *rest = rec[3].split(",")
     rec[3] = ",".join([str(int(first) + 1)] + rest)  # same degree
+    # without the queried record, kl recomputes the column
+    records = [r for r in records if r[:3] != queried]
     text = "".join("|".join(rec) + "\n" for rec in records)
     path.write_text(text)
     code, out, err = run(capsys, *argv)
@@ -572,7 +602,7 @@ VERIFY_FLAGS = [
 
 @pytest.mark.parametrize("target", sorted(DRIVERS))
 def test_verify_passes_exactly_the_flags_a_driver_takes(
-    target, tmp_path, monkeypatch, capsys
+    target, monkeypatch, capsys
 ):
     real = DRIVERS[target]
     calls = []
@@ -588,19 +618,12 @@ def test_verify_passes_exactly_the_flags_a_driver_takes(
     assert set(params) <= set(cli._VERIFY_KWARGS.values())
     flags = [f for f in VERIFY_FLAGS if f[2] in params]
     argv = ["verify", target] + [x for f in flags for x in f[:2]]
-    cache_path = tmp_path / "kl.txt"
-    if "cache" in params:
-        argv += ["--cache", str(cache_path)]
     code, _, err = run(capsys, *argv)
     assert code == 0, err
     (kwargs,) = calls
-    if "cache" in params:
-        assert kwargs.pop("cache").path == str(cache_path)
     assert kwargs == {kw: value for _, _, kw, value in flags}
 
     refused = [f[:2] for f in VERIFY_FLAGS if f[2] not in params]
-    if "cache" not in params:
-        refused.append(("--cache", str(cache_path)))
     for flag, text in refused:
         code, _, err = run(capsys, "verify", target, flag, text)
         assert code == 2
@@ -660,7 +683,15 @@ COMMAND_FLAGS = [
 def test_each_command_takes_only_the_flags_it_reads(
     tmp_path, capsys, argv, reads
 ):
-    code, out, err = run(capsys, *argv, "--cache", str(tmp_path / "kl.txt"))
+    cache = ["--cache", str(tmp_path / "kl.txt")]
+    if argv[0] in ("verify", "h-table"):
+        # the two commands that cli-warm never passes --cache to
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + cache)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cache" in capsys.readouterr().err
+        cache = []
+    code, out, err = run(capsys, *argv, *cache)
     assert code == 0, err
     assert json.loads(out)["violations"] == []
 

@@ -5,6 +5,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from affschur import schur
 from affschur.affweyl import (
     AffPerm,
     enumerate_wr,
@@ -379,7 +380,8 @@ def test_kl_column_reads_cprime_at_left_maximal_elements(r):
     v^{-l(x)} P_{w_J sigma, x}(v^2) is the T-coefficient of C'_x at each
     w_J sigma, and these are all the T-coefficients of C'_x at elements
     longest in their left W_J-coset."""
-    full, parabolic = KLCache(), KLCache()
+    schur.clear_caches()
+    full = KLCache()
     elems = sorted(
         (w for layer in enumerate_wr(r, 5) for w in layer),
         key=lambda w: (w.length(), w.window),
@@ -387,7 +389,7 @@ def test_kl_column_reads_cprime_at_left_maximal_elements(r):
     for J in _proper_subsets(r):
         tops = [x for x in elems if all(x.left_descent(k) for k in J)]
         for x in tops[-4:]:
-            wj, col = kl_column(x, J, parabolic)
+            wj, col = kl_column(x, J)
             maximal = {
                 y: coeff
                 for y, coeff in cprime(x, full).terms.items()
@@ -398,24 +400,26 @@ def test_kl_column_reads_cprime_at_left_maximal_elements(r):
                 wj * sigma: p.to_laurent(-lx) for sigma, p in col.items()
             } == maximal
     with pytest.raises(ValueError, match="infinite"):
-        kl_column(identity(r), range(1, r + 1), parabolic)
+        kl_column(identity(r), range(1, r + 1))
 
 
 @pytest.mark.parametrize("J", [(), (2,)])
-def test_recorder_refuses_a_different_stored_entry(J):
+def test_recorder_refuses_a_different_stored_entry(J, monkeypatch):
     """Both the full and the parabolic column check each P entry against
     the one already stored, so two recursions cannot disagree silently
     in one cache."""
-    cache = KLCache()
+    schur.clear_caches()
+    cache = schur.default_cache()
     x = simple(4, 2) * simple(4, 1) * simple(4, 3) * simple(4, 2)
-    wj, _ = kl_column(x, J, cache)
+    wj, _ = kl_column(x, J)
     cprime(x, cache)  # the full column agrees with the parabolic one
     key = (4, wj.window, x.window)  # P_{w_J, x}, from sigma = 1
-    cache.p_table[key] = cache.p_table[key] + IntPoly((1,))
+    # restored at teardown, so no later test reads the wrong entry
+    monkeypatch.setitem(cache.p_table, key, cache.p_table[key] + IntPoly((1,)))
     cache.cprime_table.clear()
     named = re.escape("y = %s, w = %s" % (wj.window, x.window))
     with pytest.raises(AssertionError, match=named):
-        kl_column(x, J, cache)
+        kl_column(x, J)
 
 
 def test_kl_degree_bound_and_constant_term():

@@ -181,11 +181,16 @@ def test_theta_worked_value():
     assert len(th.terms) == 2
 
 
-def test_theta_fills_the_cache_it_is_given():
-    c1, c2 = KLCache(), KLCache()
-    th = theta(A_CROSS, 2, c1)
-    assert theta(A_CROSS, 2, c2) == th
-    assert c1.p_table and c2.p_table == c1.p_table
+def test_theta_fills_the_default_table():
+    """theta keeps its result and builds its column in the default
+    KLCache, which it fills the same way again once cleared."""
+    schur.clear_caches()
+    th = theta(A_CROSS, 2)
+    assert theta(A_CROSS, 2) is th
+    p_table = dict(schur.default_cache().p_table)
+    schur.clear_caches()
+    assert theta(A_CROSS, 2) == th
+    assert p_table and schur.default_cache().p_table == p_table
 
 
 def _theta_from_cprime(a_mat, r, cache):
@@ -211,9 +216,10 @@ def test_theta_matches_the_cprime_oracle_on_band_slices():
     shifted = affine = 0
     for n in (2, 3):
         for r in (2, 3, 4):
-            parabolic, full = KLCache(), KLCache()
+            schur.clear_caches()
+            full = KLCache()
             for a_mat in enumerate_theta_band(n, r, band=1):
-                assert theta(a_mat, r, parabolic) == _theta_from_cprime(
+                assert theta(a_mat, r) == _theta_from_cprime(
                     a_mat, r, full
                 )
                 lam, d, mu = jdelta_inv(a_mat)
@@ -226,9 +232,10 @@ def test_theta_matches_the_cprime_oracle_on_band_slices():
 def test_theta_records_true_kl_polynomials():
     """Every P entry theta stores equals kl_poly from a cache that only
     cprime fills."""
-    parabolic, full = KLCache(), KLCache()
+    schur.clear_caches()
+    parabolic, full = schur.default_cache(), KLCache()
     for a_mat in enumerate_theta_band(2, 4, band=1):
-        theta(a_mat, 4, parabolic)
+        theta(a_mat, 4)
     assert parabolic.p_table
     for (_, ywin, wwin), p in parabolic.p_table.items():
         assert kl_poly(AffPerm(ywin), AffPerm(wwin), full) == p
@@ -447,7 +454,7 @@ def test_clear_caches_empties_every_memo():
     schur.clear_caches()
     assert [fn for fn in memoized if fn.cache_info().currsize] == []
     kl = schur.default_cache()
-    assert not (kl.cprime_table or kl.p_table or kl.theta_table)
+    assert not (kl.cprime_table or kl.p_table)
     hand_rolled = [
         (mod.__name__, name)
         for mod in _package_modules()
