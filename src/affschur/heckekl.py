@@ -34,7 +34,15 @@ from functools import cache
 import os
 
 from .laurent import Combination, LaurentPoly, IntPoly, LP_ONE, accumulate
-from .affweyl import AffPerm, climb, identity, rho, strip_rho, reduced_word
+from .affweyl import (
+    AffPerm,
+    bruhat_leq,
+    climb,
+    identity,
+    rho,
+    strip_rho,
+    reduced_word,
+)
 
 _V2_MINUS_1 = LaurentPoly({2: 1, 0: -1})
 _V2 = LaurentPoly({2: 1})
@@ -140,26 +148,41 @@ def t_bar(h, J=()):
 
 
 class KLCache:
-    """A table of KL columns and one of KL polynomials.
+    """A table of KL columns and one of KL polynomials, sharing one
+    IntPoly per distinct P.
 
     cprime and kl_poly take one (default_cache() if none); kl_column, and
     through it theta and the g-, f- and h-tables, always use the default
     one.  The column table holds the P columns of the recursion (module
     docstring), and every column puts its own P entries into the P-table
     under their ordinary keys, so only windows of W_r are ever keys
-    there.  The recursion reads columns only, never a P record, so only
-    kl_poly answers from a loaded P-table.  The P-table persists to disk
-    as one record per line: r|window(y)|window(w)|coeffs(P), coefficients
-    in decimal from degree 0.  Loaded entries are validated against the
-    classical degree bound and must have both windows in W_r.
+    there.  polys interns the P's: each entry of a new column and each
+    loaded record is replaced by the one IntPoly of its coefficients, so
+    the few distinct values keep their Laurent forms and strings once
+    (IntPoly.to_laurent, to_json).  The recursion reads columns only,
+    never a P record, so only kl_poly answers from a loaded P-table.  The
+    P-table persists to disk as one record per line:
+    r|window(y)|window(w)|coeffs(P), coefficients in decimal from degree
+    0.  Loaded entries are validated against the classical degree bound
+    and must have both windows in W_r; whether y <= w is checked lazily,
+    by kl_poly the first time it answers from a loaded key.
     """
 
     def __init__(self, path=None):
         self.path = path
         self.cprime_table = {}  # (J, tau.window) -> {sigma: P}
         self.p_table = {}  # (r, y.window, w.window) -> IntPoly
+        self.polys = {}  # P.coeffs -> the one IntPoly of these tables
+        self.unchecked = set()  # loaded keys not yet checked for y <= w
         if path and os.path.exists(path):
             self.load(path)
+
+    def clear(self):
+        """Empty every table."""
+        self.cprime_table.clear()
+        self.p_table.clear()
+        self.polys.clear()
+        self.unchecked.clear()
 
     def load(self, path):
         """Read a saved P-table; a malformed or invalid record raises
@@ -168,12 +191,13 @@ class KLCache:
 
         Each distinct window text is parsed and checked once per level r
         (its length, its W_r sum, the AffPerm residue check, its length
-        l) and each distinct coefficient text becomes one shared IntPoly,
-        while every record is checked against the degree bound and the
-        diagonal rule.  A key may repeat only with the same P: a repeat
-        with another P (or a P that differs from one already in the
-        table) raises ValueError naming its line, so no record silently
-        overrides another.
+        l) and each distinct coefficient text becomes the interned IntPoly
+        of its coefficients, while every record is checked against the
+        degree bound and the diagonal rule.  A key may repeat only with
+        the same P: a repeat with another P (or a P that differs from one
+        already in the table) raises ValueError naming its line, so no
+        record silently overrides another.  Each loaded key goes into
+        unchecked, for kl_poly's Bruhat check.
         """
         windows = {}  # (r, text) -> (window, l(window)), checked
         polys = {}  # coefficient text -> IntPoly
@@ -201,10 +225,14 @@ class KLCache:
                 (ywin, ly), (wwin, lw) = y, w
                 p = polys.get(ctext)
                 if p is None:
-                    p = polys[ctext] = IntPoly(_ints(ctext))
+                    p = IntPoly(_ints(ctext))
+                    p = polys[ctext] = self.polys.setdefault(p.coeffs, p)
                 _check_entry(ywin, wwin, ly, lw, p)
-                old = self.p_table.setdefault((r, ywin, wwin), p)
-                if old is not p and old != p:
+                key = (r, ywin, wwin)
+                old = self.p_table.setdefault(key, p)
+                if old is p:
+                    self.unchecked.add(key)
+                elif old != p:
                     raise ValueError(
                         "P_{y,w} for y = %s, w = %s given as %r, stored as %r"
                         % (ywin, wwin, p, old)
@@ -310,20 +338,13 @@ def cprime(w, cache=None):
 
     C'_w = sum_{y <= w} v^{l(y) - l(w)} P_{y,w} T~_y, so the coefficient
     of T_y is v^{-l(w)} P_{y,w}(v^2).  For extended elements C'_{rho^a x}
-    = T_rho^a C'_x.  This is the column of x for J empty; each distinct
-    P of the column is converted once per call, and the keys that share
-    it share the resulting LaurentPoly.
+    = T_rho^a C'_x.  This is the column of x for J empty; its P's are
+    interned, so the keys that share a P share its kept LaurentPoly.
     """
     a, x = strip_rho(w)
     col = _column((), None, x, cache or _default_cache)
     lx = x.length()
-    laurent = {}  # P.coeffs -> v^{-l(x)} P(v^2), for this call only
-    terms = {}
-    for y, p in col.items():
-        c = laurent.get(p.coeffs)
-        if c is None:
-            c = laurent[p.coeffs] = p.to_laurent(-lx)
-        terms[y] = c
+    terms = {y: p.to_laurent(-lx) for y, p in col.items()}
     if a:
         shift = rho(w.r, a)
         terms = {shift * y: c for y, c in terms.items()}
@@ -417,12 +438,18 @@ def _column(J, wj, tau, cache):
 def _record_p(col, tau, cache, wj=None):
     """Store the entry P_{w_J sigma, w_J tau} of each sigma of the P
     column col of tau (w_J = wj, or the identity when wj is None),
-    checked against the lengths its keys carry.  An entry already stored
-    must agree: one that differs raises AssertionError naming y and w."""
+    interned in cache.polys (col then holds the interned IntPoly too)
+    and checked against the lengths its keys carry.  An entry already
+    stored must agree: one that differs raises AssertionError naming y
+    and w."""
     lwj = wj.length() if wj else 0
     lw = lwj + tau.length()
     w = wj * tau if wj else tau
+    polys = cache.polys
     for sigma, p in col.items():
+        interned = polys.setdefault(p.coeffs, p)
+        if interned is not p:
+            col[sigma] = p = interned
         y = wj * sigma if wj else sigma
         _check_entry(y.window, w.window, lwj + sigma.length(), lw, p)
         old = cache.p_table.setdefault((tau.r, y.window, w.window), p)
@@ -439,9 +466,11 @@ def kl_poly(y, w, cache=None):
     Follows the extension rule P_{rho^a y, rho^b w} = delta_{a,b} P_{y,w}.
     The P-table is read first: its keys are windows of W_r only, so y and
     w of different periods never match one and raise ValueError after it.
+    A loaded entry must be nonzero exactly when y <= w; this is checked
+    the first time it answers, and ValueError names y and w otherwise.
     """
     cache = cache or _default_cache
-    p = cache.p_table.get((w.r, y.window, w.window))
+    p = _stored(cache, (w.r, y.window, w.window), y, w)
     if p is not None:
         return p
     if y.r != w.r:
@@ -453,8 +482,23 @@ def kl_poly(y, w, cache=None):
     if y0 == w0:
         return _P_ONE
     key = (w0.r, y0.window, w0.window)
-    p = cache.p_table.get(key)
+    p = _stored(cache, key, y0, w0)
     if p is not None:
         return p
     cprime(w0, cache)
     return cache.p_table.get(key, IntPoly(()))
+
+
+def _stored(cache, key, y, w):
+    """The P-table entry under key for (y, w), or None; a loaded entry is
+    checked against the Bruhat order once, on its first answer."""
+    p = cache.p_table.get(key)
+    if p is not None and key in cache.unchecked:
+        leq = bruhat_leq(y, w)
+        if bool(p) != leq:
+            raise ValueError(
+                "P_{y,w} for y = %s, w = %s stored as %r, though y %s w"
+                % (y.window, w.window, p, "<=" if leq else "is not <=")
+            )
+        cache.unchecked.discard(key)
+    return p

@@ -35,8 +35,10 @@ def accumulate(terms, items, scale=None):
 class LaurentPoly:
     """Integer-coefficient Laurent polynomial in v.
 
-    Immutable by convention: the coefficient dict is private and never
-    exposed mutably.  Zero coefficients are never stored.
+    Immutable: the coefficient dict is private, never exposed mutably and
+    never written after construction.  This is load-bearing, as the forms
+    that IntPoly.to_laurent keeps are shared by every caller.  Zero
+    coefficients are never stored.
     """
 
     __slots__ = ("_c", "_hash")
@@ -161,6 +163,16 @@ LP_ZERO = LaurentPoly()
 LP_ONE = LaurentPoly({0: 1})
 
 
+class _QForm(LaurentPoly):
+    """The form v^e P(v^2) that IntPoly.to_laurent builds and keeps: it
+    shifts through the memo of P, so each shift of it is built once."""
+
+    __slots__ = ("_poly", "_e")
+
+    def shift(self, e):
+        return self._poly.to_laurent(self._e + e)
+
+
 class Combination:
     """Finitely supported LaurentPoly-combination of hashable keys.
 
@@ -225,15 +237,23 @@ class Combination:
 
 
 class IntPoly:
-    """Integer polynomial in q, coefficients stored from degree 0 up."""
+    """Integer polynomial in q, coefficients stored from degree 0 up.
 
-    __slots__ = ("coeffs",)
+    Immutable: nothing writes coeffs after construction.  This is
+    load-bearing, as to_laurent and to_json keep what they compute (one
+    Laurent form per exponent, one tuple of strings) for every later
+    caller, and a KLCache shares one IntPoly among all entries with the
+    same coefficients.
+    """
+
+    __slots__ = ("coeffs", "_laurent", "_json")
 
     def __init__(self, coeffs=()):
         coeffs = list(coeffs)
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self.coeffs = tuple(coeffs)
+        self._laurent = self._json = None
 
     @staticmethod
     def _wrap(coeffs):
@@ -241,6 +261,7 @@ class IntPoly:
         in a zero."""
         out = IntPoly.__new__(IntPoly)
         out.coeffs = coeffs
+        out._laurent = out._json = None
         return out
 
     def degree(self):
@@ -260,10 +281,19 @@ class IntPoly:
         return val
 
     def to_laurent(self, e=0):
-        """Substitute q = v^2 and multiply by v^e."""
-        return LaurentPoly._wrap(
-            {2 * k + e: a for k, a in enumerate(self.coeffs) if a}
-        )
+        """Substitute q = v^2 and multiply by v^e.  The form is built once
+        per exponent and kept; its shift(d) is to_laurent(e + d)."""
+        memo = self._laurent
+        if memo is None:
+            memo = self._laurent = {}
+        form = memo.get(e)
+        if form is None:
+            form = memo[e] = _QForm.__new__(_QForm)
+            form._c = {2 * k + e: a for k, a in enumerate(self.coeffs) if a}
+            form._hash = None
+            form._poly = self
+            form._e = e
+        return form
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -314,7 +344,11 @@ class IntPoly:
         return " + ".join(parts).replace("+ -", "- ")
 
     def to_json(self):
-        return [str(a) for a in self.coeffs]
+        """The coefficients as decimal strings, formatted once and returned
+        in a new list on every call."""
+        if self._json is None:
+            self._json = tuple(map(str, self.coeffs))
+        return list(self._json)
 
 
 class InterpolationError(ValueError):

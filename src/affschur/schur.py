@@ -361,8 +361,8 @@ def is_triangular(th, a_mat):
 
 
 def clear_caches():
-    """Empty every per-process memo of the package and the two tables of
-    the default KLCache."""
+    """Empty every per-process memo of the package and the tables of the
+    default KLCache."""
     from . import affmat, affweyl, hall, heckekl, transfer
 
     for memoized in (
@@ -383,6 +383,4 @@ def clear_caches():
         transfer._full_f_table,
     ):
         memoized.cache_clear()
-    kl = default_cache()
-    kl.cprime_table.clear()
-    kl.p_table.clear()
+    default_cache().clear()

@@ -556,6 +556,24 @@ def test_non_utf8_cache_file_exits_2_and_is_kept(tmp_path, capsys):
     assert path.read_bytes() == data
 
 
+def test_cache_record_for_y_not_below_w_exits_2_and_is_kept(
+    tmp_path, capsys
+):
+    """s_1 is not below s_2 s_3, so P = 0; a loaded record that says
+    otherwise is refused, naming y and w, not answered."""
+    argv = ["kl", "--r", "3", "--y=2,1,3", "--w=-1,3,4"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["P"] == []
+    path = tmp_path / "kl.txt"
+    data = b"3|2,1,3|-1,3,4|1\n"
+    path.write_bytes(data)
+    code, out, err = run(capsys, *argv, "--cache", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "y = (2, 1, 3), w = (-1, 3, 4)" in err
+    assert path.read_bytes() == data
+
+
 def test_tampered_cache_entry_exits_2_and_is_kept(tmp_path, capsys):
     """A P record that passes the load checks but differs from the value
     kl recomputes is refused, naming y and w, not overwritten."""

@@ -5,7 +5,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from affschur import schur
+from affschur import heckekl, schur
 from affschur.affweyl import (
     AffPerm,
     enumerate_wr,
@@ -252,6 +252,82 @@ def test_cache_save_is_atomic(tmp_path):
         cache.save()
     assert path.read_text() == saved
     assert os.listdir(tmp_path) == ["kl.txt"]
+
+
+def _one_object_per_value(cache):
+    """Every P of the P-table and of the columns is the IntPoly that
+    cache.polys holds for its coefficients."""
+    polys = cache.polys
+    assert all(p.coeffs == key for key, p in polys.items())
+    stored = list(cache.p_table.values())
+    stored += [p for col in cache.cprime_table.values() for p in col.values()]
+    assert all(polys[p.coeffs] is p for p in stored)
+    assert len({id(p) for p in stored}) == len({p.coeffs for p in stored})
+
+
+def test_cache_holds_one_object_per_distinct_p(tmp_path):
+    """After a survey, and after a load followed by recomputing those
+    columns and longer ones, the tables hold one IntPoly per distinct
+    coefficient tuple, full and parabolic columns alike."""
+    path = tmp_path / "kl.txt"
+    cache = KLCache()
+    for layer in enumerate_wr(4, 5):
+        for w in layer:
+            cprime(w, cache)
+    _one_object_per_value(cache)
+    assert len(cache.polys) < len(cache.p_table) // 100
+    cache.save(str(path))
+
+    loaded = KLCache(str(path))
+    assert loaded.p_table == cache.p_table
+    _one_object_per_value(loaded)
+    for layer in enumerate_wr(4, 6):
+        for w in layer:
+            cprime(w, loaded)
+    assert len(loaded.p_table) > len(cache.p_table)
+    _one_object_per_value(loaded)
+
+    schur.clear_caches()
+    x = simple(4, 2) * simple(4, 1) * simple(4, 3) * simple(4, 2)
+    for J in [(), (2,)]:
+        kl_column(x, J)
+    _one_object_per_value(schur.default_cache())
+
+
+def test_kl_poly_checks_a_loaded_entry_against_the_bruhat_order(
+    tmp_path, monkeypatch
+):
+    """A loaded P is nonzero exactly when y <= w, checked on its first
+    answer only: s_1 is not below s_2 s_3, and e is below s_1."""
+    s1, e = AffPerm((2, 1, 3)), identity(3)
+    s2s3 = AffPerm((-1, 3, 4))
+    assert s2s3 == simple(3, 2) * simple(3, 3)
+    path = tmp_path / "kl.txt"
+    for record, y, w in [
+        ("3|2,1,3|-1,3,4|1", s1, s2s3),
+        ("3|1,2,3|2,1,3|", e, s1),
+    ]:
+        path.write_text(record + "\n")
+        cache = KLCache(str(path))
+        named = re.escape("y = %s, w = %s" % (y.window, w.window))
+        with pytest.raises(ValueError, match=named):
+            kl_poly(y, w, cache)
+        assert kl_poly(y, w, KLCache()) != cache.p_table[(3, y.window, w.window)]
+
+    # true records answer as stored, and the check runs once per key
+    path.write_text("3|2,1,3|-1,3,4|\n3|1,2,3|2,1,3|1\n")
+    cache = KLCache(str(path))
+    assert len(cache.unchecked) == 2
+    assert kl_poly(s1, s2s3, cache) == IntPoly(())
+    assert kl_poly(e, s1, cache) == IntPoly((1,))
+    assert not cache.unchecked
+
+    def refuse(y, w):
+        raise AssertionError("Bruhat order checked twice")
+
+    monkeypatch.setattr(heckekl, "bruhat_leq", refuse)
+    assert kl_poly(s1, s2s3, cache) == IntPoly(())
+    assert kl_poly(e, s1, cache) == IntPoly((1,))
 
 
 def test_add_scaled_accumulates_in_place():

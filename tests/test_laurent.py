@@ -125,6 +125,40 @@ def test_interpolation_reproduces_samples(coeffs):
         assert back.evaluate(q) == val
 
 
+@given(
+    st.lists(st.integers(-(10**20), 10**20), max_size=6),
+    st.integers(-8, 8),
+    st.integers(-8, 8),
+)
+def test_intpoly_keeps_its_laurent_forms_and_strings(coeffs, e, d):
+    """to_laurent, the shifts of its forms and to_json equal the plain
+    formulas, are built once, and what one caller does with a result
+    never reaches the next caller."""
+    p = IntPoly(coeffs)
+    plain = lp({2 * k: a for k, a in enumerate(coeffs)})
+    assert p.to_laurent() == plain
+    assert p.to_laurent(e) == plain.shift(e)
+    assert p.to_laurent(e) is p.to_laurent(e)
+    assert p.to_laurent().shift(e) is p.to_laurent(e)
+    assert p.to_laurent(e).shift(d) is p.to_laurent(e + d)
+    assert p.to_laurent(e).shift(d) == plain.shift(e + d)
+    # any other LaurentPoly shifts into a new object each time
+    assert plain.shift(e) is not plain.shift(e)
+    assert (p.to_laurent(e) + LP_ONE) - LP_ONE == plain.shift(e)
+    assert p.to_laurent(e) == plain.shift(e)
+
+    expected = list(coeffs)
+    while expected and expected[-1] == 0:
+        expected.pop()
+    expected = [str(a) for a in expected]
+    first = p.to_json()
+    assert first == expected
+    first.append("0")
+    first[:1] = ["mutated"]
+    assert p.to_json() == expected
+    assert p.to_json() is not p.to_json()
+
+
 small_intpolys = st.lists(
     st.integers(min_value=-3, max_value=3), max_size=5
 ).map(IntPoly)
