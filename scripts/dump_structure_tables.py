@@ -1,8 +1,12 @@
 #!/usr/bin/env python3
-"""Dump the g-, f- and h-tables for every composable pair at a fixed
-level, as one JSON document.  The pairs come from the band truncation
-verify.BAND, and h-tables are kept for stripped pairs of total sigma at
-most verify.H_SIGMA_CAP, the scopes of the verification drivers.
+"""Dump g- and h-tables at a fixed level r, as one JSON document.
+
+"g": every composable pair (A, B) of enumerate_theta_band(n, r,
+verify.BAND).  "h": each distinct pair (A0, B0) of their E-stripped
+factors, both nonzero and aperiodic, with sigma(A0) = sigma(B0) mod n
+and sigma(A0) + sigma(B0) <= verify.H_SIGMA_CAP.  The h-table suites
+of affschur.verify differ: they sample pairs whose sigma is each at
+most that cap.
 
 Example:
     python3 scripts/dump_structure_tables.py --n 2 --r 2 --out tables.json

@@ -8,6 +8,7 @@ the standard and canonical bases of the affine quantum Schur algebra and
 
 from __future__ import annotations
 
+from collections import Counter
 import itertools
 from functools import cache
 
@@ -261,6 +262,14 @@ def theta_plus_by_dim(n, dvec):
     return tuple(out)
 
 
+def _on_positions(n, positions, total):
+    """The matrices of entry sum total supported on positions, one per
+    multiset of positions.  The positions are distinct cells in rows
+    1..n, so distinct multisets give distinct matrices."""
+    for combo in itertools.combinations_with_replacement(positions, total):
+        yield AffMatrix(n, Counter(combo))
+
+
 def enumerate_theta_band(n, r, band=1):
     """All A in Theta(n, r) supported on |j - i| <= band.
 
@@ -272,16 +281,21 @@ def enumerate_theta_band(n, r, band=1):
         for i in range(1, n + 1)
         for j in range(i - band, i + band + 1)
     ]
-    out = []
-    for combo in itertools.combinations_with_replacement(range(len(positions)), r):
-        entries = {}
-        for idx in combo:
-            entries[positions[idx]] = entries.get(positions[idx], 0) + 1
-        out.append(AffMatrix(n, entries))
-    # combinations of positions with multiplicity give duplicates only if
-    # two positions normalize to the same periodic cell; AffMatrix
-    # normalization handles that, so dedupe.
-    return sorted(set(out), key=lambda m: m.entries())
+    return sorted(_on_positions(n, positions, r), key=lambda m: m.entries())
+
+
+def enumerate_theta_plus(n, sigma_cap, max_len):
+    """All strictly upper matrices with entry sum <= sigma_cap and
+    segment lengths <= max_len (including the zero matrix)."""
+    positions = [
+        (i, i + l) for i in range(1, n + 1) for l in range(1, max_len + 1)
+    ]
+    mats = (
+        m
+        for total in range(sigma_cap + 1)
+        for m in _on_positions(n, positions, total)
+    )
+    return sorted(mats, key=lambda m: (m.sigma(), m.entries()))
 
 
 def compositions(n, total):

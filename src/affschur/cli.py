@@ -11,7 +11,10 @@ Only kl opens the --cache file: the KL recursion behind theta, mult,
 the tables and the verify targets reads KL columns, never a stored P
 record, so for them the file could only be parsed and checked, never
 used.  theta, mult, g-table, f-table and hall still accept --cache and
-ignore it; verify and h-table refuse it.
+ignore it; verify and h-table refuse it.  kl always calls
+KLCache.save, which creates the file when missing and rewrites it only
+when the query added records, so a query the file answers leaves it
+untouched.
 
 Each command imports only the layers it runs: the module itself loads
 the matrix, Weyl-group and KL layers every command's input needs, and
@@ -119,13 +122,9 @@ def cmd_kl(args):
         msg = "w has length %d, above --cap-length %d"
         raise InputError(msg % (w.length(), args.cap_length))
     path = args.cache
-    fresh = path is not None and not os.path.exists(path)
     cache = _file_op("--cache", path, KLCache, path)
-    loaded = len(cache.p_table)
     p = kl_poly(y, w, cache)
-    # the file is written only when it is new or the query grew the
-    # P-table, so a query it answers leaves it untouched
-    if path and (fresh or len(cache.p_table) > loaded):
+    if path:
         _file_op("--cache", path, cache.save)
     return {
         "command": "kl",

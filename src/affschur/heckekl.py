@@ -165,7 +165,8 @@ class KLCache:
     r|window(y)|window(w)|coeffs(P), coefficients in decimal from degree
     0.  Loaded entries are validated against the classical degree bound
     and must have both windows in W_r; whether y <= w is checked lazily,
-    by kl_poly the first time it answers from a loaded key.
+    by kl_poly the first time it answers from a loaded key.  save()
+    decides whether the file at path needs writing, so callers need not.
     """
 
     def __init__(self, path=None):
@@ -174,8 +175,12 @@ class KLCache:
         self.p_table = {}  # (r, y.window, w.window) -> IntPoly
         self.polys = {}  # P.coeffs -> the one IntPoly of these tables
         self.unchecked = set()  # loaded keys not yet checked for y <= w
+        # len(p_table) when path was last read or written; entries are
+        # only ever added, so an equal length means nothing new
+        self._synced = None
         if path and os.path.exists(path):
             self.load(path)
+            self._synced = len(self.p_table)
 
     def clear(self):
         """Empty every table."""
@@ -183,6 +188,7 @@ class KLCache:
         self.p_table.clear()
         self.polys.clear()
         self.unchecked.clear()
+        self._synced = None
 
     def load(self, path):
         """Read a saved P-table; a malformed or invalid record raises
@@ -243,13 +249,20 @@ class KLCache:
 
     def save(self, path=None):
         """Write the P-table atomically: a temporary file in the same
-        directory replaces path only once it is complete.  Records come
-        in key order, row by row (_sorted_rows); each "r|y|" prefix is
-        formatted once per row and each distinct window or coefficient
-        tuple once per save."""
-        path = path or self.path
-        if path is None:
-            raise ValueError("no cache path configured")
+        directory replaces path only once it is complete.  With no path
+        it goes to self.path, and only when the P-table holds an entry
+        that file lacked when last read or written, or the file was
+        missing when the cache was made; a path given is always written.
+        Records come in key order, row by row (_sorted_rows); each
+        "r|y|" prefix is formatted once per row and each distinct window
+        or coefficient tuple once per save."""
+        own = path is None
+        if own:
+            path = self.path
+            if path is None:
+                raise ValueError("no cache path configured")
+            if self._synced == len(self.p_table):
+                return
         texts = {}
 
         def text(ints):
@@ -268,6 +281,8 @@ class KLCache:
                         for wwin, p in row
                     )
             os.replace(tmp, path)
+            if own:
+                self._synced = len(self.p_table)
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)

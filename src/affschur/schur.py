@@ -21,6 +21,7 @@ from __future__ import annotations
 from functools import cache, partial
 import heapq
 import math
+import sys
 
 from .laurent import Combination, LaurentPoly, LP_ONE, accumulate
 from .affmat import AffMatrix, sqsubseteq, compositions
@@ -362,25 +363,17 @@ def is_triangular(th, a_mat):
 
 def clear_caches():
     """Empty every per-process memo of the package and the tables of the
-    default KLCache."""
-    from . import affmat, affweyl, hall, heckekl, transfer
+    default KLCache.
 
-    for memoized in (
-        affmat.theta_plus_by_dim,
-        affweyl.reduced_word,
-        affweyl._bruhat_leq_step,
-        affweyl.double_coset,
-        affweyl.jdelta_inv,
-        heckekl.t_inverse,
-        _coset_column,
-        _e_mult,
-        _theta,
-        bar_bracket,
-        hall.gf,
-        hall._hall_poly,
-        hall._check_riedtmann_sum,
-        hall.utilde_exponent,
-        transfer._full_f_table,
-    ):
-        memoized.cache_clear()
+    The memos are found, not listed: every attribute of a loaded
+    affschur module with a cache_clear, or a wrapper in front of one
+    (followed through __wrapped__), is cleared."""
+    for name, module in list(sys.modules.items()):
+        if not name.startswith("affschur."):
+            continue
+        for value in vars(module).values():
+            while value is not None and not hasattr(value, "cache_clear"):
+                value = getattr(value, "__wrapped__", None)
+            if value is not None:
+                value.cache_clear()
     default_cache().clear()

@@ -12,7 +12,6 @@ from functools import cache
 
 from .laurent import LaurentPoly
 from .affmat import AffMatrix, theta_plus_by_dim, dim_vector
-from .affweyl import jdelta, rho
 from .schur import SchurElt, g_constants
 
 
@@ -42,11 +41,11 @@ def iota(x, big_n):
     )
 
 
-def rho_idempotent(mu, m, r):
-    """The matrix J_Delta(mu, rho^{mr}, mu) = eta_m(diag(mu)); its theta
-    is the shifted idempotent multiplying as eta_m on the right."""
-    d = rho(r, m * r)
-    return jdelta(mu, d, mu)
+def rho_idempotent(mu, m):
+    """The matrix J_Delta(mu, rho^{mr}, mu) = eta_m(diag(mu)), with
+    r = sigma(mu); its theta is the shifted idempotent multiplying as
+    eta_m on the right."""
+    return eta(AffMatrix.diag(mu.n, mu.parts), m)
 
 
 class StructTable:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from .affmat import AffMatrix, enumerate_theta_band, sqsubseteq
+from .affmat import enumerate_theta_band, enumerate_theta_plus, sqsubseteq
 from .affweyl import (
     Composition, jdelta_inv, double_coset, coset_longest, bruhat_leq
 )
@@ -202,12 +202,8 @@ def verify_lemma_46(n=2, r=2):
             checked += 1
             th = theta(a_mat, r)
             target = theta(transfer.eta(a_mat, m), r)
-            right_idem = transfer.rho_idempotent(
-                Composition(a_mat.co()), m, r
-            )
-            left_idem = transfer.rho_idempotent(
-                Composition(a_mat.ro()), m, r
-            )
+            right_idem = transfer.rho_idempotent(Composition(a_mat.co()), m)
+            left_idem = transfer.rho_idempotent(Composition(a_mat.ro()), m)
             ok_right = mult(th, theta(right_idem, r)) == target
             ok_left = mult(theta(left_idem, r), th) == target
             if not (ok_right and ok_left):
@@ -294,24 +290,6 @@ def verify_thm_48(n=2, r=2, big_n=3, ks=(-1, 1), samples=None):
         checked,
         violations,
     )
-
-
-def enumerate_theta_plus(n, sigma_cap, max_len):
-    """All strictly upper matrices with entry sum <= sigma_cap and
-    segment lengths <= max_len (including the zero matrix)."""
-    positions = [
-        (i, i + l) for i in range(1, n + 1) for l in range(1, max_len + 1)
-    ]
-    out = [AffMatrix(n, {})]
-    for total in range(1, sigma_cap + 1):
-        for combo in itertools.combinations_with_replacement(
-            range(len(positions)), total
-        ):
-            entries = {}
-            for idx in combo:
-                entries[positions[idx]] = entries.get(positions[idx], 0) + 1
-            out.append(AffMatrix(n, entries))
-    return sorted(set(out), key=lambda m: (m.sigma(), m.entries()))
 
 
 def _f_pair_scope(n):

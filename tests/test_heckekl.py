@@ -150,6 +150,34 @@ def test_cache_round_trip(tmp_path):
     assert reloaded.p_table == cache.p_table
 
 
+def test_cache_save_writes_its_own_file_only_when_the_table_grew(tmp_path):
+    """save() rewrites the cache's file only for entries it lacks, and a
+    rewrite replaces the file, so an unchanged inode means no write;
+    save(path) always writes."""
+    path = tmp_path / "kl.txt"
+    cache = KLCache(str(path))
+    cache.save()  # a missing file is created, even empty
+    assert path.read_text() == ""
+    kl_poly(identity(3), simple(3, 1) * simple(3, 2), cache)
+    cache.save()
+    text, inode = path.read_text(), path.stat().st_ino
+    assert text
+    cache.save()
+    assert path.stat().st_ino == inode
+    loaded = KLCache(str(path))
+    kl_poly(identity(3), simple(3, 1), loaded)  # answered from the file
+    loaded.save()
+    assert path.stat().st_ino == inode and path.read_text() == text
+    kl_poly(identity(3), simple(3, 2) * simple(3, 1), loaded)
+    loaded.save()
+    assert path.stat().st_ino != inode and len(path.read_text()) > len(text)
+    other = tmp_path / "copy.txt"
+    cache.save(str(other))
+    inode = other.stat().st_ino
+    cache.save(str(other))
+    assert other.stat().st_ino != inode and other.read_text() == text
+
+
 # the window pairs and the coefficient text 1,1 that the cases below
 # reuse first appear on a valid line; line 5 repeats line 2 with the same
 # P, which is accepted, so every case is refused on line 6

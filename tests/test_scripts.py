@@ -149,6 +149,35 @@ def test_kl_survey_refuses_an_unusable_cache(tmp_path, name, text, named):
         assert path.read_text() == text
 
 
+def test_kl_survey_reports_only_the_pairs_the_recursion_produces(tmp_path):
+    """A cached record for a surveyed w with y not below w stays out of
+    the report: P is read through kl_poly for the support of C'_w."""
+    path = tmp_path / "kl.txt"
+    path.write_text("3|2,1,3|-1,3,4|1\n")
+    args = ("--r", "3", "--max-length", "3")
+    cached = run_script("kl_survey.py", *args, "--cache", str(path))
+    plain = run_script("kl_survey.py", *args)
+    assert cached.returncode == plain.returncode == 0, cached.stderr
+    assert cached.stdout == plain.stdout
+    assert plain.stdout.endswith("trivial pairs: 97\n")
+
+
+def test_kl_survey_refuses_a_cache_the_recursion_contradicts(tmp_path):
+    path = tmp_path / "kl.txt"
+    text = b"3|1,2,3|2,1,3|2\n"
+    path.write_bytes(text)
+    proc = run_script(
+        "kl_survey.py", "--r", "3", "--max-length", "3", "--cache", str(path)
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert "computed as 1, stored as 2" in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert path.read_bytes() == text
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
 def test_dump_structure_tables(tmp_path):
     out = tmp_path / "tables.json"
     proc = run_script(

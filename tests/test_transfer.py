@@ -1,7 +1,8 @@
 import pytest
 
 from affschur import schur, transfer, verify
-from affschur.affmat import AffMatrix, enumerate_theta_band
+from affschur.affmat import AffMatrix, compositions, enumerate_theta_band
+from affschur.affweyl import Composition, jdelta, rho
 from affschur.laurent import LaurentPoly
 from affschur.schur import SchurElt, g_constants, mult, theta
 from affschur.transfer import (
@@ -48,6 +49,21 @@ def test_lemma_46_shifted_idempotents(n, r):
     S_mu rho^{mr} S_mu put rho-shifted columns into e_basis_mult."""
     rep = verify.verify_lemma_46(n=n, r=r)
     assert rep["pass"] and rep["checked"] > 0
+
+
+def test_rho_idempotent_is_the_permutation_double_coset():
+    """The closed form eta_m(diag(mu)) equals J_Delta(mu, rho^{mr}, mu),
+    r = sigma(mu), for every mu in Lambda(n, r), n <= 4, r <= 5, |m| <= 3."""
+    checked = 0
+    for n in range(1, 5):
+        for r in range(1, 6):
+            for parts in compositions(n, r):
+                mu = Composition(parts)
+                for m in range(-3, 4):
+                    expected = jdelta(mu, rho(r, m * r), mu)
+                    assert transfer.rho_idempotent(mu, m) == expected
+                    checked += 1
+    assert checked == 1435
 
 
 def test_tilde_examples():
