@@ -165,7 +165,8 @@ class KLCache:
     r|window(y)|window(w)|coeffs(P), coefficients in decimal from degree
     0.  Loaded entries are validated against the classical degree bound
     and must have both windows in W_r; whether y <= w is checked lazily,
-    by kl_poly the first time it answers from a loaded key.  save()
+    by kl_poly the first time it answers from a loaded key, unless the
+    recursion has recomputed that key and found it equal.  save()
     decides whether the file at path needs writing, so callers need not.
     """
 
@@ -456,7 +457,8 @@ def _record_p(col, tau, cache, wj=None):
     interned in cache.polys (col then holds the interned IntPoly too)
     and checked against the lengths its keys carry.  An entry already
     stored must agree: one that differs raises AssertionError naming y
-    and w."""
+    and w.  A loaded entry that agrees leaves cache.unchecked, as a
+    column holds only y <= w with P != 0."""
     lwj = wj.length() if wj else 0
     lw = lwj + tau.length()
     w = wj * tau if wj else tau
@@ -467,12 +469,14 @@ def _record_p(col, tau, cache, wj=None):
             col[sigma] = p = interned
         y = wj * sigma if wj else sigma
         _check_entry(y.window, w.window, lwj + sigma.length(), lw, p)
-        old = cache.p_table.setdefault((tau.r, y.window, w.window), p)
+        key = (tau.r, y.window, w.window)
+        old = cache.p_table.setdefault(key, p)
         if old is not p and old != p:
             raise AssertionError(
                 "P_{y,w} for y = %s, w = %s computed as %r, stored as %r"
                 % (y.window, w.window, p, old)
             )
+        cache.unchecked.discard(key)
 
 
 def kl_poly(y, w, cache=None):

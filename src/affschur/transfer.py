@@ -2,13 +2,13 @@
 
 Implements the column-shift eta_m, the rank embedding A -> A-tilde with
 iota on Schur elements, the f structure constants of the Hall positive
-part recovered through diagonal padding, and the h constants of the
-modified algebra obtained by level stabilization.
+part read off g-tables padded by a diagonal weight (Lemma 4.4, its rule
+in _pad_shift and _pad_mu), and the h constants of the modified algebra
+obtained by level stabilization over a number of levels read off
+sigma(A) and sigma(B).  No table is memoized here.
 """
 
 from __future__ import annotations
-
-from functools import cache
 
 from .laurent import LaurentPoly
 from .affmat import AffMatrix, theta_plus_by_dim, dim_vector
@@ -71,22 +71,31 @@ class StructTable:
         return data
 
 
-def _tuple_add(x, y):
-    return tuple(a + b for a, b in zip(x, y))
+def _pad_shift(a_mat, lam, c_mat):
+    """The diagonal lambda + ro(A) - ro(C) that C carries in the g-table
+    of A + diag(lambda) under Lemma-4.4 padding; lambda covers C iff it
+    is >= 0."""
+    return tuple(l + x - y for l, x, y in zip(lam, a_mat.ro(), c_mat.ro()))
+
+
+def _pad_mu(a_mat, b_mat, lam):
+    """The weight mu = lambda + co(A) - ro(B) padding B alongside A +
+    diag(lambda); lambda is a valid padding only if mu >= 0."""
+    return tuple(l + x - y for l, x, y in zip(lam, a_mat.co(), b_mat.ro()))
 
 
 def _candidate_lambda(a_mat, b_mat, c_mat):
-    """The smallest lambda >= 0 making Lemma-4.4 padding valid for this
-    candidate C: lambda + ro(A) - ro(C) >= 0 and mu = lambda + co(A) -
-    ro(B) >= 0 componentwise, raised until the Hecke level sum(lambda) +
-    sigma(A) is at least 2."""
-    ro_a, co_a, ro_b = a_mat.ro(), a_mat.co(), b_mat.ro()
-    ro_c = c_mat.ro()
+    """The smallest lambda >= 0 that covers C with mu >= 0, raised by one
+    in every part if the Hecke level sum(lambda) + sigma(A) is below 2
+    (once is enough: sigma(A) >= 1 here)."""
+    zero = (0,) * a_mat.n
     lam = tuple(
-        max(0, ro_b[i] - co_a[i], ro_c[i] - ro_a[i])
-        for i in range(a_mat.n)
+        max(0, -s, -m)
+        for s, m in zip(
+            _pad_shift(a_mat, zero, c_mat), _pad_mu(a_mat, b_mat, zero)
+        )
     )
-    while sum(lam) + a_mat.sigma() < 2:
+    if sum(lam) + a_mat.sigma() < 2:
         lam = tuple(x + 1 for x in lam)
     return lam
 
@@ -96,23 +105,19 @@ def _f_from_lambda(a_mat, b_mat, lam):
     covers.  Every g-key must match the Lemma-4.4 diagonal pattern for
     some Theta^+ matrix; keys outside the pattern are an error."""
     n = a_mat.n
-    mu = _tuple_add(lam, a_mat.co())
-    mu = tuple(x - y for x, y in zip(mu, b_mat.ro()))
+    mu = _pad_mu(a_mat, b_mat, lam)
     if any(x < 0 for x in mu):
         raise ValueError("padding weight mu has a negative part")
     r = sum(lam) + a_mat.sigma()
-    a_pad = a_mat + AffMatrix.diag(n, lam)
-    b_pad = b_mat + AffMatrix.diag(n, mu)
-    g = g_constants(a_pad, b_pad, r)
-    ro_a = a_mat.ro()
+    g = g_constants(
+        a_mat + AffMatrix.diag(n, lam), b_mat + AffMatrix.diag(n, mu), r
+    )
     decoded = {}
     for key, val in g.items():
         c_off = AffMatrix(
             n, {(i, j): a for (i, j), a in key.entries() if i != j}
         )
-        shift = tuple(
-            l + x - y for l, x, y in zip(lam, ro_a, c_off.ro())
-        )
+        shift = _pad_shift(a_mat, lam, c_off)
         if not c_off.is_upper() or key != c_off + AffMatrix.diag(n, shift):
             raise AssertionError(
                 "padded g-key outside the Lemma-4.4 pattern: %r" % key
@@ -125,7 +130,6 @@ def _f_from_lambda(a_mat, b_mat, lam):
 # rechecking a weight means one more g-table at a level one higher; past
 # this level the KL recursion dominates everything else in a run
 _F_RECHECK_LEVEL_CAP = 6
-_H_MAX_TRIES = 3  # levels h_constants tries before giving up
 
 
 def f_constants(a_mat, b_mat, keys=None, check=True):
@@ -138,42 +142,23 @@ def f_constants(a_mat, b_mat, keys=None, check=True):
     candidates are all of Theta^+ at the dimension vector of the
     product, or the given keys, which then only choose the weights.
     With check=True each weight whose level stays within reach is read
-    again one step larger and must agree.  Only the full checked table
-    is memoized.
+    again one step larger and must agree.
     """
     if not (a_mat.is_upper() and b_mat.is_upper()):
         raise ValueError("f-constants require strictly upper matrices")
     if a_mat.n != b_mat.n:
         raise ValueError("mismatched n")
-    if keys is None and check:
-        return _full_f_table(a_mat, b_mat)
-    return _f_table(a_mat, b_mat, keys, check)
-
-
-@cache
-def _full_f_table(a_mat, b_mat):
-    return _f_table(a_mat, b_mat, None, True)
-
-
-def _f_table(a_mat, b_mat, keys, check):
     if a_mat.sigma() == 0 or b_mat.sigma() == 0:
         # theta+ of the zero matrix is the unit of the positive part
         c_mat = b_mat if a_mat.sigma() == 0 else a_mat
         table = {c_mat: LaurentPoly({0: 1})}
         return StructTable("f", a_mat, b_mat, None, table)
-    d = _tuple_add(dim_vector(a_mat), dim_vector(b_mat))
+    d = tuple(x + y for x, y in zip(dim_vector(a_mat), dim_vector(b_mat)))
     if keys is None:
         candidates = theta_plus_by_dim(a_mat.n, d)
     else:
         candidates = [c for c in keys if c.is_upper() and dim_vector(c) == d]
     lams = {_candidate_lambda(a_mat, b_mat, c_mat) for c_mat in candidates}
-    ro_a = a_mat.ro()
-
-    def covered(lam, c_mat):
-        return all(
-            l + x - y >= 0 for l, x, y in zip(lam, ro_a, c_mat.ro())
-        )
-
     table = {}
     for lam in sorted(lams):
         part = _f_from_lambda(a_mat, b_mat, lam)
@@ -186,7 +171,7 @@ def _f_table(a_mat, b_mat, keys, check):
             part2 = {
                 c: val
                 for c, val in _f_from_lambda(a_mat, b_mat, bigger).items()
-                if covered(lam, c)
+                if min(_pad_shift(a_mat, lam, c)) >= 0
             }
             if part != part2:
                 raise AssertionError(
@@ -243,8 +228,12 @@ def h_constants(a_mat, b_mat):
 
     Both inputs must be aperiodic with minimal diagonal zero.  The
     product is computed at the smallest admissible level r0 and the keys
-    stripped of their E-multiples; the same table must reappear at
-    r0 + n (stabilization), else the level is bumped and retried.
+    stripped of their E-multiples; the table is final once two
+    consecutive levels r and r + n (stabilization) give the same one.
+    Up to min(sigma(A), sigma(B)) + 1 levels past r0 are tried: in
+    U(sl_2), E^(a) F^(b) 1_lambda has min(a, b) + 1 terms, and each step
+    of n adds at most one.  A table still changing after them raises
+    AssertionError.
     """
     n = a_mat.n
     for m_name, m in (("A", a_mat), ("B", b_mat)):
@@ -258,7 +247,7 @@ def h_constants(a_mat, b_mat):
     if (r0 - a_mat.sigma()) % n:
         r0 += n - (r0 - a_mat.sigma()) % n
     t1 = _h_at_level(a_mat, b_mat, r0)
-    for _ in range(_H_MAX_TRIES):
+    for _ in range(min(a_mat.sigma(), b_mat.sigma()) + 1):
         r0 += n
         t2 = _h_at_level(a_mat, b_mat, r0)
         if t1 is not None and t1 == t2:

@@ -150,6 +150,21 @@ def test_h_table_report(capsys):
     assert len(report["entries"]) == 2
 
 
+def test_h_table_stabilizing_past_level_9(capsys):
+    code, out, err = run(
+        capsys,
+        "h-table",
+        "--n",
+        "2",
+        "--a",
+        '{"n": 2, "entries": [[1, 0, 3]]}',
+        "--b",
+        '{"n": 2, "entries": [[2, 3, 3]]}',
+    )
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["entries"]) == 4
+
+
 def test_hall_report(capsys):
     two = '{"n": 2, "entries": [[1, 2, 2]]}'
     code, out, _ = run(

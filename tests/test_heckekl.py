@@ -358,6 +358,35 @@ def test_kl_poly_checks_a_loaded_entry_against_the_bruhat_order(
     assert kl_poly(e, s1, cache) == IntPoly((1,))
 
 
+def test_recomputed_loaded_entries_skip_the_bruhat_check(
+    tmp_path, monkeypatch
+):
+    """A survey's saved file, loaded and surveyed again: every loaded key
+    is recomputed and confirmed by the recursion, so kl_poly answers
+    each surveyed pair without a Bruhat check."""
+    path = tmp_path / "kl.txt"
+    surveyed = [w for layer in enumerate_wr(4, 5) for w in layer]
+    cache = KLCache()
+    for w in surveyed:
+        cprime(w, cache)
+    cache.save(str(path))
+
+    loaded = KLCache(str(path))
+    assert len(loaded.unchecked) == len(cache.p_table)
+    for w in surveyed:
+        cprime(w, loaded)
+    assert not loaded.unchecked
+
+    def refuse(y, w):
+        raise AssertionError("Bruhat order checked for a recomputed key")
+
+    monkeypatch.setattr(heckekl, "bruhat_leq", refuse)
+    for w in surveyed:
+        for y in cprime(w, loaded).terms:
+            key = (4, y.window, w.window)
+            assert kl_poly(y, w, loaded) == cache.p_table[key]
+
+
 def test_add_scaled_accumulates_in_place():
     s1 = simple(2, 1)
     h = T(s1) + T(identity(2))

@@ -189,6 +189,28 @@ def test_dump_structure_tables(tmp_path):
     assert len(tables["g"]) > 100
     assert {t["kind"] for t in tables["g"]} == {"g"}
     assert all(t["kind"] == "h" for t in tables["h"])
+    printed = run_script("dump_structure_tables.py", "--n", "2", "--r", "2")
+    assert printed.stdout == out.read_text()
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (("--r", "0"), "r must be >= 2"),
+        (("--n", "1"), "n must be >= 2"),
+        (("--n", "0"), "n must be >= 2"),
+        (("--out", "missing/tables.json"), "--out"),
+    ],
+    ids=["r0", "n1", "n0", "out-in-missing-dir"],
+)
+def test_dump_structure_tables_refuses_bad_input(tmp_path, args, named):
+    args = [str(tmp_path / a) if a.endswith(".json") else a for a in args]
+    proc = run_script("dump_structure_tables.py", *args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and named in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bench_compare_smoke(tmp_path):

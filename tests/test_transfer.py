@@ -239,6 +239,35 @@ def test_h_constants_builds_each_level_once(monkeypatch):
     assert levels == [2, 4, 6]
 
 
+@pytest.mark.parametrize(
+    "a_entry, b_entry",
+    [
+        ((1, 0), (2, 3)),
+        ((1, 2), (2, 1)),
+        ((2, 1), (1, 2)),
+        ((2, 3), (1, 0)),
+    ],
+)
+def test_h_constants_reads_its_level_count_off_sigma(
+    a_entry, b_entry, monkeypatch
+):
+    """Single entries of 3 at n = 2: the table gains one key per level
+    up to 4 keys, so it settles min(sigma(A), sigma(B)) + 1 = 4 levels
+    past the first."""
+    a = AffMatrix(2, {a_entry: 3})
+    b = AffMatrix(2, {b_entry: 3})
+    levels = []
+    real = transfer._h_at_level
+
+    def recorded(a_mat, b_mat, r):
+        levels.append(r)
+        return real(a_mat, b_mat, r)
+
+    monkeypatch.setattr(transfer, "_h_at_level", recorded)
+    assert len(h_constants(a, b).table) == 4
+    assert levels == [3, 5, 7, 9, 11]
+
+
 def test_h_constants_sigma_mismatch_gives_zero():
     assert h_constants(A_CROSS, S1).table == {}
 
