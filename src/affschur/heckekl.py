@@ -154,11 +154,16 @@ class KLCache:
     cprime and kl_poly take one (default_cache() if none); kl_column, and
     through it theta and the g-, f- and h-tables, always use the default
     one.  The column table holds the P columns of the recursion (module
-    docstring), and every column puts its own P entries into the P-table
-    under their ordinary keys, so only windows of W_r are ever keys
-    there.  polys interns the P's: each entry of a new column and each
-    loaded record is replaced by the one IntPoly of its coefficients, so
-    the few distinct values keep their Laurent forms and strings once
+    docstring), full (J empty) and parabolic alike.  Only the full
+    columns put their entries into the P-table, under their ordinary
+    keys, so only windows of W_r are ever keys there and it holds just
+    what kl_poly reads and save writes: those entries and the loaded
+    records.  A parabolic column is checked against the full column of
+    the same w_J tau instead, whichever is built second; parabolic
+    indexes the parabolic columns by the window of w_J tau for that.
+    polys interns the P's: each entry of a new column and each loaded
+    record is replaced by the one IntPoly of its coefficients, so the few
+    distinct values keep their Laurent forms and strings once
     (IntPoly.to_laurent, to_json).  The recursion reads columns only,
     never a P record, so only kl_poly answers from a loaded P-table.  The
     P-table persists to disk as one record per line:
@@ -174,6 +179,7 @@ class KLCache:
         self.path = path
         self.cprime_table = {}  # (J, tau.window) -> {sigma: P}
         self.p_table = {}  # (r, y.window, w.window) -> IntPoly
+        self.parabolic = {}  # (w_J tau).window -> [(w_J, column of tau)]
         self.polys = {}  # P.coeffs -> the one IntPoly of these tables
         self.unchecked = set()  # loaded keys not yet checked for y <= w
         # len(p_table) when path was last read or written; entries are
@@ -187,6 +193,7 @@ class KLCache:
         """Empty every table."""
         self.cprime_table.clear()
         self.p_table.clear()
+        self.parabolic.clear()
         self.polys.clear()
         self.unchecked.clear()
         self._synced = None
@@ -234,7 +241,8 @@ class KLCache:
                 if p is None:
                     p = IntPoly(_ints(ctext))
                     p = polys[ctext] = self.polys.setdefault(p.coeffs, p)
-                _check_entry(ywin, wwin, ly, lw, p)
+                if not _entry_ok(ywin == wwin, ly, lw, p):
+                    raise _entry_error(ywin, wwin, p)
                 key = (r, ywin, wwin)
                 old = self.p_table.setdefault(key, p)
                 if old is p:
@@ -330,16 +338,19 @@ def _ints(text):
     return tuple(int(t) for t in text.split(",")) if text else ()
 
 
-def _check_entry(ywin, wwin, ly, lw, p):
-    """P_{y,w} is 1 on the diagonal and of degree <= (l(w) - l(y) - 1)/2
-    below it."""
+def _entry_ok(same, ly, lw, p):
+    """P_{y,w} is 1 on the diagonal (same: y = w) and of degree <=
+    (l(w) - l(y) - 1)/2 below it."""
+    return p == _P_ONE if same else p.degree() <= (lw - ly - 1) // 2
+
+
+def _entry_error(ywin, wwin, p):
+    """The ValueError for an entry P_{y,w} that fails _entry_ok."""
     if ywin == wwin:
-        if p != _P_ONE:
-            raise ValueError("diagonal KL entry must be 1")
-    elif p.degree() > (lw - ly - 1) // 2:
-        raise ValueError(
-            "KL degree bound violated for %s <= %s: %r" % (ywin, wwin, p)
-        )
+        return ValueError("diagonal KL entry must be 1")
+    return ValueError(
+        "KL degree bound violated for %s <= %s: %r" % (ywin, wwin, p)
+    )
 
 
 _default_cache = KLCache()
@@ -376,13 +387,23 @@ def kl_column(x, J):
     W_J sigma below x to P_{w_J sigma, x}, so the coefficient of
     T_{w_J sigma} in C'_x is v^{-l(x)} P_{w_J sigma, x}(v^2).  Every other
     T-coefficient of C'_x repeats one of these, as P is constant on the
-    left W_J-cosets.
+    left W_J-cosets.  For J non-empty the entries stay in the column:
+    they are checked against the full column of x when both are built,
+    but never enter the P-table.  J empty gives the full column of x,
+    the one cprime(x) reads, with its entries in the P-table.
     """
     J = tuple(sorted(set(J)))
     if len(J) >= x.r:
         raise ValueError("W_J is infinite for J = %s" % (J,))
-    wj = climb(identity(x.r), [(AffPerm.right_mul_simple, k) for k in J])
+    wj = _longest(x.r, J)
     return wj, _column(J, wj, wj * x, _default_cache)
+
+
+@cache
+def _longest(r, J):
+    """w_J, the longest element of the finite W_J in W_r (J a sorted
+    tuple)."""
+    return climb(identity(r), [(AffPerm.right_mul_simple, k) for k in J])
 
 
 def coset_step(sigma, i, J):
@@ -446,37 +467,73 @@ def _column(J, wj, tau, cache):
                     for y, pz in _column(J, wj, z, cache).items()
                 ),
             )
-    _record_p(col, tau, cache, wj)
+    _record_p(col, tau, cache, J, wj)
     cache.cprime_table[key] = col
     return col
 
 
-def _record_p(col, tau, cache, wj=None):
-    """Store the entry P_{w_J sigma, w_J tau} of each sigma of the P
-    column col of tau (w_J = wj, or the identity when wj is None),
-    interned in cache.polys (col then holds the interned IntPoly too)
-    and checked against the lengths its keys carry.  An entry already
-    stored must agree: one that differs raises AssertionError naming y
-    and w.  A loaded entry that agrees leaves cache.unchecked, as a
-    column holds only y <= w with P != 0."""
-    lwj = wj.length() if wj else 0
-    lw = lwj + tau.length()
-    w = wj * tau if wj else tau
+def _record_p(col, tau, cache, J=(), wj=None):
+    """Intern and check each entry P_{w_J sigma, w_J tau} of the P column
+    col of tau (w_J = wj for J non-empty); col then holds the interned
+    IntPoly of cache.polys.  The degree bound is read off lengths alone:
+    l(w_J tau) - l(w_J sigma) = l(tau) - l(sigma), as l(w_J sigma) =
+    l(w_J) + l(sigma) for sigma minimal in W_J sigma, and w_J sigma =
+    w_J tau exactly when sigma = tau.
+
+    Only a full column (J empty) stores its entries in the P-table.  An
+    entry already stored there must agree: one that differs raises
+    AssertionError naming y and w.  A loaded entry that agrees leaves
+    cache.unchecked, as a column holds only y <= w with P != 0.  A
+    parabolic column is checked against the full column of w = w_J tau
+    instead, whichever of the two is built second (_agree);
+    cache.parabolic lists the parabolic columns by the window of w.
+    Apart from naming a failed entry, only this check forms products
+    w_J sigma, and only when both columns of w are there."""
     polys = cache.polys
+    ltau = tau.length()
+    w = wj * tau if J else tau
+    r, twin = tau.r, tau.window
+    p_table, unchecked = cache.p_table, cache.unchecked
     for sigma, p in col.items():
         interned = polys.setdefault(p.coeffs, p)
         if interned is not p:
             col[sigma] = p = interned
-        y = wj * sigma if wj else sigma
-        _check_entry(y.window, w.window, lwj + sigma.length(), lw, p)
-        key = (tau.r, y.window, w.window)
-        old = cache.p_table.setdefault(key, p)
-        if old is not p and old != p:
+        swin = sigma.window
+        if not _entry_ok(swin == twin, sigma.length(), ltau, p):
+            y = wj * sigma if J else sigma
+            raise _entry_error(y.window, w.window, p)
+        if not J:
+            key = (r, swin, twin)
+            old = p_table.setdefault(key, p)
+            if old is not p and old != p:
+                raise AssertionError(
+                    "P_{y,w} for y = %s, w = %s computed as %r, stored as %r"
+                    % (swin, twin, p, old)
+                )
+            unchecked.discard(key)
+    if not J:
+        for pj, pcol in cache.parabolic.get(twin, ()):
+            _agree(pcol, pj, col, tau)
+        return
+    full = cache.cprime_table.get(((), w.window))
+    if full is not None:
+        _agree(col, wj, full, w)
+    cache.parabolic.setdefault(w.window, []).append((wj, col))
+
+
+def _agree(pcol, wj, full, w):
+    """Check the parabolic column pcol of w = w_J tau (wj = w_J) against
+    the full column of w.  Each entry is P_{w_J sigma, w}, nonzero, so
+    w_J sigma <= w and the full column holds it too; an entry it lacks
+    or holds with another P raises AssertionError naming y and w."""
+    for sigma, p in pcol.items():
+        y = wj * sigma
+        q = full.get(y)
+        if q is not p and q != p:
             raise AssertionError(
-                "P_{y,w} for y = %s, w = %s computed as %r, stored as %r"
-                % (y.window, w.window, p, old)
+                "P_{y,w} for y = %s, w = %s is %r in the parabolic column, "
+                "%r in the full one" % (y.window, w.window, p, q)
             )
-        cache.unchecked.discard(key)
 
 
 def kl_poly(y, w, cache=None):

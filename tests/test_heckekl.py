@@ -454,6 +454,19 @@ def test_record_p_rejects_diagonal_other_than_one():
         _record_p(col, w, KLCache())
 
 
+def test_record_p_names_a_parabolic_entry_by_its_full_elements():
+    """A parabolic column's entry P_{w_J sigma, w_J tau} is checked from
+    l(tau) - l(sigma) and named by w_J sigma and w_J tau: here J = (1,),
+    tau = s_2 and P_{s_1, s_1 s_2} = 1 + q."""
+    s1, s2, e = simple(3, 1), simple(3, 2), identity(3)
+    cache = KLCache()
+    col = {s2: IntPoly((1,)), e: IntPoly((1, 1))}
+    named = re.escape("%s <= %s" % (s1.window, (s1 * s2).window))
+    with pytest.raises(ValueError, match="degree bound violated for " + named):
+        _record_p(col, s2, cache, (1,), s1)
+    assert not cache.p_table
+
+
 def _proper_subsets(r):
     gens = range(1, r + 1)
     return [J for k in range(r) for J in itertools.combinations(gens, k)]
@@ -536,23 +549,71 @@ def test_kl_column_reads_cprime_at_left_maximal_elements(r):
         kl_column(identity(r), range(1, r + 1))
 
 
+X_4 = simple(4, 2) * simple(4, 1) * simple(4, 3) * simple(4, 2)
+
+
 @pytest.mark.parametrize("J", [(), (2,)])
 def test_recorder_refuses_a_different_stored_entry(J, monkeypatch):
-    """Both the full and the parabolic column check each P entry against
-    the one already stored, so two recursions cannot disagree silently
-    in one cache."""
+    """A column built second checks each P entry against the one already
+    stored: the full column against the P-table, a parabolic column
+    against the full column of the same w, so two recursions cannot
+    disagree silently in one cache."""
     schur.clear_caches()
     cache = schur.default_cache()
-    x = simple(4, 2) * simple(4, 1) * simple(4, 3) * simple(4, 2)
+    x = X_4
     wj, _ = kl_column(x, J)
     cprime(x, cache)  # the full column agrees with the parabolic one
-    key = (4, wj.window, x.window)  # P_{w_J, x}, from sigma = 1
-    # restored at teardown, so no later test reads the wrong entry
-    monkeypatch.setitem(cache.p_table, key, cache.p_table[key] + IntPoly((1,)))
-    cache.cprime_table.clear()
+    # P_{w_J, x}, from sigma = 1; restored at teardown, so no later test
+    # reads the wrong entry
+    if J:
+        full = cache.cprime_table[((), x.window)]
+        monkeypatch.setitem(full, wj, full[wj] + IntPoly((1,)))
+        monkeypatch.delitem(cache.cprime_table, (J, (wj * x).window))
+    else:
+        key = (4, wj.window, x.window)
+        monkeypatch.setitem(
+            cache.p_table, key, cache.p_table[key] + IntPoly((1,))
+        )
+        cache.cprime_table.clear()
     named = re.escape("y = %s, w = %s" % (wj.window, x.window))
     with pytest.raises(AssertionError, match=named):
         kl_column(x, J)
+
+
+def test_full_column_refuses_a_different_parabolic_entry(monkeypatch):
+    """The other build order: a full column built after a parabolic
+    column of the same w checks that column's entries."""
+    schur.clear_caches()
+    cache = schur.default_cache()
+    x, e = X_4, identity(4)
+    wj, col = kl_column(x, (2,))
+    # P_{w_J, x}; col is the column the cache holds, restored at teardown
+    monkeypatch.setitem(col, e, col[e] + IntPoly((1,)))
+    named = re.escape("y = %s, w = %s" % (wj.window, x.window))
+    with pytest.raises(AssertionError, match=named):
+        cprime(x, cache)
+
+
+def test_parabolic_columns_stay_out_of_the_p_table(monkeypatch):
+    """A parabolic column keeps its entries and forms one AffPerm product
+    per column, none per entry; the P-table receives nothing."""
+    schur.clear_caches()
+    cache = schur.default_cache()
+    products = []
+    mul = AffPerm.__mul__
+
+    def counted(a, b):
+        products.append(None)
+        return mul(a, b)
+
+    monkeypatch.setattr(AffPerm, "__mul__", counted)
+    x = max(enumerate_wr(4, 6)[-1], key=lambda w: w.window)
+    J = [k for k in range(1, 5) if x.left_descent(k)]
+    assert J
+    _, col = kl_column(x, J)
+    assert len(col) > 10 and not cache.p_table
+    # kl_column's w_J x, then one w_J tau per column built
+    assert len(products) == 1 + len(cache.cprime_table)
 
 
 def test_kl_degree_bound_and_constant_term():

@@ -24,6 +24,7 @@ from affschur.heckekl import (
     KLCache,
     coset_step,
     cprime,
+    kl_column,
     kl_poly,
     t_bar,
     t_mul,
@@ -229,17 +230,58 @@ def test_theta_matches_the_cprime_oracle_on_band_slices():
     assert shifted and affine
 
 
+def _theta_column(a_mat):
+    """(x, J, w_J, column) of the parabolic KL column theta_{A,r} reads:
+    x is d+ stripped of its rho part, J the lambda-generators moved past
+    it (schur._theta)."""
+    r = a_mat.sigma()
+    lam, d, mu = jdelta_inv(a_mat)
+    a, x = strip_rho(coset_longest(lam, d, mu))
+    J = [(j - a - 1) % r + 1 for j in lam.young_generators()]
+    return (x, J) + kl_column(x, J)
+
+
 def test_theta_records_true_kl_polynomials():
-    """Every P entry theta stores equals kl_poly from a cache that only
-    cprime fills."""
+    """Every entry P_{w_J sigma, x} of the columns theta reads equals
+    kl_poly from a cache that only cprime fills."""
     schur.clear_caches()
-    parabolic, full = schur.default_cache(), KLCache()
+    full = KLCache()
+    parabolic = 0
     for a_mat in enumerate_theta_band(2, 4, band=1):
         theta(a_mat, 4)
-    assert parabolic.p_table
-    for (_, ywin, wwin), p in parabolic.p_table.items():
-        assert kl_poly(AffPerm(ywin), AffPerm(wwin), full) == p
-    assert len(full.p_table) > len(parabolic.p_table)
+        x, J, wj, col = _theta_column(a_mat)
+        parabolic += bool(J)
+        for sigma, p in col.items():
+            assert kl_poly(wj * sigma, x, full) == p
+    assert parabolic
+
+
+def test_theta_on_a_full_column_fills_the_p_table():
+    """With lambda all ones theta reads the full column (J empty), the
+    one cprime reuses, so its entries are in the P-table: kl_poly on the
+    default cache answers as from a fresh one for every y <= x."""
+    schur.clear_caches()
+    theta(A_CROSS, 2)
+    x, J, _, col = _theta_column(A_CROSS)
+    assert J == [] and len(col) > 1
+    fresh = KLCache()
+    for y in col:
+        assert kl_poly(y, x) == kl_poly(y, x, fresh)
+
+
+def test_p_table_holds_full_columns_only():
+    """After the thetas of every band-1 matrix at (n, r) = (2, 2), where
+    A_CROSS reads a full column, and (2, 4), where every column is
+    parabolic, each P-table entry P_{y,w} comes from the full column of
+    w."""
+    schur.clear_caches()
+    for r in (2, 4):
+        for a_mat in enumerate_theta_band(2, r, band=1):
+            theta(a_mat, r)
+    cache = schur.default_cache()
+    assert cache.p_table
+    for _, _, wwin in cache.p_table:
+        assert ((), wwin) in cache.cprime_table
 
 
 def test_decompose_invariant_reads_cosets_without_enumerating(monkeypatch):
