@@ -84,9 +84,6 @@ class AffMatrix:
     def zero_diagonal(self):
         return all(i != j for (i, j) in self._e)
 
-    def transpose(self):
-        return AffMatrix(self.n, {(j, i): a for (i, j), a in self._e.items()})
-
     def col_shift(self, t):
         """Shift all columns by t (entries (i, j) -> (i, j + t))."""
         return AffMatrix(self.n, {(i, j + t): a for (i, j), a in self._e.items()})
@@ -215,11 +212,13 @@ def dim_vector(a):
     Each entry a_{i,j} (i < j) contributes a_{i,j} to the residues of
     i, i+1, ..., j-1.
     """
-    if not a.is_upper():
-        raise ValueError("dimension vector requires a strictly upper matrix")
     n = a.n
     d = [0] * n
-    for (i, j), m in a.entries():
+    for (i, j), m in a._e.items():
+        if i >= j:
+            raise ValueError(
+                "dimension vector requires a strictly upper matrix"
+            )
         for t in range(i, j):
             d[(t - 1) % n] += m
     return tuple(d)

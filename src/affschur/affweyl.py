@@ -113,10 +113,6 @@ class AffPerm:
         """True iff l(w s_i) < l(w), i.e. w(i) > w(i+1)."""
         return self.apply(i) > self.apply(i + 1)
 
-    def left_descent(self, i):
-        """True iff l(s_i w) < l(w), i.e. w^-1(i) > w^-1(i+1)."""
-        return self.inverse().apply(i) > self.inverse().apply(i + 1)
-
     def left_mul_simple(self, i):
         """(s_i w, up) in one pass over the window, up iff s_i w > w.
 
@@ -167,18 +163,6 @@ def identity(r):
     e = AffPerm(range(1, r + 1))
     e._len = 0
     return e
-
-
-def simple(r, i):
-    """The simple reflection s_i (indices taken modulo r; s_r is affine)."""
-    i = (i - 1) % r + 1
-    w = list(range(1, r + 1))
-    if i < r:
-        w[i - 1], w[i] = w[i], w[i - 1]
-    else:
-        w[0] = 0
-        w[r - 1] = r + 1
-    return AffPerm(w)
 
 
 def rho(r, power=1):

@@ -2,10 +2,12 @@
 constant tables, and run the verification suites.
 
 Every command emits one deterministic JSON report (sorted keys, fixed
-enumeration order).  The exit code is 1 when a verification fails and 2
-when an input is rejected, a --cache or --out path cannot be read or
-written, or a check inside the library fails, with an "error:" line on
-stderr.
+enumeration order): main starts it as the command's name and an empty
+"violations" list, and the command's body fills in the rest (a verify
+report brings its own violations).  The exit code is 1 when a
+verification fails and 2 when an input is rejected, a --cache or --out
+path cannot be read or written, or a check inside the library fails,
+with an "error:" line on stderr.
 
 Only kl opens the --cache file: the KL recursion behind theta, mult,
 the tables and the verify targets reads KL columns, never a stored P
@@ -127,12 +129,10 @@ def cmd_kl(args):
     if path:
         _file_op("--cache", path, cache.save)
     return {
-        "command": "kl",
         "r": args.r,
         "y": list(y.window),
         "w": list(w.window),
         "P": p.to_json(),
-        "violations": [],
     }
 
 
@@ -155,12 +155,10 @@ def cmd_theta(args):
     (a_mat,) = _level_matrices(args, "a")
     th = theta(a_mat, args.r)
     return {
-        "command": "theta",
         "n": a_mat.n,
         "r": args.r,
         "A": a_mat.to_json(),
         "theta": _schur_terms_json(th),
-        "violations": [],
     }
 
 
@@ -175,14 +173,12 @@ def cmd_mult(args):
             SchurElt.bracket(a_mat, args.r), SchurElt.bracket(b_mat, args.r)
         )
     return {
-        "command": "mult",
         "n": a_mat.n,
         "r": args.r,
         "basis": args.basis,
         "A": a_mat.to_json(),
         "B": b_mat.to_json(),
         "product": _schur_terms_json(x),
-        "violations": [],
     }
 
 
@@ -190,11 +186,7 @@ def cmd_g_table(args):
     from . import transfer
 
     a_mat, b_mat = _level_matrices(args, "a", "b")
-    return {
-        "command": "g-table",
-        "violations": [],
-        **transfer.g_table(a_mat, b_mat, args.r).to_json(),
-    }
+    return transfer.g_table(a_mat, b_mat, args.r).to_json()
 
 
 def cmd_f_table(args):
@@ -205,11 +197,7 @@ def cmd_f_table(args):
     if not (a_mat.is_upper() and b_mat.is_upper()):
         raise InputError("f-table inputs must be strictly upper matrices")
     _check_length_cap(args.cap_length, a_mat, b_mat)
-    return {
-        "command": "f-table",
-        "violations": [],
-        **transfer.f_constants(a_mat, b_mat).to_json(),
-    }
+    return transfer.f_constants(a_mat, b_mat).to_json()
 
 
 def cmd_h_table(args):
@@ -218,8 +206,7 @@ def cmd_h_table(args):
     a_mat = _load_matrix(args, "a")
     b_mat = _load_matrix(args, "b")
     _check_length_cap(args.cap_length, a_mat, b_mat)
-    table = transfer.h_constants(a_mat, b_mat)
-    return {"command": "h-table", "violations": [], **table.to_json()}
+    return transfer.h_constants(a_mat, b_mat).to_json()
 
 
 def cmd_hall(args):
@@ -233,13 +220,11 @@ def cmd_hall(args):
             raise InputError("hall inputs must be strictly upper matrices")
     phi = hall.hall_poly(a_mat, b_mat, c_mat, cap_dim=args.cap_dim)
     return {
-        "command": "hall",
         "n": a_mat.n,
         "A": a_mat.to_json(),
         "B": b_mat.to_json(),
         "C": c_mat.to_json(),
         "phi": phi.to_json(),
-        "violations": [],
     }
 
 
@@ -291,9 +276,7 @@ def cmd_verify(args):
     from .verify import DRIVERS
 
     kwargs = _verify_kwargs(args)  # refuses an unknown target
-    report = DRIVERS[args.target](**kwargs)
-    report["command"] = "verify"
-    return report
+    return DRIVERS[args.target](**kwargs)
 
 
 # each flag a command may read: its option string and argparse keywords
@@ -376,7 +359,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report = COMMANDS[args.command][0](args)
+        report = {"command": args.command, "violations": []}
+        report.update(COMMANDS[args.command][0](args))
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
         if args.out:
             _file_op("--out", args.out, pathlib.Path(args.out).write_text, text)
@@ -387,7 +371,7 @@ def main(argv=None):
         # unwritable --cache or --out path, or a check inside the library
         sys.stderr.write("error: %s\n" % exc)
         return 2
-    return 1 if report.get("violations") else 0
+    return 1 if report["violations"] else 0
 
 
 if __name__ == "__main__":

@@ -112,14 +112,13 @@ def mul_basis(h, w, J=()):
     return h
 
 
-def t_mul(h1, h2, J=()):
-    """Product in the T-basis, bilinear over the quadratic/braid rules;
-    with J, h1 and the result are columns in x_J H (module docstring)."""
+def t_mul(h1, h2):
+    """Product in the T-basis, bilinear over the quadratic/braid rules."""
     if h1.r != h2.r:
         raise ValueError("mismatched periods")
     out = HeckeElt.zero(h1.r)
     for w, c in h2.terms.items():
-        out.add_scaled(mul_basis(h1, w, J), c)
+        out.add_scaled(mul_basis(h1, w), c)
     return out
 
 

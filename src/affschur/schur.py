@@ -256,11 +256,6 @@ def bar(x):
     return out
 
 
-def tau(x):
-    """The anti-involution [A] -> [transpose(A)]."""
-    return SchurElt(x.n, x.r, {a.transpose(): c for a, c in x.terms.items()})
-
-
 def a_block(a_mat, r):
     """A(0, r) = sum over lambda in Lambda(n, r - sigma(A)) of
     [A + diag(lambda)]; zero if sigma(A) > r.

@@ -1,18 +1,18 @@
 """Transfer maps between Schur algebras of different rank and level.
 
-Implements the column-shift eta_m, the rank embedding A -> A-tilde with
-iota on Schur elements, the f structure constants of the Hall positive
-part read off g-tables padded by a diagonal weight (Lemma 4.4, its rule
-in _pad_shift and _pad_mu), and the h constants of the modified algebra
-obtained by level stabilization over a number of levels read off
-sigma(A) and sigma(B).  No table is memoized here.
+Implements the column-shift eta_m, the rank embedding A -> A-tilde, the
+f structure constants of the Hall positive part read off g-tables padded
+by a diagonal weight (Lemma 4.4, its rule in _pad_shift and _pad_mu),
+and the h constants of the modified algebra obtained by level
+stabilization over a number of levels read off sigma(A) and sigma(B).
+No table is memoized here.
 """
 
 from __future__ import annotations
 
 from .laurent import LaurentPoly
 from .affmat import AffMatrix, theta_plus_by_dim, dim_vector
-from .schur import SchurElt, g_constants
+from .schur import g_constants
 
 
 def eta(a_mat, m):
@@ -32,13 +32,6 @@ def tilde(a_mat, big_n):
         m = (j - l) // n
         entries[(i, l + m * big_n)] = a
     return AffMatrix(big_n, entries)
-
-
-def iota(x, big_n):
-    """iota_{n,N}: [A] -> [A-tilde], extended linearly."""
-    return SchurElt(
-        big_n, x.r, {tilde(a_mat, big_n): c for a_mat, c in x.terms.items()}
-    )
 
 
 def rho_idempotent(mu, m):

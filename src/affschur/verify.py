@@ -4,20 +4,14 @@ Each driver exhaustively checks one identity over a finite slice of the
 relevant index set and returns a machine-readable report: the slice
 parameters, how many instances were checked, and a list of violations
 with enough payload to reproduce each failure.  The index sets are
-infinite, so each driver runs over a fixed scope, which its report
-prints alongside the parameters a caller sets:
-
-- the band truncation BAND = 1 (entries within that distance of the
-  diagonal), for every driver that enumerates Theta(n, r);
-- the sampling seed SEED = 0 of thm-4.8, thm-5.4, thm-5.5 and thm-6.3;
-- the shifts LEMMA_46_MS = (-1, 1) of lemma-4.6;
-- the f-pair scope of thm-4.10 and cor-4.11: sigma <= 2, segments <= 2;
-- the h-pair scope of thm-5.4 and thm-5.5: sigma <= 2;
-- the zeta scope: n in (2, 3), sigma <= 3, r <= 4, segments <= 2.
+infinite, so each driver runs over a fixed scope; its _target
+declaration names the arguments and the fixed scope that its report
+prints.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -46,21 +40,45 @@ H_SIGMA_CAP = 2
 ZETA_NS, ZETA_SIGMA_CAP, ZETA_R_CAP, ZETA_MAX_LEN = (2, 3), 3, 4, 2
 
 
-def _report(name, params, checked, violations):
-    return {
-        "name": name,
-        "params": params,
-        "checked": checked,
-        "violations": violations,
-        "pass": not violations,
-    }
+DRIVERS = {}
+
+
+def _target(name, *printed, **scope):
+    """Register a keyword-only driver, which returns (checked,
+    violations), as the verification target name.  Its report's params
+    are the named arguments, at the driver's defaults unless given
+    (big_n printed as N), and the fixed scope; tuples print as lists."""
+
+    def register(driver):
+        @functools.wraps(driver)
+        def run(**kwargs):
+            args = {**driver.__kwdefaults__, **kwargs}
+            checked, violations = driver(**args)
+            params = {("N" if a == "big_n" else a): args[a] for a in printed}
+            params.update(scope)
+            return {
+                "name": name,
+                "params": {
+                    k: list(v) if isinstance(v, tuple) else v
+                    for k, v in params.items()
+                },
+                "checked": checked,
+                "violations": violations,
+                "pass": not violations,
+            }
+
+        DRIVERS[name] = run
+        return run
+
+    return register
 
 
 def _mat_key(a_mat):
     return [[i, j, v] for (i, j), v in a_mat.entries()]
 
 
-def verify_lemma_31(n=2, r=2):
+@_target("lemma-3.1", "n", "r", band=BAND)
+def verify_lemma_31(*, n=2, r=2):
     """C'_{d+} decomposes into double-coset sums with KL coefficients:
     the T_w coefficient equals v^{-l(d+)} P_{y+, d+} for w in the coset
     of y, and every support coset satisfies y <= d."""
@@ -90,12 +108,11 @@ def verify_lemma_31(n=2, r=2):
                         "coset_leq_d": bruhat_leq(y_min, d),
                     }
                 )
-    return _report(
-        "lemma-3.1", {"n": n, "r": r, "band": BAND}, checked, violations
-    )
+    return checked, violations
 
 
-def verify_lemma_36(n=2, r=2):
+@_target("lemma-3.6", "n", "r", band=BAND)
+def verify_lemma_36(*, n=2, r=2):
     """B <=^Bo A implies B sqsubseteq A."""
     mats = enumerate_theta_band(n, r, BAND)
     violations = []
@@ -106,12 +123,11 @@ def verify_lemma_36(n=2, r=2):
             violations.append(
                 {"B": _mat_key(b_mat), "A": _mat_key(a_mat)}
             )
-    return _report(
-        "lemma-3.6", {"n": n, "r": r, "band": BAND}, checked, violations
-    )
+    return checked, violations
 
 
-def verify_lemma_37(n=2, r=2):
+@_target("lemma-3.7", "n", "r", band=BAND)
+def verify_lemma_37(*, n=2, r=2):
     """l(y_A+) = d_A + l(w_{0, co(A)})."""
     violations = []
     checked = 0
@@ -123,12 +139,11 @@ def verify_lemma_37(n=2, r=2):
             violations.append(
                 {"A": _mat_key(a_mat), "lhs": lhs, "rhs": rhs}
             )
-    return _report(
-        "lemma-3.7", {"n": n, "r": r, "band": BAND}, checked, violations
-    )
+    return checked, violations
 
 
-def verify_prop_38(n=2, r=2):
+@_target("prop-3.8", "n", "r", band=BAND)
+def verify_prop_38(*, n=2, r=2):
     """The closed-form canonical basis element is bar-invariant,
     triangular, and agrees with bar-triangular elimination."""
     violations = []
@@ -145,9 +160,7 @@ def verify_prop_38(n=2, r=2):
             problems.append("disagrees with elimination oracle")
         if problems:
             violations.append({"A": _mat_key(a_mat), "problems": problems})
-    return _report(
-        "prop-3.8", {"n": n, "r": r, "band": BAND}, checked, violations
-    )
+    return checked, violations
 
 
 def _composable_pairs(mats):
@@ -181,18 +194,17 @@ def _positivity(tables):
     return checked, violations
 
 
-def verify_cor_49(n=2, r=2):
+@_target("cor-4.9", "n", "r", band=BAND)
+def verify_cor_49(*, n=2, r=2):
     """Every g-constant lies in N[v, v^-1]."""
-    checked, violations = _positivity(
+    return _positivity(
         (a_mat, b_mat, g_constants(a_mat, b_mat, r))
         for a_mat, b_mat in _composable_pairs(enumerate_theta_band(n, r, BAND))
     )
-    return _report(
-        "cor-4.9", {"n": n, "r": r, "band": BAND}, checked, violations
-    )
 
 
-def verify_lemma_46(n=2, r=2):
+@_target("lemma-4.6", "n", "r", band=BAND, ms=LEMMA_46_MS)
+def verify_lemma_46(*, n=2, r=2):
     """Right and left multiplication by the shifted idempotent realizes
     eta_m on canonical basis elements."""
     violations = []
@@ -215,12 +227,7 @@ def verify_lemma_46(n=2, r=2):
                         "left": ok_left,
                     }
                 )
-    return _report(
-        "lemma-4.6",
-        {"n": n, "r": r, "band": BAND, "ms": list(LEMMA_46_MS)},
-        checked,
-        violations,
-    )
+    return checked, violations
 
 
 def _sample_pairs(pairs, samples):
@@ -237,7 +244,10 @@ def _embedded(k, big_n, *mats):
     return [transfer.tilde(transfer.eta(m, k), big_n) for m in mats]
 
 
-def verify_thm_48(n=2, r=2, big_n=3, ks=(-1, 1), samples=None):
+@_target(
+    "thm-4.8", "n", "r", "big_n", "ks", "samples", band=BAND, seed=SEED
+)
+def verify_thm_48(*, n=2, r=2, big_n=3, ks=(-1, 1), samples=None):
     """Part 1: g-table pattern equality under the shifted embedding.
     Part 2: each g-constant equals the f-constant of a shifted triple.
 
@@ -276,20 +286,7 @@ def verify_thm_48(n=2, r=2, big_n=3, ks=(-1, 1), samples=None):
             violations.append(
                 {"part": 2, "A": _mat_key(a_mat), "B": _mat_key(b_mat)}
             )
-    return _report(
-        "thm-4.8",
-        {
-            "n": n,
-            "r": r,
-            "N": big_n,
-            "ks": list(ks),
-            "band": BAND,
-            "samples": samples,
-            "seed": SEED,
-        },
-        checked,
-        violations,
-    )
+    return checked, violations
 
 
 def _f_pair_scope(n):
@@ -312,7 +309,8 @@ def _f_pair_scope(n):
     return pairs
 
 
-def verify_thm_410(n=2, big_n=3):
+@_target("thm-4.10", "n", "big_n", sigma_cap=F_SIGMA_CAP, max_len=F_MAX_LEN)
+def verify_thm_410(*, n=2, big_n=3):
     """f-tables are invariant under the tilde embedding.
 
     The rank-big_n side is extracted, with its check, at the padding
@@ -333,25 +331,15 @@ def verify_thm_410(n=2, big_n=3):
         ).table
         if big != expected:
             violations.append({"A": _mat_key(a_mat), "B": _mat_key(b_mat)})
-    return _report(
-        "thm-4.10",
-        {"n": n, "N": big_n, "sigma_cap": F_SIGMA_CAP, "max_len": F_MAX_LEN},
-        checked,
-        violations,
-    )
+    return checked, violations
 
 
-def verify_cor_411(n=2):
+@_target("cor-4.11", "n", sigma_cap=F_SIGMA_CAP, max_len=F_MAX_LEN)
+def verify_cor_411(*, n=2):
     """Every f-constant lies in N[v, v^-1]."""
-    checked, violations = _positivity(
+    return _positivity(
         (a_mat, b_mat, transfer.f_constants(a_mat, b_mat).table)
         for a_mat, b_mat in _f_pair_scope(n)
-    )
-    return _report(
-        "cor-4.11",
-        {"n": n, "sigma_cap": F_SIGMA_CAP, "max_len": F_MAX_LEN},
-        checked,
-        violations,
     )
 
 
@@ -386,7 +374,10 @@ def _h_pairs(n, samples):
     )
 
 
-def verify_thm_54(n=2, samples=20):
+@_target(
+    "thm-5.4", "n", "samples", sigma_cap=H_SIGMA_CAP, band=BAND, seed=SEED
+)
+def verify_thm_54(*, n=2, samples=20):
     """h-tables stabilize between consecutive admissible levels, with
     aperiodic E-stripped keys throughout."""
     violations = []
@@ -413,41 +404,22 @@ def verify_thm_54(n=2, samples=20):
                         "bad_key": _mat_key(c_mat),
                     }
                 )
-    return _report(
-        "thm-5.4",
-        {
-            "n": n,
-            "sigma_cap": H_SIGMA_CAP,
-            "band": BAND,
-            "samples": samples,
-            "seed": SEED,
-        },
-        checked,
-        violations,
-    )
+    return checked, violations
 
 
-def verify_thm_55(n=2, samples=20):
+@_target(
+    "thm-5.5", "n", "samples", sigma_cap=H_SIGMA_CAP, band=BAND, seed=SEED
+)
+def verify_thm_55(*, n=2, samples=20):
     """Every h-constant lies in N[v, v^-1]."""
-    checked, violations = _positivity(
+    return _positivity(
         (a_mat, b_mat, transfer.h_constants(a_mat, b_mat).table)
         for a_mat, b_mat in _h_pairs(n, samples)
     )
-    return _report(
-        "thm-5.5",
-        {
-            "n": n,
-            "sigma_cap": H_SIGMA_CAP,
-            "band": BAND,
-            "samples": samples,
-            "seed": SEED,
-        },
-        checked,
-        violations,
-    )
 
 
-def verify_thm_63(n=2, r=2, samples=10):
+@_target("thm-6.3", "n", "r", "samples", band=BAND, seed=SEED)
+def verify_thm_63(*, n=2, r=2, samples=10):
     """Fixed-level instance of the modified-algebra positivity: each
     g-key at level r strips to an h-key with the same coefficient, and
     all coefficients are nonnegative."""
@@ -474,15 +446,17 @@ def verify_thm_63(n=2, r=2, samples=10):
                         "problems": problems,
                     }
                 )
-    return _report(
-        "thm-6.3",
-        {"n": n, "r": r, "band": BAND, "samples": samples, "seed": SEED},
-        checked,
-        violations,
-    )
+    return checked, violations
 
 
-def verify_zeta(cap_dim=10):
+@_target(
+    "zeta",
+    ns=ZETA_NS,
+    sigma_cap=ZETA_SIGMA_CAP,
+    r_cap=ZETA_R_CAP,
+    max_len=ZETA_MAX_LEN,
+)
+def verify_zeta(*, cap_dim=10):
     """The Hall-to-Schur comparison: products computed by submodule
     counting match products computed in the Hecke endomorphism model."""
     violations = []
@@ -503,31 +477,4 @@ def verify_zeta(cap_dim=10):
                             "r": r,
                         }
                     )
-    return _report(
-        "zeta",
-        {
-            "ns": list(ZETA_NS),
-            "sigma_cap": ZETA_SIGMA_CAP,
-            "r_cap": ZETA_R_CAP,
-            "max_len": ZETA_MAX_LEN,
-        },
-        checked,
-        violations,
-    )
-
-
-DRIVERS = {
-    "lemma-3.1": verify_lemma_31,
-    "lemma-3.6": verify_lemma_36,
-    "lemma-3.7": verify_lemma_37,
-    "prop-3.8": verify_prop_38,
-    "cor-4.9": verify_cor_49,
-    "lemma-4.6": verify_lemma_46,
-    "thm-4.8": verify_thm_48,
-    "thm-4.10": verify_thm_410,
-    "cor-4.11": verify_cor_411,
-    "thm-5.4": verify_thm_54,
-    "thm-5.5": verify_thm_55,
-    "thm-6.3": verify_thm_63,
-    "zeta": verify_zeta,
-}
+    return checked, violations

@@ -16,10 +16,10 @@ from affschur.affweyl import enumerate_wr
 from affschur.hall import hall_count, hall_poly
 from affschur.heckekl import KLCache, cprime, t_bar
 from affschur.laurent import LP_ONE, LaurentPoly
-from affschur.schur import SchurElt, bar, e_basis_mult, mult, tau, theta
+from affschur.schur import SchurElt, bar, e_basis_mult, mult, theta
 from affschur.transfer import f_constants
 
-from helpers import int_poly_in_q, only_even_exponents
+from helpers import int_poly_in_q, only_even_exponents, tau
 
 
 class Budget:

@@ -18,9 +18,10 @@ from affschur.affweyl import (
     jdelta_key,
     reduced_word,
     rho,
-    simple,
     strip_rho,
 )
+
+from helpers import left_descent, simple
 
 
 @st.composite
@@ -60,7 +61,7 @@ def test_left_mul_simple_matches_product(w):
     for i in range(1, r + 1):
         sw, up = w.left_mul_simple(i)
         assert sw == simple(r, i) * w
-        assert up == (not w.left_descent(i))
+        assert up == (not left_descent(w, i))
         # the length carried by sw is the one propagated from w
         assert sw.length() == AffPerm(sw.window).length()
         assert sw.length() == w.length() + (1 if up else -1)

@@ -11,7 +11,6 @@ from affschur.affweyl import (
     enumerate_wr,
     identity,
     rho,
-    simple,
 )
 from affschur.heckekl import (
     HeckeElt,
@@ -25,6 +24,8 @@ from affschur.heckekl import (
     t_mul,
 )
 from affschur.laurent import IntPoly, LaurentPoly
+
+from helpers import left_descent, simple
 
 
 def T(w):
@@ -412,7 +413,7 @@ def test_cprime_matches_generic_product(r, max_length):
                 assert c == T(w)
                 continue
             for i in range(1, r + 1):
-                if not w.left_descent(i):
+                if not left_descent(w, i):
                     continue
                 s = simple(r, i)
                 v = s * w
@@ -421,7 +422,7 @@ def test_cprime_matches_generic_product(r, max_length):
                 expected = t_mul(cs, cv)
                 lv = v.length()
                 for z in cv.terms:
-                    if z == v or not z.left_descent(i):
+                    if z == v or not left_descent(z, i):
                         continue
                     gap = lv - AffPerm(z.window).length() - 1
                     mu = kl_poly(z, v, cache).coeff(gap // 2) if gap % 2 == 0 else 0
@@ -480,11 +481,11 @@ def test_coset_step_matches_right_step_and_left_descents(r):
     leaving = 0
     for J in _proper_subsets(r):
         for sigma in elems:
-            if any(sigma.left_descent(k) for k in J):
+            if any(left_descent(sigma, k) for k in J):
                 continue
             for i in range(1, r + 1):
                 ss, up = sigma.right_mul_simple(i)
-                if up and any(ss.left_descent(k) for k in J):
+                if up and any(left_descent(ss, k) for k in J):
                     leaving += 1
                     assert coset_step(sigma, i, J) == (None, False)
                 else:
@@ -511,12 +512,12 @@ def test_t_bar_on_columns_matches_the_whole_sum():
                     todo.append(uk)
         x_j = HeckeElt(r, {u: LaurentPoly({0: 1}) for u in group})
         lwj = max(u.length() for u in group)
-        minimal = [w for w in elems if not any(w.left_descent(k) for k in J)]
+        minimal = [w for w in elems if not any(left_descent(w, k) for k in J)]
         h = HeckeElt(
             r, {w: lp({k % 3 - 1: k + 1}) for k, w in enumerate(minimal[:12])}
         )
         col = t_bar(h, J)
-        assert all(not any(w.left_descent(k) for k in J) for w in col.terms)
+        assert all(not any(left_descent(w, k) for k in J) for w in col.terms)
         assert t_bar(t_mul(x_j, h)) == t_mul(x_j, col).scale(lp({-2 * lwj: 1}))
 
 
@@ -533,13 +534,13 @@ def test_kl_column_reads_cprime_at_left_maximal_elements(r):
         key=lambda w: (w.length(), w.window),
     )
     for J in _proper_subsets(r):
-        tops = [x for x in elems if all(x.left_descent(k) for k in J)]
+        tops = [x for x in elems if all(left_descent(x, k) for k in J)]
         for x in tops[-4:]:
             wj, col = kl_column(x, J)
             maximal = {
                 y: coeff
                 for y, coeff in cprime(x, full).terms.items()
-                if all(y.left_descent(k) for k in J)
+                if all(left_descent(y, k) for k in J)
             }
             lx = x.length()
             assert {
@@ -608,7 +609,7 @@ def test_parabolic_columns_stay_out_of_the_p_table(monkeypatch):
 
     monkeypatch.setattr(AffPerm, "__mul__", counted)
     x = max(enumerate_wr(4, 6)[-1], key=lambda w: w.window)
-    J = [k for k in range(1, 5) if x.left_descent(k)]
+    J = [k for k in range(1, 5) if left_descent(x, k)]
     assert J
     _, col = kl_column(x, J)
     assert len(col) > 10 and not cache.p_table

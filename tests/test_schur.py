@@ -16,7 +16,6 @@ from affschur.affweyl import (
     identity,
     jdelta,
     jdelta_inv,
-    simple,
     strip_rho,
 )
 from affschur.heckekl import (
@@ -40,12 +39,18 @@ from affschur.schur import (
     is_triangular,
     leq_bo,
     mult,
-    tau,
     theta,
     theta_by_elimination,
 )
 
-from helpers import int_poly_in_q, only_even_exponents
+from helpers import (
+    int_poly_in_q,
+    left_descent,
+    only_even_exponents,
+    simple,
+    tau,
+    transpose,
+)
 
 A_CROSS = AffMatrix(2, {(1, 2): 1, (2, 1): 1})
 DIAG_11 = AffMatrix.diag(2, (1, 1))
@@ -97,7 +102,7 @@ def test_double_coset_sum_example():
 
 
 def is_left_minimal(w, lam):
-    return not any(w.left_descent(i) for i in lam.young_generators())
+    return not any(left_descent(w, i) for i in lam.young_generators())
 
 
 def _decompose_whole(h, lam, nu):
@@ -204,7 +209,7 @@ def _theta_from_cprime(a_mat, r, cache):
     terms = {
         jdelta(lam, y, mu): coeff.shift(y.length())
         for y, coeff in c.terms.items()
-        if all(y.left_descent(i) for i in left)
+        if all(left_descent(y, i) for i in left)
         and all(y.right_descent(j) for j in right)
     }
     return SchurElt(a_mat.n, r, terms)
@@ -393,7 +398,7 @@ def test_tau_transposes():
         lp({1: 2})
     )
     t = tau(x)
-    assert t.coeff(A_CROSS.transpose()) == LP_ONE
+    assert t.coeff(transpose(A_CROSS)) == LP_ONE
     assert t.coeff(DIAG_11) == lp({1: 2})
     assert tau(t) == x
 

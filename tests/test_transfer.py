@@ -12,10 +12,11 @@ from affschur.transfer import (
     find_k0,
     g_table,
     h_constants,
-    iota,
     strip_E,
     tilde,
 )
+
+from helpers import iota
 
 A_CROSS = AffMatrix(2, {(1, 2): 1, (2, 1): 1})
 S1 = AffMatrix(2, {(1, 2): 1})
