@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from functools import cache
 import itertools
+import math
 
 from .laurent import IntPoly, poly_interpolate
 from .affmat import dim_vector, theta_plus_by_dim
@@ -509,21 +510,22 @@ def _check_riedtmann_sum(a_mat, b_mat):
 
     By Riedtmann's formula the C-term is |Ext^1(A, B)_C| / |Hom(A, B)|,
     and the extension classes of A by B sum to |Ext^1(A, B)|.  Every
-    phi^C_{A,B} must already have passed hall_poly's caps.
+    phi^C_{A,B} must already have passed hall_poly's caps.  The sum is
+    taken over the common denominator lcm |Aut C|, in integers.
     """
-    from fractions import Fraction
-
     q = _RIEDTMANN_Q
     da, db = dim_vector(a_mat), dim_vector(b_mat)
     d = tuple(x + y for x, y in zip(da, db))
-    terms = sum(
-        Fraction(
-            _hall_poly(a_mat, b_mat, c_mat).evaluate(q), _aut_order(c_mat, q)
-        )
+    terms = [
+        (_hall_poly(a_mat, b_mat, c_mat).evaluate(q), _aut_order(c_mat, q))
         for c_mat in theta_plus_by_dim(a_mat.n, d)
-    )
-    terms *= _aut_order(a_mat, q) * _aut_order(b_mat, q)
-    if terms != Fraction(q) ** -euler(da, db):
+    ]
+    den = math.lcm(*(aut for _, aut in terms))
+    num = sum(phi * (den // aut) for phi, aut in terms)
+    num *= _aut_order(a_mat, q) * _aut_order(b_mat, q)
+    e = euler(da, db)
+    # num / den = q^-e
+    if num * q ** max(e, 0) != den * q ** max(-e, 0):
         raise AssertionError(
             "Hall polynomials of A = %s, B = %s fail the Riedtmann sum"
             % (a_mat, b_mat)

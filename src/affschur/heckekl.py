@@ -25,7 +25,11 @@ down, and (1 + q)P at sigma when it leaves the minimal representatives;
 each mu term, from a sigma of the last two cases with mu the
 q^{(l(tau') - l(sigma) - 1)/2} coefficient of its P, subtracts
 mu q^{(l(tau) - l(sigma))/2} times the column of sigma.  A step reads its
-product, its case and the length off the window.
+product, its case and the length off the window.  The KLCache that
+owns the columns keeps one AffPerm per window (its elements) and a step
+table of right steps, (window, i) -> (w s_i, up) with w s_i one of those
+elements, so each step is taken once per cache and every column holding
+a window holds the same object.
 """
 
 from __future__ import annotations
@@ -153,7 +157,12 @@ class KLCache:
     cprime and kl_poly take one (default_cache() if none); kl_column, and
     through it theta and the g-, f- and h-tables, always use the default
     one.  The column table holds the P columns of the recursion (module
-    docstring), full (J empty) and parabolic alike.  Only the full
+    docstring), full (J empty) and parabolic alike.  Their keys are the
+    cache's elements, one AffPerm per window with its length known, and
+    the recursion takes each right step through the step table, steps[i]
+    mapping a window to (w s_i, up); both tables fill as columns are
+    built, serve full and parabolic columns alike, and are emptied by
+    clear, as every table is.  Only the full
     columns put their entries into the P-table, under their ordinary
     keys, so only windows of W_r are ever keys there and it holds just
     what kl_poly reads and save writes: those entries and the loaded
@@ -177,6 +186,8 @@ class KLCache:
     def __init__(self, path=None):
         self.path = path
         self.cprime_table = {}  # (J, tau.window) -> {sigma: P}
+        self.elements = {}  # window -> the one AffPerm of the columns
+        self.steps = {}  # i -> {w.window: (w s_i, up)}, w s_i in elements
         self.p_table = {}  # (r, y.window, w.window) -> IntPoly
         self.parabolic = {}  # (w_J tau).window -> [(w_J, column of tau)]
         self.polys = {}  # P.coeffs -> the one IntPoly of these tables
@@ -191,11 +202,26 @@ class KLCache:
     def clear(self):
         """Empty every table."""
         self.cprime_table.clear()
+        self.elements.clear()
+        self.steps.clear()
         self.p_table.clear()
         self.parabolic.clear()
         self.polys.clear()
         self.unchecked.clear()
         self._synced = None
+
+    def step(self, w, i):
+        """(w s_i, up) from the step table, for w with its length known:
+        w s_i is the one element of its window, and each (window, i) is
+        stepped once."""
+        row = self.steps.get(i)
+        if row is None:
+            row = self.steps[i] = {}
+        hit = row.get(w.window)
+        if hit is None:
+            ws, up = w.right_mul_simple(i)
+            hit = row[w.window] = (self.elements.setdefault(ws.window, ws), up)
+        return hit
 
     def load(self, path):
         """Read a saved P-table; a malformed or invalid record raises
@@ -426,7 +452,10 @@ def coset_step(sigma, i, J):
 
 def _column(J, wj, tau, cache):
     """The one KL recursion, on the P column of w_J tau (module
-    docstring); wj is None for J empty."""
+    docstring); wj is None for J empty.  Every right step comes from the
+    cache's step table, so the keys of a column are the cache's elements.
+    Whether sigma s_i leaves the minimal representatives depends on J
+    and stays a window check, as in coset_step."""
     key = (J, tau.window)
     col = cache.cprime_table.get(key)
     if col is not None:
@@ -435,21 +464,41 @@ def _column(J, wj, tau, cache):
     ltau = tau.length()  # known, so the right steps below carry lengths
     i = next((i for i in range(1, r + 1) if tau.right_descent(i)), None)
     if i is None:
-        col = {identity(r): _P_ONE}
+        e = identity(r)
+        col = {cache.elements.setdefault(e.window, e): _P_ONE}
     else:
         # C'_{w_J tau'} C'_{s_i} with tau' = tau s_i, one step per entry
-        prev = _column(J, wj, tau.right_mul_simple(i)[0], cache)
+        prev = _column(J, wj, cache.step(tau, i)[0], cache)
+        row = cache.steps[i]  # made by the step of tau
+        step = cache.step
+        j, wrap = i % r, i // r * r  # the slot of i+1, and r if it wraps
         col = {}
+        get = col.get
         lower = []
+        # every value added is nonzero, so a sum of zero is an entry that
+        # cancelled, and is dropped
         for sigma, p in prev.items():
-            ss, up = coset_step(sigma, i, J)
-            if ss is None:
-                accumulate(col, ((sigma, p + p.mul_monomial(1, 1)),))
-            elif up:
-                accumulate(col, ((sigma, p), (ss, p)))
+            win = sigma.window
+            a = win[i - 1]
+            if J and win[j] + wrap == a + 1 and (a - 1) % r + 1 in J:
+                # sigma s_i = s_k sigma with k in J: (1 + q) P at sigma
+                ss, up, add = None, False, p + p.mul_monomial(1, 1)
             else:
-                qp = p.mul_monomial(1, 1)
-                accumulate(col, ((sigma, qp), (ss, qp)))
+                ss, up = row.get(win) or step(sigma, i)
+                add = p if up else p.mul_monomial(1, 1)
+            c = get(sigma)
+            c = add if c is None else c + add
+            if c:
+                col[sigma] = c
+            else:
+                del col[sigma]
+            if ss is not None:
+                c = get(ss)
+                c = add if c is None else c + add
+                if c:
+                    col[ss] = c
+                else:
+                    del col[ss]
             if not up:
                 # mu(w_J sigma, w_J tau'): the q^{(l(tau') - l(sigma) - 1)/2}
                 # coefficient of P
@@ -459,13 +508,14 @@ def _column(J, wj, tau, cache):
                     lower.append((sigma, mu, gap // 2 + 1))
         for z, mu, k in lower:
             # minus mu q^{(l(tau) - l(z))/2} times the column of z
-            accumulate(
-                col,
-                (
-                    (y, pz.mul_monomial(-mu, k))
-                    for y, pz in _column(J, wj, z, cache).items()
-                ),
-            )
+            for y, pz in _column(J, wj, z, cache).items():
+                add = pz.mul_monomial(-mu, k)
+                c = get(y)
+                c = add if c is None else c + add
+                if c:
+                    col[y] = c
+                else:
+                    del col[y]
     _record_p(col, tau, cache, J, wj)
     cache.cprime_table[key] = col
     return col

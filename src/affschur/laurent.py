@@ -358,43 +358,40 @@ class InterpolationError(ValueError):
 def poly_interpolate(samples, degree_bound):
     """Unique integer polynomial of degree <= degree_bound through samples.
 
-    samples is a list of (q, count) pairs with pairwise distinct q.
-    Raises InterpolationError if the interpolant has a non-integer
-    coefficient or a sample is missed, which signals that degree_bound
-    was too small or the counts are inconsistent.
+    samples is a list of (q, count) pairs of integers with pairwise
+    distinct q.  The first degree_bound + 1 give the Newton divided
+    differences, in exact integer arithmetic: for a polynomial in Z[q]
+    every divided difference at integer nodes is an integer, so an
+    inexact division means the interpolant is not in Z[q].  Raises
+    InterpolationError on an inexact division or a missed sample, which
+    signals that degree_bound was too small or the counts are
+    inconsistent.
     """
-    from fractions import Fraction
-
     if len(samples) < degree_bound + 1:
         raise ValueError("need at least degree_bound + 1 samples")
     pts = samples[: degree_bound + 1]
     qs = [q for q, _ in pts]
     if len(set(qs)) != len(qs):
         raise ValueError("q-values must be pairwise distinct")
-    # Lagrange interpolation over Q, accumulated coefficientwise.
-    coeffs = [Fraction(0)] * (degree_bound + 1)
-    for i, (qi, ci) in enumerate(pts):
-        # numerator polynomial prod_{j != i} (q - qj)
-        num = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (qj, _) in enumerate(pts):
-            if j == i:
-                continue
-            num = [Fraction(0)] + num
-            for k in range(len(num) - 1):
-                num[k] -= qj * num[k + 1]
-            denom *= qi - qj
-        w = Fraction(ci) / denom
-        for k in range(len(num)):
-            coeffs[k] += w * num[k]
-    out = []
-    for a in coeffs:
-        if a.denominator != 1:
-            raise InterpolationError(
-                "non-integer coefficient %s (degree bound too small?)" % a
-            )
-        out.append(int(a))
-    poly = IntPoly(tuple(out))
+    # dd[k] becomes the divided difference at qs[0..k]
+    dd = [c for _, c in pts]
+    for k in range(1, len(qs)):
+        for i in range(len(qs) - 1, k - 1, -1):
+            num, den = dd[i] - dd[i - 1], qs[i] - qs[i - k]
+            if num % den:
+                raise InterpolationError(
+                    "non-integer divided difference %d/%d (degree bound too "
+                    "small?)" % (num, den)
+                )
+            dd[i] = num // den
+    # Horner on the Newton form: p = dd[k] + (q - qs[k]) p, k descending
+    coeffs = []
+    for k in range(len(qs) - 1, -1, -1):
+        coeffs = [0] + coeffs
+        for m in range(len(coeffs) - 1):
+            coeffs[m] -= qs[k] * coeffs[m + 1]
+        coeffs[0] += dd[k]
+    poly = IntPoly(coeffs)
     for q, c in samples:
         if poly.evaluate(q) != c:
             raise InterpolationError(

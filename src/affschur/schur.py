@@ -207,20 +207,31 @@ def _theta(a_mat):
     s_j rho^a = rho^a s_{j-a}, the left lambda-generators j act on x as
     J = {j - a mod r}, and x is longest in W_J x.  The column holds
     P_{w_J sigma, x} at each sigma minimal in W_J sigma; y+ =
-    rho^a w_J sigma for the sigma with no mu-step going up.
+    rho^a w_J sigma for the sigma with no mu-step going up.  A step
+    sigma s_j, j < r, goes up when w(j) < w(j+1) and stays minimal
+    unless w(j+1) = w(j) + 1 with w(j) mod r in J (coset_step); both are
+    read off the window.
     """
     r = a_mat.sigma()
     lam, d, mu = jdelta_inv(a_mat)
     a, x = strip_rho(coset_longest(lam, d, mu))
-    J = [(j - a - 1) % r + 1 for j in lam.young_generators()]
+    J = {(j - a - 1) % r + 1 for j in lam.young_generators()}
     wj, col = kl_column(x, J)
     key = partial(jdelta_key, lam.block_indices(), mu.block_indices(), lam.n)
     right = mu.young_generators()
+
+    def top(window):
+        for j in right:
+            lo, hi = window[j - 1], window[j]
+            if lo < hi and (hi != lo + 1 or (lo - 1) % r + 1 not in J):
+                return False
+        return True
+
     e = wj.length() - x.length()
     coeffs = {
         key(sigma.window, a): p.to_laurent(e + sigma.length())
         for sigma, p in col.items()
-        if not any(coset_step(sigma, j, J)[1] for j in right)
+        if top(sigma.window)
     }
     terms = {cells_matrix(a_mat.n, cells): c for cells, c in coeffs.items()}
     res = SchurElt(a_mat.n, r, terms)

@@ -791,29 +791,34 @@ _CLI_CORE = {
 
 
 @pytest.mark.parametrize(
-    "argv, layers",
+    "argv, layers, unloaded",
     [
-        (["kl", "--r", "3", "--y", "1,2,3", "--w", "3,2,1"], set()),
-        (["theta", "--n", "2", "--r", "2", "--a", CROSS], {"schur"}),
+        (["kl", "--r", "3", "--y", "1,2,3", "--w", "3,2,1"], set(), set()),
+        (["theta", "--n", "2", "--r", "2", "--a", CROSS], {"schur"}, set()),
         (
             ["g-table", "--n", "2", "--r", "2", "--a", CROSS, "--b", CROSS],
             {"schur", "transfer"},
+            set(),
         ),
         (
             ["hall", "--n", "2", "--a", SEG, "--b", SEG, "--c", SEG2],
             {"hall"},
+            # Hall interpolation divides exactly in integers
+            {"fractions", "decimal"},
         ),
     ],
     ids=["kl", "theta", "g-table", "hall"],
 )
-def test_each_command_imports_only_its_layers(tmp_path, argv, layers):
+def test_each_command_imports_only_its_layers(tmp_path, argv, layers, unloaded):
     argv = argv + ["--out", str(tmp_path / "report.json")]
     code = (
         "import sys\n"
         "from affschur import cli\n"
         "assert cli.main(%r) == 0\n"
         "print(' '.join(m for m in sys.modules if m.startswith('affschur')))\n"
-        % argv
+        "print(' '.join(m for m in %r if m in sys.modules))\n"
+        % (argv, sorted(unloaded))
     )
-    loaded = set(_fresh_python(code).split())
-    assert loaded == _CLI_CORE | {"affschur." + m for m in layers}
+    loaded, stdlib = _fresh_python(code).split("\n")[:2]
+    assert set(loaded.split()) == _CLI_CORE | {"affschur." + m for m in layers}
+    assert not stdlib.split()

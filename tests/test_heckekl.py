@@ -399,11 +399,10 @@ def test_add_scaled_accumulates_in_place():
     assert h != HeckeElt.zero(3)
 
 
-@pytest.mark.parametrize("r, max_length", [(3, 6), (4, 5)])
-def test_cprime_matches_generic_product(r, max_length):
-    """Every C'_w against C'_s C'_{sw} - sum mu(z, sw) C'_z formed with
-    t_mul, for every left descent s of w; descents from the inverse."""
-    cache = KLCache()
+def _cprime_matches_generic_product(r, max_length, cache):
+    """Every C'_w of W_r up to max_length, built in cache, against
+    C'_s C'_{sw} - sum mu(z, sw) C'_z formed with t_mul, for every left
+    descent s of w."""
     for layer in enumerate_wr(r, max_length):
         for w in sorted(layer, key=lambda x: x.window):
             c = cprime(w, cache)
@@ -429,6 +428,11 @@ def test_cprime_matches_generic_product(r, max_length):
                     if mu:
                         expected.add_scaled(cprime(z, cache), -mu)
                 assert c == expected
+
+
+@pytest.mark.parametrize("r, max_length", [(3, 6), (4, 5)])
+def test_cprime_matches_generic_product(r, max_length):
+    _cprime_matches_generic_product(r, max_length, KLCache())
 
 
 def _with_propagated_lengths():
@@ -579,6 +583,66 @@ def test_recorder_refuses_a_different_stored_entry(J, monkeypatch):
     named = re.escape("y = %s, w = %s" % (wj.window, x.window))
     with pytest.raises(AssertionError, match=named):
         kl_column(x, J)
+
+
+def _one_element_per_window(cache):
+    """Every key of every column of cache, and every step of its step
+    table, is the one element of its window in cache.elements, with the
+    length that a new AffPerm of that window computes."""
+    elements = cache.elements
+    keys = [sigma for col in cache.cprime_table.values() for sigma in col]
+    assert all(elements[sigma.window] is sigma for sigma in keys)
+    for i, row in cache.steps.items():
+        for win, (ws, up) in row.items():
+            assert elements[ws.window] is ws
+            assert ws.window == AffPerm(win).right_mul_simple(i)[0].window
+            assert ws.length() == AffPerm(ws.window).length()
+            assert up == (ws.length() > AffPerm(win).length())
+    assert all(w.length() == AffPerm(w.window).length() for w in keys)
+
+
+def test_columns_share_one_element_per_window():
+    """In one cache a window is one AffPerm in every column that holds
+    it, full and parabolic alike, and cprime of all of W_4 up to length 6
+    still matches the generic product."""
+    cache = KLCache()
+    _cprime_matches_generic_product(4, 6, cache)
+    _one_element_per_window(cache)
+    assert len(cache.elements) < sum(map(len, cache.cprime_table.values())) // 5
+
+    schur.clear_caches()
+    default = schur.default_cache()
+    x = X_4
+    wj, col = kl_column(x, (2,))
+    cprime(x, default)
+    full = default.cprime_table[((), x.window)]
+    _one_element_per_window(default)
+    shared = {sigma.window: sigma for sigma in col}
+    common = [y for y in full if y.window in shared]
+    assert len(common) > 1
+    assert all(shared[y.window] is y for y in common)
+
+
+@pytest.mark.parametrize("clear", ["clear_caches", "KLCache.clear"])
+def test_clearing_empties_the_step_table(clear):
+    """After schur.clear_caches (or KLCache.clear on the default cache)
+    the step table and the elements are empty, and the columns built
+    again equal the ones from before, on new objects."""
+    schur.clear_caches()
+    cache = schur.default_cache()
+    x = X_4
+    before = [kl_column(x, J)[1] for J in [(), (2,)]]
+    assert cache.steps and cache.elements
+    if clear == "clear_caches":
+        schur.clear_caches()
+    else:
+        cache.clear()
+    assert not cache.steps and not cache.elements and not cache.cprime_table
+    after = [kl_column(x, J)[1] for J in [(), (2,)]]
+    for old, new in zip(before, after):
+        assert new == old and new is not old
+        assert all(cache.elements[sigma.window] is sigma for sigma in new)
+        assert not any(cache.elements[sigma.window] is sigma for sigma in old)
 
 
 def test_full_column_refuses_a_different_parabolic_entry(monkeypatch):

@@ -125,6 +125,55 @@ def test_interpolation_reproduces_samples(coeffs):
         assert back.evaluate(q) == val
 
 
+def _lagrange_over_q(samples, degree_bound):
+    """The interpolant through the first degree_bound + 1 samples, as
+    Fraction coefficients from degree 0: the oracle for poly_interpolate."""
+    from fractions import Fraction
+
+    pts = samples[: degree_bound + 1]
+    coeffs = [Fraction(0)] * len(pts)
+    for i, (qi, ci) in enumerate(pts):
+        num, denom = [Fraction(1)], Fraction(1)
+        for j, (qj, _) in enumerate(pts):
+            if j != i:
+                num = [Fraction(0)] + num
+                for k in range(len(num) - 1):
+                    num[k] -= qj * num[k + 1]
+                denom *= qi - qj
+        for k, a in enumerate(num):
+            coeffs[k] += Fraction(ci) / denom * a
+    return coeffs
+
+
+@given(
+    st.lists(st.integers(-9, 9), min_size=1, max_size=5),
+    st.lists(st.integers(-12, 12), min_size=1, max_size=7, unique=True),
+    st.integers(0, 6),
+    st.integers(-3, 3),
+    st.data(),
+)
+def test_interpolate_agrees_with_lagrange_over_q(coeffs, qs, slack, nudge, data):
+    """Samples of an integer polynomial, one of them moved by nudge, at
+    distinct integer nodes: poly_interpolate returns the Lagrange
+    interpolant over Q exactly when that lies in Z[q] and meets every
+    sample, and raises InterpolationError otherwise."""
+    degree_bound = min(len(coeffs) - 1 + slack // 3, len(qs) - 1)
+    samples = [(q, IntPoly(tuple(coeffs)).evaluate(q)) for q in qs]
+    k = data.draw(st.integers(0, len(qs) - 1))
+    samples[k] = (samples[k][0], samples[k][1] + nudge)
+    oracle = _lagrange_over_q(samples, degree_bound)
+    expected = None
+    if all(a.denominator == 1 for a in oracle):
+        expected = IntPoly(tuple(int(a) for a in oracle))
+        if any(expected.evaluate(q) != c for q, c in samples):
+            expected = None
+    if expected is None:
+        with pytest.raises(InterpolationError):
+            poly_interpolate(samples, degree_bound)
+    else:
+        assert poly_interpolate(samples, degree_bound) == expected
+
+
 @given(
     st.lists(st.integers(-(10**20), 10**20), max_size=6),
     st.integers(-8, 8),
