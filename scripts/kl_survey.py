@@ -4,12 +4,15 @@
 Prints every nontrivial P_{y,w} (those different from 0 and 1) of the
 support of C'_w, for all w of W_r of length at most --max-length, in
 key order, each read through kl_poly, and a count of how many pairs
-were trivial.  With --cache the P-table is read from that file first and
-written back if the survey added records (KLCache.save).  The report
-covers only the pairs the recursion produces, so it is the same with or
-without the file, whatever else the file holds.  A file that cannot be
-read, parsed or written, or that a recomputed P contradicts, ends the
-run with exit code 2 and one line on stderr.
+were trivial.  Without --cache each P is the entry of its full KL
+column, held once.  With --cache the records of that file are loaded
+first, kl_poly answers from them, and the file is written back, its
+records and the survey's column entries merged, if the survey added
+records (KLCache.save).  The report covers only the pairs the recursion
+produces, so it is the same with or without the file, whatever else the
+file holds.  A file that cannot be read, parsed or written, or that a
+recomputed P contradicts, ends the run with exit code 2 and one line on
+stderr.
 """
 
 import argparse

@@ -151,7 +151,7 @@ def t_bar(h, J=()):
 
 
 class KLCache:
-    """A table of KL columns and one of KL polynomials, sharing one
+    """A table of KL columns and one of loaded KL records, sharing one
     IntPoly per distinct P.
 
     cprime and kl_poly take one (default_cache() if none); kl_column, and
@@ -162,19 +162,22 @@ class KLCache:
     the recursion takes each right step through the step table, steps[i]
     mapping a window to (w s_i, up); both tables fill as columns are
     built, serve full and parabolic columns alike, and are emptied by
-    clear, as every table is.  Only the full
-    columns put their entries into the P-table, under their ordinary
-    keys, so only windows of W_r are ever keys there and it holds just
-    what kl_poly reads and save writes: those entries and the loaded
-    records.  A parabolic column is checked against the full column of
-    the same w_J tau instead, whichever is built second; parabolic
-    indexes the parabolic columns by the window of w_J tau for that.
-    polys interns the P's: each entry of a new column and each loaded
-    record is replaced by the one IntPoly of its coefficients, so the few
-    distinct values keep their Laurent forms and strings once
+    clear, as every table is.  The full columns are the one store of the
+    P's the recursion computes: P_{y,w} is the entry at y of the column
+    of w, with y and w in W_r.  The P-table holds only the records that
+    load read from a file, under their keys (r, y.window, w.window); each
+    entry of a new full column is checked against the record of its key,
+    if one was loaded.  A parabolic column is checked against the full
+    column of the same w_J tau instead, whichever is built second;
+    parabolic indexes the parabolic columns by the window of w_J tau for
+    that.  polys interns the P's: each entry of a new column and each
+    loaded record is replaced by the one IntPoly of its coefficients, so
+    the few distinct values keep their Laurent forms and strings once
     (IntPoly.to_laurent, to_json).  The recursion reads columns only,
-    never a P record, so only kl_poly answers from a loaded P-table.  The
-    P-table persists to disk as one record per line:
+    never a loaded record, so only kl_poly answers from the P-table.
+
+    The records are the loaded ones and the entries of the full columns,
+    merged by key (rows); they persist to disk as one record per line:
     r|window(y)|window(w)|coeffs(P), coefficients in decimal from degree
     0.  Loaded entries are validated against the classical degree bound
     and must have both windows in W_r; whether y <= w is checked lazily,
@@ -188,16 +191,16 @@ class KLCache:
         self.cprime_table = {}  # (J, tau.window) -> {sigma: P}
         self.elements = {}  # window -> the one AffPerm of the columns
         self.steps = {}  # i -> {w.window: (w s_i, up)}, w s_i in elements
-        self.p_table = {}  # (r, y.window, w.window) -> IntPoly
+        self.p_table = {}  # (r, y.window, w.window) -> loaded IntPoly
         self.parabolic = {}  # (w_J tau).window -> [(w_J, column of tau)]
         self.polys = {}  # P.coeffs -> the one IntPoly of these tables
         self.unchecked = set()  # loaded keys not yet checked for y <= w
-        # len(p_table) when path was last read or written; entries are
-        # only ever added, so an equal length means nothing new
+        # the number of records when path was last read or written;
+        # records are only ever added, so an equal count means nothing new
         self._synced = None
         if path and os.path.exists(path):
             self.load(path)
-            self._synced = len(self.p_table)
+            self._synced = self._count()
 
     def clear(self):
         """Empty every table."""
@@ -224,9 +227,9 @@ class KLCache:
         return hit
 
     def load(self, path):
-        """Read a saved P-table; a malformed or invalid record raises
-        ValueError naming its line, and a file that is not text in the
-        locale's encoding raises ValueError naming the file.
+        """Read a saved file into the P-table; a malformed or invalid
+        record raises ValueError naming its line, and a file that is not
+        text in the locale's encoding raises ValueError naming the file.
 
         Each distinct window text is parsed and checked once per level r
         (its length, its W_r sum, the AffPerm residue check, its length
@@ -234,12 +237,14 @@ class KLCache:
         of its coefficients, while every record is checked against the
         degree bound and the diagonal rule.  A key may repeat only with
         the same P: a repeat with another P (or a P that differs from one
-        already in the table) raises ValueError naming its line, so no
-        record silently overrides another.  Each loaded key goes into
-        unchecked, for kl_poly's Bruhat check.
+        already in the table, or from the entry of a full column built
+        before the load) raises ValueError naming its line, so no record
+        silently overrides another.  Each loaded key goes into unchecked,
+        for kl_poly's Bruhat check.
         """
         windows = {}  # (r, text) -> (window, l(window)), checked
         polys = {}  # coefficient text -> IntPoly
+        columns = self.cprime_table
         try:
             with open(path) as fh:
                 lines = fh.read().split("\n")
@@ -270,6 +275,10 @@ class KLCache:
                     raise _entry_error(ywin, wwin, p)
                 key = (r, ywin, wwin)
                 old = self.p_table.setdefault(key, p)
+                if columns:  # a full column of w built before the load
+                    full = columns.get(((), wwin))
+                    if full is not None:
+                        old = full.get(AffPerm._trusted(ywin), old)
                 if old is p:
                     self.unchecked.add(key)
                 elif old != p:
@@ -282,12 +291,11 @@ class KLCache:
                 raise ValueError(msg) from None
 
     def save(self, path=None):
-        """Write the P-table atomically: a temporary file in the same
-        directory replaces path only once it is complete.  With no path
-        it goes to self.path, and only when the P-table holds an entry
-        that file lacked when last read or written, or the file was
-        missing when the cache was made; a path given is always written.
-        Records come in key order, row by row (_sorted_rows); each
+        """Write the records (rows) atomically: a temporary file in the
+        same directory replaces path only once it is complete.  With no
+        path it goes to self.path, and only when there is a record that
+        file lacked when last read or written, or the file was missing
+        when the cache was made; a path given is always written.  Each
         "r|y|" prefix is formatted once per row and each distinct window
         or coefficient tuple once per save."""
         own = path is None
@@ -295,7 +303,7 @@ class KLCache:
             path = self.path
             if path is None:
                 raise ValueError("no cache path configured")
-            if self._synced == len(self.p_table):
+            if self._synced == self._count():
                 return
         texts = {}
 
@@ -308,7 +316,7 @@ class KLCache:
         tmp = "%s.%d.tmp" % (path, os.getpid())
         try:
             with open(tmp, "w") as fh:
-                for r, ywin, row in _sorted_rows(self.p_table):
+                for r, ywin, row in self.rows():
                     prefix = "%d|%s|" % (r, text(ywin))
                     fh.writelines(
                         "%s%s|%s\n" % (prefix, text(wwin), text(p.coeffs))
@@ -316,26 +324,49 @@ class KLCache:
                     )
             os.replace(tmp, path)
             if own:
-                self._synced = len(self.p_table)
+                self._synced = self._count()
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)
 
+    def rows(self):
+        """The records that save writes, in key order, one row per (r,
+        y.window): (r, y.window, [(w.window, P), ...]) with the rows
+        sorted by (r, y.window) and each row by w.window, which is the
+        order of the sorted keys (r, y.window, w.window).  The records
+        are the loaded ones and the entries of the full columns, merged
+        by key; a key in both holds one P, as _record_p checks."""
+        rows = {}
+        for (r, ywin, wwin), p in self.p_table.items():
+            row = rows.get((r, ywin))
+            if row is None:
+                row = rows[(r, ywin)] = {}
+            row[wwin] = p
+        for (J, twin), col in self.cprime_table.items():
+            if J:
+                continue
+            r = len(twin)
+            for y, p in col.items():
+                row = rows.get((r, y.window))
+                if row is None:
+                    row = rows[(r, y.window)] = {}
+                row[twin] = p
+        for r, ywin in sorted(rows):
+            row = rows[(r, ywin)]
+            yield r, ywin, [(wwin, row[wwin]) for wwin in sorted(row)]
 
-def _sorted_rows(p_table):
-    """The records of a P-table in key order, one row per (r, y.window):
-    (r, y.window, [(w.window, P), ...]) with the rows sorted by (r,
-    y.window) and each row by w.window, which is the order of the sorted
-    keys (r, y.window, w.window)."""
-    rows = {}
-    for (r, ywin, wwin), p in p_table.items():
-        row = rows.get((r, ywin))
-        if row is None:
-            row = rows[(r, ywin)] = {}
-        row[wwin] = p
-    for r, ywin in sorted(rows):
-        row = rows[(r, ywin)]
-        yield r, ywin, [(wwin, row[wwin]) for wwin in sorted(row)]
+    def _count(self):
+        """The number of records: the loaded ones and the entries of the
+        full columns that are not loaded records."""
+        loaded = self.p_table
+        n = len(loaded)
+        for (J, twin), col in self.cprime_table.items():
+            if not J:
+                r = len(twin)
+                n += sum(
+                    (r, y.window, twin) not in loaded for y in col
+                ) if loaded else len(col)
+        return n
 
 
 def _check_windows(r, ytext, wtext, windows):
@@ -414,8 +445,8 @@ def kl_column(x, J):
     T-coefficient of C'_x repeats one of these, as P is constant on the
     left W_J-cosets.  For J non-empty the entries stay in the column:
     they are checked against the full column of x when both are built,
-    but never enter the P-table.  J empty gives the full column of x,
-    the one cprime(x) reads, with its entries in the P-table.
+    and are neither records nor saved.  J empty gives the full column of
+    x, the one cprime(x) and kl_poly read, whose entries save writes.
     """
     J = tuple(sorted(set(J)))
     if len(J) >= x.r:
@@ -529,20 +560,21 @@ def _record_p(col, tau, cache, J=(), wj=None):
     l(w_J) + l(sigma) for sigma minimal in W_J sigma, and w_J sigma =
     w_J tau exactly when sigma = tau.
 
-    Only a full column (J empty) stores its entries in the P-table.  An
-    entry already stored there must agree: one that differs raises
-    AssertionError naming y and w.  A loaded entry that agrees leaves
-    cache.unchecked, as a column holds only y <= w with P != 0.  A
-    parabolic column is checked against the full column of w = w_J tau
-    instead, whichever of the two is built second (_agree);
-    cache.parabolic lists the parabolic columns by the window of w.
-    Apart from naming a failed entry, only this check forms products
-    w_J sigma, and only when both columns of w are there."""
+    A full column (J empty) is the store of its P's and builds no key,
+    unless a file was loaded: then each entry with a loaded record must
+    agree with it, and one that differs raises AssertionError naming y
+    and w.  A loaded entry that agrees leaves cache.unchecked, as a
+    column holds only y <= w with P != 0.  A parabolic column is checked
+    against the full column of w = w_J tau instead, whichever of the two
+    is built second (_agree); cache.parabolic lists the parabolic
+    columns by the window of w.  Apart from naming a failed entry, only
+    this check forms products w_J sigma, and only when both columns of w
+    are there."""
     polys = cache.polys
     ltau = tau.length()
     w = wj * tau if J else tau
     r, twin = tau.r, tau.window
-    p_table, unchecked = cache.p_table, cache.unchecked
+    loaded = None if J else cache.p_table
     for sigma, p in col.items():
         interned = polys.setdefault(p.coeffs, p)
         if interned is not p:
@@ -551,15 +583,17 @@ def _record_p(col, tau, cache, J=(), wj=None):
         if not _entry_ok(swin == twin, sigma.length(), ltau, p):
             y = wj * sigma if J else sigma
             raise _entry_error(y.window, w.window, p)
-        if not J:
+        if loaded:
             key = (r, swin, twin)
-            old = p_table.setdefault(key, p)
+            old = loaded.get(key)
+            if old is None:
+                continue
             if old is not p and old != p:
                 raise AssertionError(
                     "P_{y,w} for y = %s, w = %s computed as %r, stored as %r"
                     % (swin, twin, p, old)
                 )
-            unchecked.discard(key)
+            cache.unchecked.discard(key)
     if not J:
         for pj, pcol in cache.parabolic.get(twin, ()):
             _agree(pcol, pj, col, tau)
@@ -589,29 +623,38 @@ def kl_poly(y, w, cache=None):
     """The Kazhdan-Lusztig polynomial P_{y,w} in q = v^2.
 
     Follows the extension rule P_{rho^a y, rho^b w} = delta_{a,b} P_{y,w}.
-    The P-table is read first: its keys are windows of W_r only, so y and
-    w of different periods never match one and raise ValueError after it.
-    A loaded entry must be nonzero exactly when y <= w; this is checked
-    the first time it answers, and ValueError names y and w otherwise.
+    With a file loaded, its records are read first: their keys are
+    windows of W_r only, so y and w of different periods never match one
+    and raise ValueError after it.  A loaded entry must be nonzero
+    exactly when y <= w; this is checked the first time it answers, and
+    ValueError names y and w otherwise.  Every other P is the entry at y
+    of the full column of w (0 if y is not in it), built if need be.  A
+    column already built answers before the rho parts are stripped: only
+    windows of W_r key the full columns, and they hold no y outside W_r.
     """
     cache = cache or _default_cache
-    p = _stored(cache, (w.r, y.window, w.window), y, w)
-    if p is not None:
-        return p
+    loaded = cache.p_table
+    if loaded:
+        p = _stored(cache, (w.r, y.window, w.window), y, w)
+        if p is not None:
+            return p
     if y.r != w.r:
         raise ValueError("mismatched periods")
-    ay, y0 = strip_rho(y)
-    aw, w0 = strip_rho(w)
-    if ay != aw:
-        return IntPoly(())
-    if y0 == w0:
-        return _P_ONE
-    key = (w0.r, y0.window, w0.window)
-    p = _stored(cache, key, y0, w0)
-    if p is not None:
-        return p
-    cprime(w0, cache)
-    return cache.p_table.get(key, IntPoly(()))
+    col = cache.cprime_table.get(((), w.window))
+    if col is None:
+        ay, y0 = strip_rho(y)
+        aw, w0 = strip_rho(w)
+        if ay != aw:
+            return IntPoly(())
+        if y0 == w0:
+            return _P_ONE
+        if loaded:
+            p = _stored(cache, (w0.r, y0.window, w0.window), y0, w0)
+            if p is not None:
+                return p
+        col, y = _column((), None, w0, cache), y0
+    p = col.get(y)
+    return IntPoly(()) if p is None else p
 
 
 def _stored(cache, key, y, w):

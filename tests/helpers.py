@@ -26,6 +26,13 @@ def int_poly_in_q(x):
     return IntPoly(tuple(x.coeff(2 * k) for k in range(max(exps) // 2 + 1)))
 
 
+def saved_records(cache):
+    """The records that KLCache.save writes, read through KLCache.rows:
+    the loaded ones and the entries of the full columns, by key (r,
+    y.window, w.window)."""
+    return {(r, y, w): p for r, y, row in cache.rows() for w, p in row}
+
+
 def simple(r, i):
     """The simple reflection s_i (indices taken modulo r; s_r is affine)."""
     i = (i - 1) % r + 1

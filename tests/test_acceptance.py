@@ -19,7 +19,7 @@ from affschur.laurent import LP_ONE, LaurentPoly
 from affschur.schur import SchurElt, bar, e_basis_mult, mult, theta
 from affschur.transfer import f_constants
 
-from helpers import int_poly_in_q, only_even_exponents, tau
+from helpers import int_poly_in_q, only_even_exponents, saved_records, tau
 
 
 class Budget:
@@ -42,7 +42,7 @@ def test_hecke_kl_core():
             for w in sorted(layer, key=lambda x: x.window):
                 c = cprime(w, cache)
                 assert t_bar(c) == c
-    for (r, ywin, wwin), p in cache.p_table.items():
+    for (r, ywin, wwin), p in saved_records(cache).items():
         assert p.coeff(0) == 1
         if ywin != wwin:
             from affschur.affweyl import AffPerm

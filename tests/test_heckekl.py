@@ -25,7 +25,7 @@ from affschur.heckekl import (
 )
 from affschur.laurent import IntPoly, LaurentPoly
 
-from helpers import left_descent, simple
+from helpers import left_descent, saved_records, simple
 
 
 def T(w):
@@ -148,7 +148,7 @@ def test_cache_round_trip(tmp_path):
     cache.save()
     reloaded = KLCache(str(path))
     assert reloaded.p_table
-    assert reloaded.p_table == cache.p_table
+    assert reloaded.p_table == saved_records(reloaded) == saved_records(cache)
 
 
 def test_cache_save_writes_its_own_file_only_when_the_table_grew(tmp_path):
@@ -214,14 +214,30 @@ def test_cache_load_rejects_bad_records(tmp_path, record, message):
         KLCache(str(path))
 
 
-def _records(p_table):
-    """The saved form of a P-table, each record formatted on its own."""
+def test_cache_load_checks_records_against_columns_built_before(tmp_path):
+    """A file loaded into a cache that already holds the full column of
+    w must agree with it: P_{e, s_1 s_2 s_1} is 1, not 1 + q."""
+    w0 = simple(3, 1) * simple(3, 2) * simple(3, 1)
+    path = tmp_path / "kl.txt"
+    for text, ok in [("1", True), ("1,1", False)]:
+        cache = KLCache()
+        cprime(w0, cache)
+        path.write_text("3|1,2,3|3,2,1|%s\n" % text)
+        if ok:
+            cache.load(str(path))
+            continue
+        with pytest.raises(ValueError, match=r"line 1: .*given as 1 \+ q"):
+            cache.load(str(path))
+
+
+def _records(records):
+    """The saved form of the records, each formatted on its own."""
     def text(ints):
         return ",".join(map(str, ints))
 
     return "".join(
         "%d|%s|%s|%s\n" % (r, text(y), text(w), text(p.coeffs))
-        for (r, y, w), p in sorted(p_table.items())
+        for (r, y, w), p in sorted(records.items())
     )
 
 
@@ -241,7 +257,7 @@ def test_cache_save_writes_sorted_records(tmp_path):
     cprime(AffPerm((-3, 4, 5)), cache)
     cache.save(str(path))
     text = path.read_text()
-    assert text == _records(cache.p_table)
+    assert text == _records(saved_records(cache))
     assert "3|1,2,3|-3,4,5|1,1\n" in text
 
 
@@ -255,11 +271,12 @@ def test_cache_save_matches_the_oracle_at_survey_scale(tmp_path):
         for layer in enumerate_wr(r, max_length):
             for w in layer:
                 cprime(w, cache)
-    assert (3, (1, 2, 3), (-3, 4, 5)) in cache.p_table
-    assert sum(key[0] == 5 for key in cache.p_table) == 37531
+    saved = saved_records(cache)
+    assert (3, (1, 2, 3), (-3, 4, 5)) in saved
+    assert sum(key[0] == 5 for key in saved) == 37531
     cache.save(str(path))
-    assert path.read_text() == _records(cache.p_table)
-    assert KLCache(str(path)).p_table == cache.p_table
+    assert path.read_text() == _records(saved)
+    assert KLCache(str(path)).p_table == saved
 
 
 def test_cache_save_is_atomic(tmp_path):
@@ -304,16 +321,17 @@ def test_cache_holds_one_object_per_distinct_p(tmp_path):
         for w in layer:
             cprime(w, cache)
     _one_object_per_value(cache)
-    assert len(cache.polys) < len(cache.p_table) // 100
+    saved = saved_records(cache)
+    assert len(cache.polys) < len(saved) // 100
     cache.save(str(path))
 
     loaded = KLCache(str(path))
-    assert loaded.p_table == cache.p_table
+    assert loaded.p_table == saved
     _one_object_per_value(loaded)
     for layer in enumerate_wr(4, 6):
         for w in layer:
             cprime(w, loaded)
-    assert len(loaded.p_table) > len(cache.p_table)
+    assert len(saved_records(loaded)) > len(saved)
     _one_object_per_value(loaded)
 
     schur.clear_caches()
@@ -371,9 +389,10 @@ def test_recomputed_loaded_entries_skip_the_bruhat_check(
     for w in surveyed:
         cprime(w, cache)
     cache.save(str(path))
+    saved = saved_records(cache)
 
     loaded = KLCache(str(path))
-    assert len(loaded.unchecked) == len(cache.p_table)
+    assert len(loaded.unchecked) == len(saved)
     for w in surveyed:
         cprime(w, loaded)
     assert not loaded.unchecked
@@ -385,7 +404,7 @@ def test_recomputed_loaded_entries_skip_the_bruhat_check(
     for w in surveyed:
         for y in cprime(w, loaded).terms:
             key = (4, y.window, w.window)
-            assert kl_poly(y, w, loaded) == cache.p_table[key]
+            assert kl_poly(y, w, loaded) == saved[key]
 
 
 def test_add_scaled_accumulates_in_place():
@@ -433,6 +452,38 @@ def _cprime_matches_generic_product(r, max_length, cache):
 @pytest.mark.parametrize("r, max_length", [(3, 6), (4, 5)])
 def test_cprime_matches_generic_product(r, max_length):
     _cprime_matches_generic_product(r, max_length, KLCache())
+
+
+def test_kl_poly_reads_the_full_columns(monkeypatch):
+    """With no file loaded the P-table stays empty: after a survey of W_4
+    up to length 6, checked against the generic product, kl_poly answers
+    every pair from the full columns, in that cache and in a fresh one
+    that it fills itself without building a C'.  rho-shifted pairs follow
+    the extension rule, and y, w of different periods are refused."""
+    cache = KLCache()
+    _cprime_matches_generic_product(4, 6, cache)
+    assert not cache.p_table
+    elems = [w for layer in enumerate_wr(4, 6) for w in layer]
+    oracle = {w: cprime(w, cache).terms for w in elems}
+    fresh = KLCache()
+
+    def refuse(w, cache=None):
+        raise AssertionError("kl_poly built a C'")
+
+    monkeypatch.setattr(heckekl, "cprime", refuse)
+    shift = rho(4)
+    for w in elems:
+        lw = w.length()
+        for y in elems:
+            p = kl_poly(y, w, cache)
+            assert p.to_laurent(-lw) == oracle[w].get(y, LaurentPoly({}))
+            assert kl_poly(y, w, fresh) == p
+            assert kl_poly(shift * y, shift * w, cache) == p
+            assert kl_poly(shift * y, w, cache) == IntPoly(())
+    assert not cache.p_table and not fresh.p_table
+    assert saved_records(fresh) == saved_records(cache)
+    with pytest.raises(ValueError, match="mismatched periods"):
+        kl_poly(identity(3), elems[-1], cache)
 
 
 def _with_propagated_lengths():
@@ -560,7 +611,7 @@ X_4 = simple(4, 2) * simple(4, 1) * simple(4, 3) * simple(4, 2)
 @pytest.mark.parametrize("J", [(), (2,)])
 def test_recorder_refuses_a_different_stored_entry(J, monkeypatch):
     """A column built second checks each P entry against the one already
-    stored: the full column against the P-table, a parabolic column
+    stored: the full column against a loaded record, a parabolic column
     against the full column of the same w, so two recursions cannot
     disagree silently in one cache."""
     schur.clear_caches()
@@ -575,9 +626,10 @@ def test_recorder_refuses_a_different_stored_entry(J, monkeypatch):
         monkeypatch.setitem(full, wj, full[wj] + IntPoly((1,)))
         monkeypatch.delitem(cache.cprime_table, (J, (wj * x).window))
     else:
+        # the wrong P planted as a loaded record
         key = (4, wj.window, x.window)
         monkeypatch.setitem(
-            cache.p_table, key, cache.p_table[key] + IntPoly((1,))
+            cache.p_table, key, saved_records(cache)[key] + IntPoly((1,))
         )
         cache.cprime_table.clear()
     named = re.escape("y = %s, w = %s" % (wj.window, x.window))
@@ -685,7 +737,7 @@ def test_kl_degree_bound_and_constant_term():
     cache = KLCache()
     w = simple(3, 1) * simple(3, 2) * simple(3, 1)
     cprime(w, cache)
-    for (r, ywin, wwin), p in cache.p_table.items():
+    for (r, ywin, wwin), p in saved_records(cache).items():
         y, x = AffPerm(ywin), AffPerm(wwin)
         assert p.coeff(0) == 1
         if y != x:

@@ -47,6 +47,7 @@ from helpers import (
     int_poly_in_q,
     left_descent,
     only_even_exponents,
+    saved_records,
     simple,
     tau,
     transpose,
@@ -193,10 +194,10 @@ def test_theta_fills_the_default_table():
     schur.clear_caches()
     th = theta(A_CROSS, 2)
     assert theta(A_CROSS, 2) is th
-    p_table = dict(schur.default_cache().p_table)
+    records = saved_records(schur.default_cache())
     schur.clear_caches()
     assert theta(A_CROSS, 2) == th
-    assert p_table and schur.default_cache().p_table == p_table
+    assert records and saved_records(schur.default_cache()) == records
 
 
 def _theta_from_cprime(a_mat, r, cache):
@@ -263,30 +264,37 @@ def test_theta_records_true_kl_polynomials():
 
 def test_theta_on_a_full_column_fills_the_p_table():
     """With lambda all ones theta reads the full column (J empty), the
-    one cprime reuses, so its entries are in the P-table: kl_poly on the
-    default cache answers as from a fresh one for every y <= x."""
+    one cprime and kl_poly reuse, so its entries are records that save
+    writes: kl_poly on the default cache answers as from a fresh one for
+    every y <= x."""
     schur.clear_caches()
     theta(A_CROSS, 2)
     x, J, _, col = _theta_column(A_CROSS)
     assert J == [] and len(col) > 1
+    records = saved_records(schur.default_cache())
     fresh = KLCache()
     for y in col:
         assert kl_poly(y, x) == kl_poly(y, x, fresh)
+        assert records[(2, y.window, x.window)] is col[y]
 
 
 def test_p_table_holds_full_columns_only():
     """After the thetas of every band-1 matrix at (n, r) = (2, 2), where
     A_CROSS reads a full column, and (2, 4), where every column is
-    parabolic, each P-table entry P_{y,w} comes from the full column of
-    w."""
+    parabolic, each record P_{y,w} that save writes comes from the full
+    column of w, and the P-table, which holds loaded records only, stays
+    empty."""
     schur.clear_caches()
     for r in (2, 4):
         for a_mat in enumerate_theta_band(2, r, band=1):
             theta(a_mat, r)
     cache = schur.default_cache()
-    assert cache.p_table
-    for _, _, wwin in cache.p_table:
+    records = saved_records(cache)
+    assert records and not cache.p_table
+    for _, _, wwin in records:
         assert ((), wwin) in cache.cprime_table
+    full = [col for (J, _), col in cache.cprime_table.items() if not J]
+    assert len(records) == sum(map(len, full))
 
 
 def test_decompose_invariant_reads_cosets_without_enumerating(monkeypatch):
