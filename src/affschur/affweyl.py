@@ -166,7 +166,9 @@ def identity(r):
 
 
 def rho(r, power=1):
-    return AffPerm(range(1 + power, r + 1 + power))
+    w = AffPerm(range(1 + power, r + 1 + power))
+    w._len = 0
+    return w
 
 
 @cache

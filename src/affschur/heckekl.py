@@ -7,9 +7,9 @@ x_J H is kept in columns: sum_sigma c_sigma x_J T_sigma over the sigma
 minimal in W_J sigma (J empty: the T-basis).  x_J T_sigma T_s, s = s_i,
 is x_J T_{sigma s} when sigma s > sigma stays minimal, x_J ((v^2 - 1)
 T_sigma + v^2 T_{sigma s}) when sigma s < sigma, and v^2 x_J T_sigma when
-sigma s = t sigma with t in J, as x_J T_t = v^2 x_J (coset_step).  The
-same steps give x_J T_w^-1 (t_inverse) and so the bar involution on
-columns, bar(x_J) = v^{-2 l(w_J)} x_J (t_bar).
+sigma s = s_k sigma with k in J, as x_J T_{s_k} = v^2 x_J (KLCache.step
+gives that k).  The same steps give x_J T_w^-1 (t_inverse) and so the
+bar involution on columns, bar(x_J) = v^{-2 l(w_J)} x_J (t_bar).
 
 The Kazhdan-Lusztig basis comes from one recursion, on columns of
 polynomials in q = v^2.  With w_J longest in W_J and tau minimal in
@@ -27,9 +27,10 @@ q^{(l(tau') - l(sigma) - 1)/2} coefficient of its P, subtracts
 mu q^{(l(tau) - l(sigma))/2} times the column of sigma.  A step reads its
 product, its case and the length off the window.  The KLCache that
 owns the columns keeps one AffPerm per window (its elements) and a step
-table of right steps, (window, i) -> (w s_i, up) with w s_i one of those
-elements, so each step is taken once per cache and every column holding
-a window holds the same object.
+table of right steps, (window, i) -> (w s_i, up, k) with w s_i one of
+those elements and s_k = w s_i w^-1 (k = 0 if that is not simple), so
+each step is taken once per cache and every column holding a window
+holds the same object.
 """
 
 from __future__ import annotations
@@ -85,11 +86,13 @@ class HeckeElt(Combination):
 
 
 def _mul_simple(h, i, J=()):
-    """h * T_{s_i} in x_J H, one coset_step per term of h."""
+    """h * T_{s_i} in x_J H, each term stepped through the default
+    cache's step table (module docstring)."""
+    step = _default_cache.step
     terms = {}
     for w, c in h.terms.items():
-        ws, up = coset_step(w, i, J)
-        if ws is None:
+        ws, up, k = step(w, i)
+        if k in J:
             accumulate(terms, ((w, c * _V2),))
         elif up:
             accumulate(terms, ((ws, c),))
@@ -129,12 +132,14 @@ def t_mul(h1, h2):
 @cache
 def t_inverse(w, J=()):
     """The column of x_J (T_w)^-1: T_s^-1 = v^-2 T_s + (v^-2 - 1), so
-    h T_s^-1 = v^-2 (h T_s) + (v^-2 - 1) h.  J must be a tuple."""
-    a, x = strip_rho(w)
-    h = HeckeElt.basis(identity(w.r))
-    for i in reversed(reduced_word(x)):
+    h T_s^-1 = v^-2 (h T_s) + (v^-2 - 1) h.  With w = x rho^a, x in W_r,
+    (T_w)^-1 = T_rho^-a (T_x)^-1 is stepped from the column of rho^-a, so
+    every key is an element of the default cache.  J must be a tuple."""
+    e = rho(w.r, -w.rho_part())
+    h = HeckeElt.basis(_default_cache.elements.setdefault(e.window, e))
+    for i in reversed(reduced_word(w * e)):
         h = _mul_simple(h, i, J).scale(_T_INV_HIGH).add_scaled(h, _T_INV_LOW)
-    return _mul_rho(h, -a)
+    return h
 
 
 def t_bar(h, J=()):
@@ -159,9 +164,11 @@ class KLCache:
     one.  The column table holds the P columns of the recursion (module
     docstring), full (J empty) and parabolic alike.  Their keys are the
     cache's elements, one AffPerm per window with its length known, and
-    the recursion takes each right step through the step table, steps[i]
-    mapping a window to (w s_i, up); both tables fill as columns are
-    built, serve full and parabolic columns alike, and are emptied by
+    the recursion takes each right step through the step table (step),
+    steps[i] mapping a window to (w s_i, up, k).  The default cache's
+    table is the one right step of x_J H: of the products, t_inverse and
+    t_bar, the Schur walk of a double coset and theta's top test too.
+    Both tables fill as they are used, are free of J, and are emptied by
     clear, as every table is.  The full columns are the one store of the
     P's the recursion computes: P_{y,w} is the entry at y of the column
     of w, with y and w in W_r.  The P-table holds only the records that
@@ -190,7 +197,7 @@ class KLCache:
         self.path = path
         self.cprime_table = {}  # (J, tau.window) -> {sigma: P}
         self.elements = {}  # window -> the one AffPerm of the columns
-        self.steps = {}  # i -> {w.window: (w s_i, up)}, w s_i in elements
+        self.steps = {}  # i -> {w.window: (w s_i, up, k)}, w s_i in elements
         self.p_table = {}  # (r, y.window, w.window) -> loaded IntPoly
         self.parabolic = {}  # (w_J tau).window -> [(w_J, column of tau)]
         self.polys = {}  # P.coeffs -> the one IntPoly of these tables
@@ -214,16 +221,24 @@ class KLCache:
         self._synced = None
 
     def step(self, w, i):
-        """(w s_i, up) from the step table, for w with its length known:
-        w s_i is the one element of its window, and each (window, i) is
-        stepped once."""
+        """(w s_i, up, k), each (window, i) stepped once: w s_i is the one
+        element of its window, its length known (a step learns l(w) if w
+        lacks it), up iff w s_i > w, and k names the simple s_k = w s_i
+        w^-1 (w(i), w(i+1) adjacent, k the lower mod r), else 0.  For sigma
+        minimal in W_J sigma, sigma s_i leaves the minimal representatives
+        (w_J sigma s_i < w_J sigma) exactly when k is in J."""
         row = self.steps.get(i)
         if row is None:
             row = self.steps[i] = {}
-        hit = row.get(w.window)
+        window = w.window
+        hit = row.get(window)
         if hit is None:
+            w.length()
             ws, up = w.right_mul_simple(i)
-            hit = row[w.window] = (self.elements.setdefault(ws.window, ws), up)
+            r = len(window)
+            a, b = window[i - 1], ws.window[i - 1]
+            k = (min(a, b) - 1) % r + 1 if abs(a - b) == 1 else 0
+            hit = row[window] = (self.elements.setdefault(ws.window, ws), up, k)
         return hit
 
     def load(self, path):
@@ -462,31 +477,12 @@ def _longest(r, J):
     return climb(identity(r), [(AffPerm.right_mul_simple, k) for k in J])
 
 
-def coset_step(sigma, i, J):
-    """One right step sigma s_i of sigma minimal in W_J sigma, as
-    (sigma s_i, up) with up iff w_J sigma s_i > w_J sigma.
-
-    sigma s_i is None when the step leaves the minimal representatives:
-    sigma s_i = s_k sigma with k in J, so w_J sigma s_i < w_J sigma.  The
-    reflection sigma s_i sigma^-1 swaps a = sigma(i) and b = sigma(i+1),
-    so it is the simple s_k exactly when b = a + 1, with k = a mod r.
-    """
-    if not J:
-        return sigma.right_mul_simple(i)
-    window = sigma.window
-    r = len(window)
-    a = window[i - 1]
-    if window[i % r] + i // r * r == a + 1 and (a - 1) % r + 1 in J:
-        return None, False
-    return sigma.right_mul_simple(i)
-
-
 def _column(J, wj, tau, cache):
     """The one KL recursion, on the P column of w_J tau (module
     docstring); wj is None for J empty.  Every right step comes from the
-    cache's step table, so the keys of a column are the cache's elements.
-    Whether sigma s_i leaves the minimal representatives depends on J
-    and stays a window check, as in coset_step."""
+    cache's step table, so the keys of a column are the cache's elements,
+    and sigma s_i leaves the minimal representatives exactly when the
+    step's k is in J."""
     key = (J, tau.window)
     col = cache.cprime_table.get(key)
     if col is not None:
@@ -502,20 +498,17 @@ def _column(J, wj, tau, cache):
         prev = _column(J, wj, cache.step(tau, i)[0], cache)
         row = cache.steps[i]  # made by the step of tau
         step = cache.step
-        j, wrap = i % r, i // r * r  # the slot of i+1, and r if it wraps
         col = {}
         get = col.get
         lower = []
         # every value added is nonzero, so a sum of zero is an entry that
         # cancelled, and is dropped
         for sigma, p in prev.items():
-            win = sigma.window
-            a = win[i - 1]
-            if J and win[j] + wrap == a + 1 and (a - 1) % r + 1 in J:
+            ss, up, k = row.get(sigma.window) or step(sigma, i)
+            if k in J:
                 # sigma s_i = s_k sigma with k in J: (1 + q) P at sigma
                 ss, up, add = None, False, p + p.mul_monomial(1, 1)
             else:
-                ss, up = row.get(win) or step(sigma, i)
                 add = p if up else p.mul_monomial(1, 1)
             c = get(sigma)
             c = add if c is None else c + add

@@ -8,8 +8,11 @@ of the coset, so e_A e_B is x_lambda col_A col_B in x_lambda H (heckekl)
 and bar([B]) is read off the column t_bar(col_B, J_lambda).  col_B is
 walked from d_B by right steps that go up, so x_lambda col_A col_B is
 x_lambda col_A T_{d_B} carried along that walk, one T_{s_j} step per
-element.  Each term's double coset is named by a tuple (jdelta_key), and
-one matrix is built per coset.
+element.  Every right step (the walk, the products, t_bar, theta) is
+read off the default KLCache's step table (KLCache.step), so the
+elements reached are the cache's, shared with the KL columns.  Each
+term's double coset is named by a tuple (jdelta_key), and one matrix is
+built per coset.
 The canonical basis theta_{A,r} is read off the parabolic KL column of
 the longest double-coset element, which holds only the coefficients at
 elements longest in their left S_lambda-coset; an independent
@@ -35,7 +38,7 @@ from .affweyl import (
     strip_rho,
 )
 from .heckekl import HeckeElt, _mul_simple, mul_basis, t_bar
-from .heckekl import coset_step, default_cache, kl_column
+from .heckekl import default_cache, kl_column
 
 
 class SchurElt(Combination):
@@ -83,14 +86,17 @@ def leq_bo(b_mat, a_mat):
 @cache
 def _coset_column(a_mat):
     """(col_A, walk): col_A the lambda-minimal elements of S_lambda d_A
-    S_mu, reached from d_A by the right mu-steps coset_step that go up
-    (Deodhar: sigma s is minimal or s_k sigma, k in J_lambda; a prefix of
-    a reduced word of a minimal representative is minimal).  walk lists
-    each sigma once, after the one that reached it, with the (j, sigma s_j)
-    that first reached an element.  x_lambda col_A = T_{S_lambda d_A S_mu}
-    exactly when there are coset_size(A) / |S_lambda| of them: checked."""
+    S_mu, reached from d_A by the right mu-steps KLCache.step that go up
+    with k not in J_lambda (Deodhar: sigma s is minimal or s_k sigma, k in
+    J_lambda; a prefix of a reduced word of a minimal representative is
+    minimal).  walk lists each sigma once, after the one that reached it,
+    with the (j, sigma s_j) that first reached an element, which is the
+    default cache's element of its window with its length known.
+    x_lambda col_A = T_{S_lambda d_A S_mu} exactly when there are
+    coset_size(A) / |S_lambda| of them: checked."""
     lam, d, mu = jdelta_inv(a_mat)
     J, right = lam.young_generators(), mu.young_generators()
+    step = default_cache().step
     seen = {d}
     todo = [d]
     walk = []
@@ -98,8 +104,8 @@ def _coset_column(a_mat):
         sigma = todo.pop()
         steps = []
         for j in right:
-            y, up = coset_step(sigma, j, J)
-            if up and y not in seen:
+            y, up, k = step(sigma, j)
+            if up and k not in J and y not in seen:
                 seen.add(y)
                 steps.append((j, y))
         todo.extend(y for _, y in steps)
@@ -207,10 +213,9 @@ def _theta(a_mat):
     s_j rho^a = rho^a s_{j-a}, the left lambda-generators j act on x as
     J = {j - a mod r}, and x is longest in W_J x.  The column holds
     P_{w_J sigma, x} at each sigma minimal in W_J sigma; y+ =
-    rho^a w_J sigma for the sigma with no mu-step going up.  A step
-    sigma s_j, j < r, goes up when w(j) < w(j+1) and stays minimal
-    unless w(j+1) = w(j) + 1 with w(j) mod r in J (coset_step); both are
-    read off the window.
+    rho^a w_J sigma for the sigma with no mu-step going up: a step
+    sigma s_j goes up in x_J H when it goes up and stays minimal, k not
+    in J (KLCache.step).
     """
     r = a_mat.sigma()
     lam, d, mu = jdelta_inv(a_mat)
@@ -219,19 +224,13 @@ def _theta(a_mat):
     wj, col = kl_column(x, J)
     key = partial(jdelta_key, lam.block_indices(), mu.block_indices(), lam.n)
     right = mu.young_generators()
-
-    def top(window):
-        for j in right:
-            lo, hi = window[j - 1], window[j]
-            if lo < hi and (hi != lo + 1 or (lo - 1) % r + 1 not in J):
-                return False
-        return True
-
+    step = default_cache().step
     e = wj.length() - x.length()
     coeffs = {
         key(sigma.window, a): p.to_laurent(e + sigma.length())
         for sigma, p in col.items()
-        if top(sigma.window)
+        if not any(up and k not in J
+                   for _, up, k in (step(sigma, j) for j in right))
     }
     terms = {cells_matrix(a_mat.n, cells): c for cells, c in coeffs.items()}
     res = SchurElt(a_mat.n, r, terms)

@@ -16,7 +16,6 @@ from affschur.heckekl import (
     HeckeElt,
     KLCache,
     _record_p,
-    coset_step,
     cprime,
     kl_column,
     kl_poly,
@@ -529,9 +528,11 @@ def _proper_subsets(r):
 
 
 @pytest.mark.parametrize("r", [3, 4])
-def test_coset_step_matches_right_step_and_left_descents(r):
+def test_step_matches_right_step_and_left_descents(r):
     """The three cases of a right step of sigma minimal in W_J sigma,
-    against w s_i and the left descents of the product."""
+    against w s_i and the left descents of the product: the step's k is
+    in J exactly when sigma s_i leaves the minimal representatives."""
+    cache = KLCache()
     elems = [w for layer in enumerate_wr(r, 5) for w in layer]
     leaving = 0
     for J in _proper_subsets(r):
@@ -540,13 +541,14 @@ def test_coset_step_matches_right_step_and_left_descents(r):
                 continue
             for i in range(1, r + 1):
                 ss, up = sigma.right_mul_simple(i)
-                if up and any(left_descent(ss, k) for k in J):
+                got, got_up, k = cache.step(sigma, i)
+                assert (got, got_up) == (ss, up)
+                assert got.length() == AffPerm(ss.window).length()
+                if up and any(left_descent(ss, j) for j in J):
                     leaving += 1
-                    assert coset_step(sigma, i, J) == (None, False)
+                    assert k in J
                 else:
-                    got, got_up = coset_step(sigma, i, J)
-                    assert (got, got_up) == (ss, up)
-                    assert got.length() == AffPerm(ss.window).length()
+                    assert k not in J
     assert leaving
 
 
@@ -640,16 +642,21 @@ def test_recorder_refuses_a_different_stored_entry(J, monkeypatch):
 def _one_element_per_window(cache):
     """Every key of every column of cache, and every step of its step
     table, is the one element of its window in cache.elements, with the
-    length that a new AffPerm of that window computes."""
+    length that a new AffPerm of that window computes; each step's k
+    names the simple s_k with w s_i = s_k w, or is 0 if there is none."""
     elements = cache.elements
     keys = [sigma for col in cache.cprime_table.values() for sigma in col]
     assert all(elements[sigma.window] is sigma for sigma in keys)
     for i, row in cache.steps.items():
-        for win, (ws, up) in row.items():
+        for win, (ws, up, k) in row.items():
+            w = AffPerm(win)
             assert elements[ws.window] is ws
-            assert ws.window == AffPerm(win).right_mul_simple(i)[0].window
-            assert ws.length() == AffPerm(ws.window).length()
-            assert up == (ws.length() > AffPerm(win).length())
+            assert ws.window == w.right_mul_simple(i)[0].window
+            assert ws._len == AffPerm(ws.window).length()
+            assert up == (ws.length() > w.length())
+            left = [j for j in range(1, w.r + 1)
+                    if w.left_mul_simple(j)[0] == ws]
+            assert left == ([k] if k else [])
     assert all(w.length() == AffPerm(w.window).length() for w in keys)
 
 

@@ -21,7 +21,6 @@ from affschur.affweyl import (
 from affschur.heckekl import (
     HeckeElt,
     KLCache,
-    coset_step,
     cprime,
     kl_column,
     kl_poly,
@@ -154,18 +153,50 @@ def test_coset_column_checks_one_element_per_left_coset(monkeypatch):
     schur._coset_column.cache_clear()
     assert set(schur._coset_column(a)[0].terms) == set(reps)
 
-    def stay_at_d(sigma, i, J):
+    step = KLCache.step
+
+    def stay_at_d(cache, sigma, i):
         # the walk from d never reaches the other left coset
-        return (None, False) if sigma == d else coset_step(sigma, i, J)
+        return (sigma, False, 0) if sigma == d else step(cache, sigma, i)
 
     schur._coset_column.cache_clear()
-    monkeypatch.setattr(schur, "coset_step", stay_at_d)
+    monkeypatch.setattr(KLCache, "step", stay_at_d)
     with pytest.raises(AssertionError, match="factorization failed"):
         schur._coset_column(a)
     # the product walks col_B with the same check, naming B
     schur.clear_caches()
     with pytest.raises(AssertionError, match=re.escape("failed for %r" % a)):
         e_basis_mult(AffMatrix.diag(2, a.ro()), a)
+
+
+def test_schur_steps_share_the_elements_of_the_default_cache():
+    """The walk of a double coset, the product and bar step through the
+    default KLCache's step table: every element a step reaches, and
+    every key of a t_inverse column, is the cache's one element of its
+    window, with its length known."""
+    schur.clear_caches()
+    mats = enumerate_theta_band(2, 4, band=1)
+    a, b = next(
+        (a, b) for a in mats for b in mats
+        if a.co() == b.ro() and jdelta_inv(b)[1].rho_part()
+        and len(schur._coset_column(b)[0].terms) > 1
+    )
+    assert e_basis_mult(a, b)
+    schur.bar_bracket(b)
+    elements = schur.default_cache().elements
+    reached = [
+        y for m in (a, b) for _, steps in schur._coset_column(m)[1]
+        for _, y in steps
+    ]
+    J = jdelta_inv(b)[0].young_generators()
+    keys = [
+        y for w in schur._coset_column(b)[0].terms
+        for y in heckekl.t_inverse(w.inverse(), J).terms
+    ]
+    assert reached and any(y.rho_part() for y in keys)
+    for y in reached + keys:
+        assert elements[y.window] is y
+        assert y._len == AffPerm(y.window).length()
 
 
 def test_products_and_bar_do_not_call_t_mul(monkeypatch):

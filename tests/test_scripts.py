@@ -1,5 +1,6 @@
 """The command-line scripts under scripts/, each run once at a tiny size."""
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -191,6 +192,22 @@ def test_dump_structure_tables(tmp_path):
     assert all(t["kind"] == "h" for t in tables["h"])
     printed = run_script("dump_structure_tables.py", "--n", "2", "--r", "2")
     assert printed.stdout == out.read_text()
+
+
+@pytest.mark.parametrize(
+    "n, r, digest",
+    [
+        (2, 4, "186bd6cddbcd9145de1a3f5250944eda3c4175d8ce52e36402baecb063a576e5"),
+        (3, 3, "35d18ff68e4335aa873c2c12ae303f7547410685dc38d73d0a6dad15ad3d548e"),
+    ],
+    ids=["n2-r4", "n3-r3"],
+)
+def test_dump_structure_tables_golden_digest(n, r, digest):
+    """Every g- and h-table of a whole scope, pinned by the sha256 of
+    the printed document (the same under any PYTHONHASHSEED)."""
+    proc = run_script("dump_structure_tables.py", "--n", str(n), "--r", str(r))
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
