@@ -14,6 +14,8 @@ run_seconds; at --size smoke it makes only perfbench's minimum number of
 repetitions.  The output holds, per workload and end-to-end metric, both
 sides' values, medians and quartiles and the number of pairs the change
 won; per layer metric, both sides' traced values and their medians.
+--out-dir is created before the first run; a path that cannot be a
+directory ends the script with exit code 2 before any run.
 """
 
 import argparse
@@ -146,6 +148,10 @@ def main(argv=None):
             "unknown workload %s (choose from: %s)"
             % (", ".join(unknown), ", ".join(known))
         )
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:
+        parser.error("--out-dir %s: %s" % (args.out_dir, exc.strerror or exc))
     report = {
         "label": args.label,
         "trees": {s: os.path.basename(trees[s]) for s in SIDES},

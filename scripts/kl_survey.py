@@ -10,15 +10,16 @@ first, kl_poly answers from them, and the file is written back, its
 records and the survey's column entries merged, if the survey added
 records (KLCache.save).  The report covers only the pairs the recursion
 produces, so it is the same with or without the file, whatever else the
-file holds.  A file that cannot be read, parsed or written, or that a
-recomputed P contradicts, ends the run with exit code 2 and one line on
-stderr.
+file holds.  An --r below 2, a negative --max-length, or a file that
+cannot be read, parsed or written, or that a recomputed P contradicts,
+ends the run with exit code 2 and one line on stderr.
 """
 
 import argparse
 import sys
 
 from affschur.affweyl import enumerate_wr
+from affschur.cli import InputError, _check_rank
 from affschur.heckekl import KLCache, cprime, kl_poly
 
 
@@ -30,6 +31,9 @@ def main():
     args = parser.parse_args()
 
     try:
+        _check_rank(r=args.r)
+        if args.max_length < 0:
+            raise InputError("max-length must be >= 0")
         cache = KLCache(args.cache)
         lengths = {}  # window -> length, for every surveyed w
         records = []  # (y.window, w.window, P_{y,w})

@@ -89,16 +89,16 @@ def _mul_simple(h, i, J=()):
     """h * T_{s_i} in x_J H, each term stepped through the default
     cache's step table (module docstring)."""
     step = _default_cache.step
-    terms = {}
+    adds = []
     for w, c in h.terms.items():
         ws, up, k = step(w, i)
         if k in J:
-            accumulate(terms, ((w, c * _V2),))
+            adds.append((w, c * _V2))
         elif up:
-            accumulate(terms, ((ws, c),))
+            adds.append((ws, c))
         else:
-            accumulate(terms, ((w, c * _V2_MINUS_1), (ws, c * _V2)))
-    return h._new(terms)
+            adds += ((w, c * _V2_MINUS_1), (ws, c * _V2))
+    return h._new(accumulate({}, adds))
 
 
 def _mul_rho(h, a):
@@ -482,7 +482,9 @@ def _column(J, wj, tau, cache):
     docstring); wj is None for J empty.  Every right step comes from the
     cache's step table, so the keys of a column are the cache's elements,
     and sigma s_i leaves the minimal representatives exactly when the
-    step's k is in J."""
+    step's k is in J.  A column is one accumulate call over the step
+    images of the entries of the column of tau s_i, then the
+    mu-corrections, in that order."""
     key = (J, tau.window)
     col = cache.cprime_table.get(key)
     if col is not None:
@@ -498,31 +500,18 @@ def _column(J, wj, tau, cache):
         prev = _column(J, wj, cache.step(tau, i)[0], cache)
         row = cache.steps[i]  # made by the step of tau
         step = cache.step
-        col = {}
-        get = col.get
+        adds = []
         lower = []
-        # every value added is nonzero, so a sum of zero is an entry that
-        # cancelled, and is dropped
         for sigma, p in prev.items():
             ss, up, k = row.get(sigma.window) or step(sigma, i)
             if k in J:
-                # sigma s_i = s_k sigma with k in J: (1 + q) P at sigma
-                ss, up, add = None, False, p + p.mul_monomial(1, 1)
+                # sigma s_i = s_k sigma with k in J: (1 + q) P at sigma, and
+                # a mu source as a down step is
+                up = False
+                adds.append((sigma, p + p.mul_monomial(1, 1)))
             else:
                 add = p if up else p.mul_monomial(1, 1)
-            c = get(sigma)
-            c = add if c is None else c + add
-            if c:
-                col[sigma] = c
-            else:
-                del col[sigma]
-            if ss is not None:
-                c = get(ss)
-                c = add if c is None else c + add
-                if c:
-                    col[ss] = c
-                else:
-                    del col[ss]
+                adds += ((sigma, add), (ss, add))
             if not up:
                 # mu(w_J sigma, w_J tau'): the q^{(l(tau') - l(sigma) - 1)/2}
                 # coefficient of P
@@ -532,14 +521,11 @@ def _column(J, wj, tau, cache):
                     lower.append((sigma, mu, gap // 2 + 1))
         for z, mu, k in lower:
             # minus mu q^{(l(tau) - l(z))/2} times the column of z
-            for y, pz in _column(J, wj, z, cache).items():
-                add = pz.mul_monomial(-mu, k)
-                c = get(y)
-                c = add if c is None else c + add
-                if c:
-                    col[y] = c
-                else:
-                    del col[y]
+            adds += (
+                (y, pz.mul_monomial(-mu, k))
+                for y, pz in _column(J, wj, z, cache).items()
+            )
+        col = accumulate({}, adds)
     _record_p(col, tau, cache, J, wj)
     cache.cprime_table[key] = col
     return col

@@ -15,8 +15,19 @@ def accumulate(terms, items, scale=None):
 
     Coefficients are multiplied by scale first when one is given.  A key
     whose coefficient cancels is dropped, so terms never holds a zero.
-    This is the one sparse-accumulation loop shared by LaurentPoly and by
-    every Combination.  Returns terms.
+    Returns terms.
+
+    This is the one sparse-sum loop: LaurentPoly construction and
+    addition, every Combination (its construction, +, -, scale and
+    add_scaled), the T_{s_i} step of x_J H (heckekl._mul_simple, once per
+    step), the KL recursion (heckekl._column, once per column),
+    schur.mult and schur.canonical_expand.  Two loops keep their
+    own, as this one costs them time: LaurentPoly.__mul__ (a convolution,
+    each key a sum e1 + e2 formed inline) and AffMatrix.__init__ (which
+    normalizes each key to its period first).  Routed through here, a
+    call took 20-45% longer for __mul__ and 28-45% longer for the
+    constructor, and the struct-tables benchmark 8-12% longer (wall_s
+    0.536, 0.502, 0.526 s against 0.490, 0.465, 0.472 s, on 2 vCPUs).
     """
     get = terms.get
     for key, c in items:

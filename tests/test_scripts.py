@@ -179,6 +179,43 @@ def test_kl_survey_refuses_a_cache_the_recursion_contradicts(tmp_path):
     assert list(tmp_path.rglob("*.tmp")) == []
 
 
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (("--r", "1"), "r must be >= 2"),
+        (("--r", "0"), "r must be >= 2"),
+        (("--max-length", "-1"), "max-length must be >= 0"),
+    ],
+    ids=["r1", "r0", "negative-max-length"],
+)
+def test_kl_survey_refuses_bad_input(tmp_path, args, named):
+    proc = run_script(
+        "kl_survey.py", *args, "--cache", str(tmp_path / "kl.txt")
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and named in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_kl_survey_golden_digest(tmp_path):
+    """Every full KL column of W_4 up to length 7, pinned by the sha256
+    of the printed survey and of the saved file (the same under any
+    PYTHONHASHSEED)."""
+    path = tmp_path / "kl.txt"
+    proc = run_script(
+        "kl_survey.py", "--r", "4", "--max-length", "7", "--cache", str(path)
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "5b0f8c717eb152bb0f59067b6ee41b3c38988e1d89683c54ef3eadb730d6200c"
+    )
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "1f097d518121cf97fce574d7fff2fa62d4a350181a3a9e9da13c28d37a808ecb"
+    )
+
+
 def test_dump_structure_tables(tmp_path):
     out = tmp_path / "tables.json"
     proc = run_script(
@@ -231,13 +268,14 @@ def test_dump_structure_tables_refuses_bad_input(tmp_path, args, named):
 
 
 def test_bench_compare_smoke(tmp_path):
+    out_dir = tmp_path / "new" / "dir"  # created by the script
     proc = run_script(
         "bench_compare.py", "--parent", str(ROOT), "--change", str(ROOT),
         "--label", "smoke", "--size", "smoke", "--pairs", "2",
-        "--workloads", "kl-survey", "--out-dir", str(tmp_path),
+        "--workloads", "kl-survey", "--out-dir", str(out_dir),
     )
     assert proc.returncode == 0, proc.stderr
-    report = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    report = json.loads((out_dir / "BENCH_smoke.json").read_text())
     result = report["workloads"]["kl-survey"]
     assert result["failed"] == {"parent": 0, "change": 0}
     wall = result["end_to_end"]["wall_s"]
@@ -252,8 +290,9 @@ def test_bench_compare_smoke(tmp_path):
         assert calls[side + "_median"] == sum(calls[side]) / 2
 
 
-def test_bench_compare_refuses_unknown_workload_before_running(tmp_path):
-    # each tree's benchmark command would leave a marker file if it ran
+def _marker_trees(tmp_path):
+    """A parent and a change tree whose benchmark command leaves a file
+    ran in its tree if it runs."""
     trees = []
     for side in ("parent", "change"):
         tree = tmp_path / side
@@ -266,6 +305,11 @@ def test_bench_compare_refuses_unknown_workload_before_running(tmp_path):
         }
         (tree / "BENCHMARK.json").write_text(json.dumps(bench))
         trees.append(tree)
+    return trees
+
+
+def test_bench_compare_refuses_unknown_workload_before_running(tmp_path):
+    trees = _marker_trees(tmp_path)
     proc = run_script(
         "bench_compare.py", "--parent", str(trees[0]), "--change",
         str(trees[1]), "--label", "x", "--workloads", "kl-survey", "nosuch",
@@ -275,3 +319,23 @@ def test_bench_compare_refuses_unknown_workload_before_running(tmp_path):
     assert "unknown workload nosuch" in proc.stderr
     assert not any((tree / "ran").exists() for tree in trees)
     assert not (tmp_path / "BENCH_x.json").exists()
+
+
+@pytest.mark.parametrize(
+    "out_dir", ["file", "file/sub"], ids=["is-a-file", "below-a-file"]
+)
+def test_bench_compare_refuses_an_unusable_out_dir_before_running(
+    tmp_path, out_dir
+):
+    trees = _marker_trees(tmp_path)
+    (tmp_path / "file").write_text("")
+    proc = run_script(
+        "bench_compare.py", "--parent", str(trees[0]), "--change",
+        str(trees[1]), "--label", "x", "--out-dir", str(tmp_path / out_dir),
+    )
+    assert proc.returncode == 2
+    assert "--out-dir" in proc.stderr
+    assert not any((tree / "ran").exists() for tree in trees)
+    assert sorted(p.name for p in tmp_path.rglob("*")) == [
+        "BENCHMARK.json", "BENCHMARK.json", "change", "file", "parent"
+    ]
