@@ -377,9 +377,12 @@ def jdelta_key(rows, cols, n, window, a=0):
     )
 
 
+@cache
 def cells_matrix(n, cells):
     """The matrix whose entry at each cell of a jdelta_key is the number
-    of times the key holds it."""
+    of times the key holds it: one object per (n, cells), so its hash,
+    ro, co and d_exponent are computed once.  The key holds n, as the
+    same cells name different matrices at different n."""
     return AffMatrix(n, [(cell, 1) for cell in cells])
 
 

@@ -11,8 +11,10 @@ x_lambda col_A T_{d_B} carried along that walk, one T_{s_j} step per
 element.  Every right step (the walk, the products, t_bar, theta) is
 read off the default KLCache's step table (KLCache.step), so the
 elements reached are the cache's, shared with the KL columns.  Each
-term's double coset is named by a tuple (jdelta_key), and one matrix is
-built per coset.
+term's double coset is named by a tuple (jdelta_key), and each (n, key)
+has one matrix object (affweyl.cells_matrix), shared by the products,
+bar, theta and jdelta; each product coefficient value has one object
+too (_one_coeff).
 The canonical basis theta_{A,r} is read off the parabolic KL column of
 the longest double-coset element, which holds only the coefficients at
 elements longest in their left S_lambda-coset; an independent
@@ -119,14 +121,21 @@ def _young_order(lam):
     return math.prod(map(math.factorial, lam.parts))
 
 
+@cache
+def _one_coeff(c):
+    """The one object kept for each coefficient value of a product."""
+    return c
+
+
 def _decompose_invariant(h, lam, nu):
     """Write x_lambda h, for a column h of a (left-S_lambda,
     right-S_nu)-invariant element, as a sum of double-coset sums; returns
     {matrix: coefficient} over e_A'' = T-coset sums.
 
     Terms are grouped by the jdelta_key of their coset, one J_Delta
-    matrix per group; each group must carry one coefficient on
-    coset_size(A'') / |S_lambda| elements.
+    matrix per group (the one object cells_matrix keeps for it); each
+    group must carry one coefficient on coset_size(A'') / |S_lambda|
+    elements, and that value is kept as its one object (_one_coeff).
     """
     per = _young_order(lam)
     key = partial(jdelta_key, lam.block_indices(), nu.block_indices(), lam.n)
@@ -140,7 +149,7 @@ def _decompose_invariant(h, lam, nu):
             raise AssertionError(
                 "coefficient not constant on the double coset of %r" % a_mat
             )
-        out[a_mat] = cs[0]
+        out[a_mat] = _one_coeff(cs[0])
     return out
 
 

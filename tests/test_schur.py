@@ -199,6 +199,31 @@ def test_schur_steps_share_the_elements_of_the_default_cache():
         assert y._len == AffPerm(y.window).length()
 
 
+def test_schur_layer_keeps_one_object_per_matrix_and_coefficient():
+    """After a band-1 g-sweep at (2, 3), the products, thetas and bar
+    images hold one object per distinct matrix (jdelta's round trip
+    returns it too), and the products one object per coefficient value."""
+    schur.clear_caches()
+    mats = enumerate_theta_band(2, 3, band=1)
+    pairs = [(a, b) for a in mats for b in mats if a.co() == b.ro()]
+    for a, b in pairs:
+        g_constants(a, b, 3)
+    thetas = {a: schur.theta(a, 3).terms for a in mats}
+    misses = schur._e_mult.cache_info().misses
+    products = [
+        e_basis_mult(x, y)
+        for a, b in pairs for x in thetas[a] for y in thetas[b]
+    ]
+    assert schur._e_mult.cache_info().misses == misses  # the memo's values
+    bars = [schur.bar_bracket(x).terms for t in thetas.values() for x in t]
+    held = [m for d in products + list(thetas.values()) + bars for m in d]
+    assert len({id(m) for m in held}) == len(set(held)) < len(held)
+    for m in set(held):
+        assert jdelta(*jdelta_inv(m)) is m
+    coeffs = [c for d in products for c in d.values()]
+    assert len({id(c) for c in coeffs}) == len(set(coeffs)) < len(coeffs)
+
+
 def test_products_and_bar_do_not_call_t_mul(monkeypatch):
     def no_t_mul(*args, **kwargs):
         raise RuntimeError("t_mul called")
@@ -537,11 +562,14 @@ def test_clear_caches_empties_every_memo():
     }.values()
     assert len(memoized) >= 12
     assert all(fn.cache_info().currsize > 0 for fn in memoized)
+    interned = (affweyl.cells_matrix, schur._one_coeff)
+    assert all(fn in memoized and fn.cache_info().currsize for fn in interned)
     kl = schur.default_cache()
     assert kl.polys
 
     schur.clear_caches()
     assert [fn for fn in memoized if fn.cache_info().currsize] == []
+    assert [fn.cache_info().currsize for fn in interned] == [0, 0]
     assert not (kl.cprime_table or kl.p_table or kl.polys or kl.unchecked)
     hand_rolled = [
         (mod.__name__, name)

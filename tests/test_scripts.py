@@ -27,6 +27,16 @@ def run_script(name, *args):
     )
 
 
+def load_script(name):
+    """The script scripts/<name>.py, imported as a module."""
+    spec = importlib.util.spec_from_file_location(
+        name, ROOT / "scripts" / (name + ".py")
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
 def test_run_verification(tmp_path):
     out = tmp_path / "reports.json"
     proc = run_script(
@@ -65,11 +75,7 @@ def test_run_verification_ends_an_internal_failure_with_exit_2(
     def fail():
         raise AssertionError("Hall polynomials fail the Riedtmann sum")
 
-    spec = importlib.util.spec_from_file_location(
-        "run_verification", ROOT / "scripts" / "run_verification.py"
-    )
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = load_script("run_verification")
     monkeypatch.setitem(verify.DRIVERS, "lemma-3.7", fail)
     out = tmp_path / "reports.json"
     monkeypatch.setattr(
@@ -231,13 +237,17 @@ def test_dump_structure_tables(tmp_path):
     assert printed.stdout == out.read_text()
 
 
+STRUCTURE_DIGESTS = {
+    (2, 4): "186bd6cddbcd9145de1a3f5250944eda3c4175d8ce52e36402baecb063a576e5",
+    (2, 3): "55ba6cc62505b35355b855e36b7808f0ac8663a05e88610c37da500851372592",
+    (3, 3): "35d18ff68e4335aa873c2c12ae303f7547410685dc38d73d0a6dad15ad3d548e",
+}
+
+
 @pytest.mark.parametrize(
     "n, r, digest",
-    [
-        (2, 4, "186bd6cddbcd9145de1a3f5250944eda3c4175d8ce52e36402baecb063a576e5"),
-        (3, 3, "35d18ff68e4335aa873c2c12ae303f7547410685dc38d73d0a6dad15ad3d548e"),
-    ],
-    ids=["n2-r4", "n3-r3"],
+    [(n, r, d) for (n, r), d in STRUCTURE_DIGESTS.items()],
+    ids=["n%d-r%d" % nr for nr in STRUCTURE_DIGESTS],
 )
 def test_dump_structure_tables_golden_digest(n, r, digest):
     """Every g- and h-table of a whole scope, pinned by the sha256 of
@@ -245,6 +255,26 @@ def test_dump_structure_tables_golden_digest(n, r, digest):
     proc = run_script("dump_structure_tables.py", "--n", str(n), "--r", str(r))
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
+def test_dump_structure_tables_keeps_ranks_apart_in_one_process(
+    monkeypatch, capsys
+):
+    """The pinned scopes, built one after the other in one process with
+    every memo kept in between, print their pinned documents: no memo
+    hands a result of one rank n to another.  (2, 3) and (3, 3) share
+    the level, so the same jdelta_key cells name matrices at both ranks."""
+    from affschur import schur
+
+    script = load_script("dump_structure_tables")
+    schur.clear_caches()
+    for (n, r), digest in STRUCTURE_DIGESTS.items():
+        monkeypatch.setattr(
+            sys, "argv", ["dump_structure_tables.py", "--n", str(n), "--r", str(r)]
+        )
+        assert script.main() == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (n, r)
 
 
 @pytest.mark.parametrize(
