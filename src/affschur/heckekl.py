@@ -159,15 +159,15 @@ class KLCache:
     """A table of KL columns and one of loaded KL records, sharing one
     IntPoly per distinct P.
 
-    cprime and kl_poly take one (default_cache() if none); kl_column, and
-    through it theta and the g-, f- and h-tables, always use the default
+    cprime and kl_poly take one (default_cache() if none); kl_column, which
+    theta and so the g-, f- and h-tables ask by tau, always uses the default
     one.  The column table holds the P columns of the recursion (module
     docstring), full (J empty) and parabolic alike.  Their keys are the
     cache's elements, one AffPerm per window with its length known, and
     the recursion takes each right step through the step table (step),
     steps[i] mapping a window to (w s_i, up, k).  The default cache's
     table is the one right step of x_J H: of the products, t_inverse and
-    t_bar, the Schur walk of a double coset and theta's top test too.
+    t_bar, the Schur walk of a double coset and theta's climb too.
     Both tables fill as they are used, are free of J, and are emptied by
     clear, as every table is.  The full columns are the one store of the
     P's the recursion computes: P_{y,w} is the entry at y of the column
@@ -440,7 +440,7 @@ def cprime(w, cache=None):
     interned, so the keys that share a P share its kept LaurentPoly.
     """
     a, x = strip_rho(w)
-    col = _column((), None, x, cache or _default_cache)
+    col = _column((), x, cache or _default_cache)
     lx = x.length()
     terms = {y: p.to_laurent(-lx) for y, p in col.items()}
     if a:
@@ -449,25 +449,24 @@ def cprime(w, cache=None):
     return HeckeElt.zero(w.r)._new(terms)
 
 
-def kl_column(x, J):
-    """The parabolic KL column of x in W_r, for x longest in W_J x and J a
-    proper subset of the generators 1..r (so W_J is finite), built in the
-    default KLCache.
+def kl_column(tau, J):
+    """The parabolic KL column of x = w_J tau, for tau minimal in W_J tau
+    and J a proper subset of the generators 1..r (so W_J is finite), built
+    in the default KLCache.
 
-    Returns (w_J, col): col maps each minimal representative sigma of
-    W_J sigma below x to P_{w_J sigma, x}, so the coefficient of
-    T_{w_J sigma} in C'_x is v^{-l(x)} P_{w_J sigma, x}(v^2).  Every other
-    T-coefficient of C'_x repeats one of these, as P is constant on the
-    left W_J-cosets.  For J non-empty the entries stay in the column:
-    they are checked against the full column of x when both are built,
-    and are neither records nor saved.  J empty gives the full column of
-    x, the one cprime(x) and kl_poly read, whose entries save writes.
+    It maps each minimal representative sigma of W_J sigma below tau to
+    P_{w_J sigma, x}, so the coefficient of T_{w_J sigma} in C'_x is
+    v^{-l(x)} P_{w_J sigma, x}(v^2).  Every other T-coefficient of C'_x
+    repeats one of these, as P is constant on the left W_J-cosets.  For J
+    non-empty the entries stay in the column: they are checked against
+    the full column of x when both are built, and are neither records nor
+    saved.  J empty gives the full column of tau, the one cprime(tau) and
+    kl_poly read, whose entries save writes.
     """
     J = tuple(sorted(set(J)))
-    if len(J) >= x.r:
+    if len(J) >= tau.r:
         raise ValueError("W_J is infinite for J = %s" % (J,))
-    wj = _longest(x.r, J)
-    return wj, _column(J, wj, wj * x, _default_cache)
+    return _column(J, tau, _default_cache)
 
 
 @cache
@@ -477,14 +476,13 @@ def _longest(r, J):
     return climb(identity(r), [(AffPerm.right_mul_simple, k) for k in J])
 
 
-def _column(J, wj, tau, cache):
-    """The one KL recursion, on the P column of w_J tau (module
-    docstring); wj is None for J empty.  Every right step comes from the
-    cache's step table, so the keys of a column are the cache's elements,
-    and sigma s_i leaves the minimal representatives exactly when the
-    step's k is in J.  A column is one accumulate call over the step
-    images of the entries of the column of tau s_i, then the
-    mu-corrections, in that order."""
+def _column(J, tau, cache):
+    """The one KL recursion, on the P column of w_J tau, tau minimal in
+    W_J tau (module docstring).  Every right step comes from the cache's
+    step table, so the keys of a column are the cache's elements, and
+    sigma s_i leaves the minimal representatives exactly when the step's
+    k is in J.  A column is one accumulate call over the step images of
+    the entries of the column of tau s_i, then the mu-corrections."""
     key = (J, tau.window)
     col = cache.cprime_table.get(key)
     if col is not None:
@@ -497,7 +495,7 @@ def _column(J, wj, tau, cache):
         col = {cache.elements.setdefault(e.window, e): _P_ONE}
     else:
         # C'_{w_J tau'} C'_{s_i} with tau' = tau s_i, one step per entry
-        prev = _column(J, wj, cache.step(tau, i)[0], cache)
+        prev = _column(J, cache.step(tau, i)[0], cache)
         row = cache.steps[i]  # made by the step of tau
         step = cache.step
         adds = []
@@ -523,17 +521,17 @@ def _column(J, wj, tau, cache):
             # minus mu q^{(l(tau) - l(z))/2} times the column of z
             adds += (
                 (y, pz.mul_monomial(-mu, k))
-                for y, pz in _column(J, wj, z, cache).items()
+                for y, pz in _column(J, z, cache).items()
             )
         col = accumulate({}, adds)
-    _record_p(col, tau, cache, J, wj)
+    _record_p(col, tau, cache, J)
     cache.cprime_table[key] = col
     return col
 
 
-def _record_p(col, tau, cache, J=(), wj=None):
+def _record_p(col, tau, cache, J=()):
     """Intern and check each entry P_{w_J sigma, w_J tau} of the P column
-    col of tau (w_J = wj for J non-empty); col then holds the interned
+    col of tau, w_J = _longest(r, J); col then holds the interned
     IntPoly of cache.polys.  The degree bound is read off lengths alone:
     l(w_J tau) - l(w_J sigma) = l(tau) - l(sigma), as l(w_J sigma) =
     l(w_J) + l(sigma) for sigma minimal in W_J sigma, and w_J sigma =
@@ -551,8 +549,9 @@ def _record_p(col, tau, cache, J=(), wj=None):
     are there."""
     polys = cache.polys
     ltau = tau.length()
-    w = wj * tau if J else tau
     r, twin = tau.r, tau.window
+    wj = _longest(r, J)
+    w = wj * tau if J else tau
     loaded = None if J else cache.p_table
     for sigma, p in col.items():
         interned = polys.setdefault(p.coeffs, p)
@@ -560,7 +559,7 @@ def _record_p(col, tau, cache, J=(), wj=None):
             col[sigma] = p = interned
         swin = sigma.window
         if not _entry_ok(swin == twin, sigma.length(), ltau, p):
-            y = wj * sigma if J else sigma
+            y = wj * sigma
             raise _entry_error(y.window, w.window, p)
         if loaded:
             key = (r, swin, twin)
@@ -631,7 +630,7 @@ def kl_poly(y, w, cache=None):
             p = _stored(cache, (w0.r, y0.window, w0.window), y0, w0)
             if p is not None:
                 return p
-        col, y = _column((), None, w0, cache), y0
+        col, y = _column((), w0, cache), y0
     p = col.get(y)
     return IntPoly(()) if p is None else p
 

@@ -6,19 +6,19 @@ endomorphism model (Dipper-James): e_A sends x_mu to T_{S_lambda d_A S_mu}
 = x_lambda col_A, col_A the sum of T_sigma over the lambda-minimal sigma
 of the coset, so e_A e_B is x_lambda col_A col_B in x_lambda H (heckekl)
 and bar([B]) is read off the column t_bar(col_B, J_lambda).  col_B is
-walked from d_B by right steps that go up, so x_lambda col_A col_B is
-x_lambda col_A T_{d_B} carried along that walk, one T_{s_j} step per
-element.  Every right step (the walk, the products, t_bar, theta) is
-read off the default KLCache's step table (KLCache.step), so the
-elements reached are the cache's, shared with the KL columns.  Each
-term's double coset is named by a tuple (jdelta_key), and each (n, key)
-has one matrix object (affweyl.cells_matrix), shared by the products,
-bar, theta and jdelta; each product coefficient value has one object
-too (_one_coeff).
+walked from d_B by the right steps that go up in x_lambda H (_rises),
+so x_lambda col_A col_B is x_lambda col_A T_{d_B} carried along that
+walk, one T_{s_j} step per element.  Every right step (the walk, the
+products, t_bar, theta) is read off the default KLCache's step table
+(KLCache.step), so the elements reached are the cache's, shared with
+the KL columns.  Each term's double coset is named by a tuple
+(jdelta_key), and each (n, key) has one matrix object
+(affweyl.cells_matrix), shared by the products, bar, theta and jdelta;
+each product coefficient value has one object too (_one_coeff).
 The canonical basis theta_{A,r} is read off the parabolic KL column of
-the longest double-coset element, which holds only the coefficients at
-elements longest in their left S_lambda-coset; an independent
-bar-triangular elimination is kept as an oracle.
+w_J tau, tau the top that the rises climb to from d_A, which holds only
+the coefficients at elements longest in their left S_lambda-coset; an
+independent bar-triangular elimination is kept as an oracle.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .laurent import Combination, LaurentPoly, LP_ONE, accumulate
 from .affmat import AffMatrix, sqsubseteq, compositions
 from .affweyl import (
     cells_matrix,
-    coset_longest,
     coset_size,
     jdelta_inv,
     jdelta_key,
@@ -88,8 +87,8 @@ def leq_bo(b_mat, a_mat):
 @cache
 def _coset_column(a_mat):
     """(col_A, walk): col_A the lambda-minimal elements of S_lambda d_A
-    S_mu, reached from d_A by the right mu-steps KLCache.step that go up
-    with k not in J_lambda (Deodhar: sigma s is minimal or s_k sigma, k in
+    S_mu, reached from d_A by the right mu-steps that go up in
+    x_lambda H, _rises (Deodhar: sigma s is minimal or s_k sigma, k in
     J_lambda; a prefix of a reduced word of a minimal representative is
     minimal).  walk lists each sigma once, after the one that reached it,
     with the (j, sigma s_j) that first reached an element, which is the
@@ -98,23 +97,26 @@ def _coset_column(a_mat):
     coset_size(A) / |S_lambda| of them: checked."""
     lam, d, mu = jdelta_inv(a_mat)
     J, right = lam.young_generators(), mu.young_generators()
-    step = default_cache().step
-    seen = {d}
-    todo = [d]
-    walk = []
+    seen, todo, walk = {d}, [d], []
     while todo:
         sigma = todo.pop()
-        steps = []
-        for j in right:
-            y, up, k = step(sigma, j)
-            if up and k not in J and y not in seen:
-                seen.add(y)
-                steps.append((j, y))
+        steps = tuple(
+            (j, y) for j, y in _rises(sigma, right, J) if y not in seen
+        )
+        seen.update(y for _, y in steps)
         todo.extend(y for _, y in steps)
-        walk.append((sigma, tuple(steps)))
+        walk.append((sigma, steps))
     if len(walk) * _young_order(lam) != coset_size(a_mat):
         raise AssertionError("double-coset factorization failed for %r" % a_mat)
     return HeckeElt(d.r, {sigma: LP_ONE for sigma, _ in walk}), tuple(walk)
+
+
+def _rises(sigma, right, J):
+    """The (j, sigma s_j), j in right in order and stepped lazily, that go
+    up in x_J H: up in KLCache.step with k not in J (still W_J-minimal)."""
+    step = default_cache().step
+    return ((j, y) for j in right for y, up, k in (step(sigma, j),)
+            if up and k not in J)
 
 
 def _young_order(lam):
@@ -215,31 +217,30 @@ def theta(a_mat, r=None):
 def _theta(a_mat):
     """theta_{A,r} for r = sigma(A), from the default KLCache.
 
-    Reads the parabolic KL column of the longest double-coset element
-    d+ = rho^a x: the T-support of C'_{d+} is a union of (S_lambda, S_mu)
-    double cosets, and the coefficient at the longest element y+ of each
-    gives the bracket coefficient v^{l(y+) - l(d+)} P_{y+, d+}.  As
-    s_j rho^a = rho^a s_{j-a}, the left lambda-generators j act on x as
-    J = {j - a mod r}, and x is longest in W_J x.  The column holds
-    P_{w_J sigma, x} at each sigma minimal in W_J sigma; y+ =
-    rho^a w_J sigma for the sigma with no mu-step going up: a step
-    sigma s_j goes up in x_J H when it goes up and stays minimal, k not
-    in J (KLCache.step).
+    With d = rho^a tau_0, as s_j rho^a = rho^a s_{j-a}, the left
+    lambda-generators j act on tau_0 in W_r as J = {j - a mod r}.  The
+    sigma of W_J tau_0 S_mu minimal in W_J sigma are a lower interval in
+    right weak order, so the rises (_rises) climb from tau_0 to its top
+    tau, and d+ = rho^a w_J tau is longest in the double coset.  The
+    T-support of C'_{d+} is a union of double cosets; the coefficient at
+    the longest y+ = rho^a w_J sigma of each (sigma minimal, with no rise)
+    gives the bracket coefficient v^{l(y+) - l(d+)} P_{y+, d+}, that is
+    v^{l(sigma) - l(tau)} times the entry at sigma of the column of tau.
     """
     r = a_mat.sigma()
     lam, d, mu = jdelta_inv(a_mat)
-    a, x = strip_rho(coset_longest(lam, d, mu))
+    a, tau = strip_rho(d)
     J = {(j - a - 1) % r + 1 for j in lam.young_generators()}
-    wj, col = kl_column(x, J)
-    key = partial(jdelta_key, lam.block_indices(), mu.block_indices(), lam.n)
     right = mu.young_generators()
-    step = default_cache().step
-    e = wj.length() - x.length()
+    while rise := next(_rises(tau, right, J), None):
+        tau = rise[1]
+    col = kl_column(tau, J)
+    key = partial(jdelta_key, lam.block_indices(), mu.block_indices(), lam.n)
+    e = -tau.length()
     coeffs = {
         key(sigma.window, a): p.to_laurent(e + sigma.length())
         for sigma, p in col.items()
-        if not any(up and k not in J
-                   for _, up, k in (step(sigma, j) for j in right))
+        if not any(_rises(sigma, right, J))
     }
     terms = {cells_matrix(a_mat.n, cells): c for cells, c in coeffs.items()}
     res = SchurElt(a_mat.n, r, terms)

@@ -15,6 +15,7 @@ from affschur.affweyl import (
 from affschur.heckekl import (
     HeckeElt,
     KLCache,
+    _longest,
     _record_p,
     cprime,
     kl_column,
@@ -336,7 +337,7 @@ def test_cache_holds_one_object_per_distinct_p(tmp_path):
     schur.clear_caches()
     x = simple(4, 2) * simple(4, 1) * simple(4, 3) * simple(4, 2)
     for J in [(), (2,)]:
-        kl_column(x, J)
+        kl_column(_longest(4, J) * x, J)
     _one_object_per_value(schur.default_cache())
 
 
@@ -518,7 +519,7 @@ def test_record_p_names_a_parabolic_entry_by_its_full_elements():
     col = {s2: IntPoly((1,)), e: IntPoly((1, 1))}
     named = re.escape("%s <= %s" % (s1.window, (s1 * s2).window))
     with pytest.raises(ValueError, match="degree bound violated for " + named):
-        _record_p(col, s2, cache, (1,), s1)
+        _record_p(col, s2, cache, (1,))
     assert not cache.p_table
 
 
@@ -580,10 +581,11 @@ def test_t_bar_on_columns_matches_the_whole_sum():
 
 @pytest.mark.parametrize("r", [3, 4])
 def test_kl_column_reads_cprime_at_left_maximal_elements(r):
-    """For x longest in W_J x, the column holds P_{w_J sigma, x}, so
-    v^{-l(x)} P_{w_J sigma, x}(v^2) is the T-coefficient of C'_x at each
-    w_J sigma, and these are all the T-coefficients of C'_x at elements
-    longest in their left W_J-coset."""
+    """For x longest in W_J x, the column of tau = w_J x holds
+    P_{w_J sigma, x}, so v^{-l(x)} P_{w_J sigma, x}(v^2) is the
+    T-coefficient of C'_x at each w_J sigma, and these are all the
+    T-coefficients of C'_x at elements longest in their left
+    W_J-coset."""
     schur.clear_caches()
     full = KLCache()
     elems = sorted(
@@ -593,7 +595,8 @@ def test_kl_column_reads_cprime_at_left_maximal_elements(r):
     for J in _proper_subsets(r):
         tops = [x for x in elems if all(left_descent(x, k) for k in J)]
         for x in tops[-4:]:
-            wj, col = kl_column(x, J)
+            wj = _longest(r, J)
+            col = kl_column(wj * x, J)
             maximal = {
                 y: coeff
                 for y, coeff in cprime(x, full).terms.items()
@@ -619,7 +622,8 @@ def test_recorder_refuses_a_different_stored_entry(J, monkeypatch):
     schur.clear_caches()
     cache = schur.default_cache()
     x = X_4
-    wj, _ = kl_column(x, J)
+    wj = _longest(4, J)
+    kl_column(wj * x, J)
     cprime(x, cache)  # the full column agrees with the parabolic one
     # P_{w_J, x}, from sigma = 1; restored at teardown, so no later test
     # reads the wrong entry
@@ -636,7 +640,7 @@ def test_recorder_refuses_a_different_stored_entry(J, monkeypatch):
         cache.cprime_table.clear()
     named = re.escape("y = %s, w = %s" % (wj.window, x.window))
     with pytest.raises(AssertionError, match=named):
-        kl_column(x, J)
+        kl_column(wj * x, J)
 
 
 def _one_element_per_window(cache):
@@ -672,7 +676,7 @@ def test_columns_share_one_element_per_window():
     schur.clear_caches()
     default = schur.default_cache()
     x = X_4
-    wj, col = kl_column(x, (2,))
+    col = kl_column(_longest(4, (2,)) * x, (2,))
     cprime(x, default)
     full = default.cprime_table[((), x.window)]
     _one_element_per_window(default)
@@ -690,14 +694,14 @@ def test_clearing_empties_the_step_table(clear):
     schur.clear_caches()
     cache = schur.default_cache()
     x = X_4
-    before = [kl_column(x, J)[1] for J in [(), (2,)]]
+    before = [kl_column(_longest(4, J) * x, J) for J in [(), (2,)]]
     assert cache.steps and cache.elements
     if clear == "clear_caches":
         schur.clear_caches()
     else:
         cache.clear()
     assert not cache.steps and not cache.elements and not cache.cprime_table
-    after = [kl_column(x, J)[1] for J in [(), (2,)]]
+    after = [kl_column(_longest(4, J) * x, J) for J in [(), (2,)]]
     for old, new in zip(before, after):
         assert new == old and new is not old
         assert all(cache.elements[sigma.window] is sigma for sigma in new)
@@ -710,7 +714,8 @@ def test_full_column_refuses_a_different_parabolic_entry(monkeypatch):
     schur.clear_caches()
     cache = schur.default_cache()
     x, e = X_4, identity(4)
-    wj, col = kl_column(x, (2,))
+    wj = _longest(4, (2,))
+    col = kl_column(wj * x, (2,))
     # P_{w_J, x}; col is the column the cache holds, restored at teardown
     monkeypatch.setitem(col, e, col[e] + IntPoly((1,)))
     named = re.escape("y = %s, w = %s" % (wj.window, x.window))
@@ -723,6 +728,10 @@ def test_parabolic_columns_stay_out_of_the_p_table(monkeypatch):
     per column, none per entry; the P-table receives nothing."""
     schur.clear_caches()
     cache = schur.default_cache()
+    x = max(enumerate_wr(4, 6)[-1], key=lambda w: w.window)
+    J = tuple(k for k in range(1, 5) if left_descent(x, k))
+    assert J
+    tau = _longest(4, J) * x
     products = []
     mul = AffPerm.__mul__
 
@@ -731,13 +740,10 @@ def test_parabolic_columns_stay_out_of_the_p_table(monkeypatch):
         return mul(a, b)
 
     monkeypatch.setattr(AffPerm, "__mul__", counted)
-    x = max(enumerate_wr(4, 6)[-1], key=lambda w: w.window)
-    J = [k for k in range(1, 5) if left_descent(x, k)]
-    assert J
-    _, col = kl_column(x, J)
+    col = kl_column(tau, J)
     assert len(col) > 10 and not cache.p_table
-    # kl_column's w_J x, then one w_J tau per column built
-    assert len(products) == 1 + len(cache.cprime_table)
+    # one w_J tau per column built
+    assert len(products) == len(cache.cprime_table)
 
 
 def test_kl_degree_bound_and_constant_term():

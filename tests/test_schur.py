@@ -16,6 +16,7 @@ from affschur.affweyl import (
     identity,
     jdelta,
     jdelta_inv,
+    rho,
     strip_rho,
 )
 from affschur.heckekl import (
@@ -292,15 +293,65 @@ def test_theta_matches_the_cprime_oracle_on_band_slices():
     assert shifted and affine
 
 
+def test_theta_climbs_to_the_top_of_its_coset(monkeypatch):
+    """The column theta reads is keyed by the tau its right climb ends at:
+    rho^a w_J tau is the longest double-coset element that the
+    left-and-right climb coset_longest finds, and l(tau) = d_A +
+    l(w_{0,mu}) - l(w_{0,lambda}) (Lemma 3.7), on every band-1 matrix
+    with n in {2, 3} and r in {2, 3, 4}."""
+    asked = []
+
+    def spy(top, J):
+        asked.append((top, J))
+        return kl_column(top, J)
+
+    monkeypatch.setattr(schur, "kl_column", spy)
+    for n in (2, 3):
+        for r in (2, 3, 4):
+            schur.clear_caches()
+            for a_mat in enumerate_theta_band(n, r, band=1):
+                del asked[:]
+                theta(a_mat, r)
+                [(top, J)] = asked
+                lam, d, mu = jdelta_inv(a_mat)
+                wj = heckekl._longest(r, tuple(sorted(J)))
+                d_plus = rho(r, d.rho_part()) * wj * top
+                assert d_plus == coset_longest(lam, d, mu)
+                assert top.length() == (
+                    a_mat.d_exponent() + mu.longest_length()
+                    - lam.longest_length()
+                )
+
+
+def test_theta_takes_no_left_step(monkeypatch):
+    """theta climbs by right steps alone: with jdelta_inv warm and the
+    theta memo and the KL cache emptied, every theta at (n, r) = (2, 4)
+    and (3, 3) is built again, equal, while a left step raises."""
+    schur.clear_caches()
+    mats = [a for n, r in ((2, 4), (3, 3))
+            for a in enumerate_theta_band(n, r, band=1)]
+    before = {a_mat: theta(a_mat) for a_mat in mats}
+    schur._theta.cache_clear()
+    schur.default_cache().clear()
+
+    def no_left_step(w, i):
+        raise AssertionError("left step s_%d w" % i)
+
+    monkeypatch.setattr(AffPerm, "left_mul_simple", no_left_step)
+    for a_mat in mats:
+        assert theta(a_mat) == before[a_mat]
+
+
 def _theta_column(a_mat):
     """(x, J, w_J, column) of the parabolic KL column theta_{A,r} reads:
     x is d+ stripped of its rho part, J the lambda-generators moved past
-    it (schur._theta)."""
+    it, and the column that of tau = w_J x (schur._theta)."""
     r = a_mat.sigma()
     lam, d, mu = jdelta_inv(a_mat)
     a, x = strip_rho(coset_longest(lam, d, mu))
-    J = [(j - a - 1) % r + 1 for j in lam.young_generators()]
-    return (x, J) + kl_column(x, J)
+    J = tuple(sorted((j - a - 1) % r + 1 for j in lam.young_generators()))
+    wj = heckekl._longest(r, J)
+    return x, J, wj, kl_column(wj * x, J)
 
 
 def test_theta_records_true_kl_polynomials():
@@ -326,7 +377,7 @@ def test_theta_on_a_full_column_fills_the_p_table():
     schur.clear_caches()
     theta(A_CROSS, 2)
     x, J, _, col = _theta_column(A_CROSS)
-    assert J == [] and len(col) > 1
+    assert J == () and len(col) > 1
     records = saved_records(schur.default_cache())
     fresh = KLCache()
     for y in col:
