@@ -6,9 +6,9 @@ verify.BAND).  "h": each distinct pair (A0, B0) of their E-stripped
 factors, both nonzero and aperiodic, with sigma(A0) = sigma(B0) mod n
 and sigma(A0) + sigma(B0) <= verify.H_SIGMA_CAP.  The h-table suites
 of affschur.verify differ: they sample pairs whose sigma is each at
-most that cap.  n or r below 2, an --out path that cannot be written,
-or a table that fails its own check ends the run with exit code 2 and
-one line on stderr.
+most that cap.  n or r below 2 or an --out path that cannot be written,
+both refused before any table is built, or a table that fails its own
+check ends the run with exit code 2 and one line on stderr.
 
 Example:
     python3 scripts/dump_structure_tables.py --n 2 --r 2 --out tables.json
@@ -16,11 +16,12 @@ Example:
 
 import argparse
 import json
+import pathlib
 import sys
 
 from affschur import transfer
 from affschur.affmat import enumerate_theta_band
-from affschur.cli import _check_rank
+from affschur.cli import _check_out, _check_rank, _file_op
 from affschur.verify import BAND, H_SIGMA_CAP, _composable_pairs
 
 
@@ -56,13 +57,13 @@ def main():
 
     try:
         _check_rank(args.n, args.r)
+        if args.out:
+            _check_out("--out", args.out)
         text = json.dumps(tables(args.n, args.r), indent=2, sort_keys=True)
         if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-    except (OSError, ValueError, AssertionError) as exc:
-        if isinstance(exc, OSError):
-            exc = "--out %s: %s" % (args.out, exc.strerror or exc)
+            write = pathlib.Path(args.out).write_text
+            _file_op("--out", args.out, write, text + "\n")
+    except (ValueError, AssertionError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
     if not args.out:

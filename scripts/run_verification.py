@@ -5,15 +5,18 @@ With --json the full reports are written to the given file.  Exits 1
 when any suite reports a violation, and 2 when a suite raises
 ValueError or AssertionError (an input it refuses, or an internal check
 that fails): the summaries of the suites already run are printed, then
-the error, and no report is written.
+the error, and no report is written.  A --json path that cannot be
+written is refused before any suite runs; a write that still fails
+exits 2 after the summaries.
 """
 
 import argparse
 import json
-import os
+import pathlib
 import sys
 import time
 
+from affschur.cli import InputError, _check_out, _file_op
 from affschur.verify import DRIVERS
 
 
@@ -35,11 +38,11 @@ def main():
             "unknown suite %s (choose from: %s)"
             % (", ".join(unknown), ", ".join(DRIVERS))
         )
-    if args.json and (
-        os.path.isdir(args.json)
-        or not os.access(os.path.dirname(os.path.abspath(args.json)), os.W_OK)
-    ):
-        parser.error("cannot write --json %s" % args.json)
+    if args.json:
+        try:
+            _check_out("--json", args.json)
+        except InputError as exc:
+            parser.error(str(exc))
     reports = []
     failed = False
     for name in targets:
@@ -62,8 +65,14 @@ def main():
             for v in report["violations"][:3]:
                 print("   ", json.dumps(v, sort_keys=True))
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(reports, fh, indent=2, sort_keys=True)
+        text = json.dumps(reports, indent=2, sort_keys=True)
+        try:
+            write = pathlib.Path(args.json).write_text
+            _file_op("--json", args.json, write, text)
+        except InputError as exc:
+            sys.stdout.flush()
+            print("error: %s" % exc, file=sys.stderr)
+            return 2
     return 1 if failed else 0
 
 

@@ -7,7 +7,8 @@ enumeration order): main starts it as the command's name and an empty
 report brings its own violations).  The exit code is 1 when a
 verification fails and 2 when an input is rejected, a --cache or --out
 path cannot be read or written, or a check inside the library fails,
-with an "error:" line on stderr.
+with an "error:" line on stderr.  An --out path that cannot be written
+is refused before the command runs.
 
 Only kl opens the --cache file: the KL recursion behind theta, mult,
 the tables and the verify targets reads KL columns, never a stored P
@@ -27,6 +28,7 @@ them, so a process pays the import of no layer its command skips.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import pathlib
@@ -346,6 +348,22 @@ def build_parser():
     return parser
 
 
+def _check_out(flag, path):
+    """Refuse, before any work, a path that flag's report cannot be
+    written to: a directory, a file in a missing directory, or a path
+    without write permission.  The write itself goes through _file_op."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        problem = errno.EISDIR
+    elif not os.path.isdir(parent):
+        problem = errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        problem = errno.EACCES
+    else:
+        return
+    raise InputError("%s %s: %s" % (flag, path, os.strerror(problem)))
+
+
 def _file_op(flag, path, action, *args):
     """action(*args), with an OSError turned into an InputError that
     names the flag and its path."""
@@ -359,6 +377,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out:
+            _check_out("--out", args.out)
         report = {"command": args.command, "violations": []}
         report.update(COMMANDS[args.command][0](args))
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"

@@ -7,6 +7,12 @@ with enough payload to reproduce each failure.  The index sets are
 infinite, so each driver runs over a fixed scope; its _target
 declaration names the arguments and the fixed scope that its report
 prints.
+
+A driver only states its checks: it is a generator that yields one
+value per check, None when the check passes, a dict that is the check's
+violation, or a list of the check's violations (thm-5.4, where one pair
+can have several bad keys; an empty list passes).  _target counts the
+values as the report's checked and collects the violations in order.
 """
 
 from __future__ import annotations
@@ -44,16 +50,24 @@ DRIVERS = {}
 
 
 def _target(name, *printed, **scope):
-    """Register a keyword-only driver, which returns (checked,
-    violations), as the verification target name.  Its report's params
-    are the named arguments, at the driver's defaults unless given
-    (big_n printed as N), and the fixed scope; tuples print as lists."""
+    """Register a keyword-only driver as the verification target name.
+    The driver yields one value per check: None for a pass, a violation
+    dict, or a list of violations.  Its report's checked counts the
+    values and its violations lists theirs in order.  Its params are the
+    named arguments, at the driver's defaults unless given (big_n
+    printed as N), and the fixed scope; tuples print as lists."""
 
     def register(driver):
         @functools.wraps(driver)
         def run(**kwargs):
             args = {**driver.__kwdefaults__, **kwargs}
-            checked, violations = driver(**args)
+            checked, violations = 0, []
+            for found in driver(**args):
+                checked += 1
+                if isinstance(found, dict):
+                    violations.append(found)
+                elif found:
+                    violations.extend(found)
             params = {("N" if a == "big_n" else a): args[a] for a in printed}
             params.update(scope)
             return {
@@ -82,8 +96,6 @@ def verify_lemma_31(*, n=2, r=2):
     """C'_{d+} decomposes into double-coset sums with KL coefficients:
     the T_w coefficient equals v^{-l(d+)} P_{y+, d+} for w in the coset
     of y, and every support coset satisfies y <= d."""
-    violations = []
-    checked = 0
     for a_mat in enumerate_theta_band(n, r, BAND):
         lam, d, mu = jdelta_inv(a_mat)
         d_plus = coset_longest(lam, d, mu)
@@ -94,62 +106,44 @@ def verify_lemma_31(*, n=2, r=2):
                 continue
             y_min, y_plus, elems = double_coset(lam, w, mu)
             seen |= elems
-            checked += 1
             expected = (
                 kl_poly(y_plus, d_plus).to_laurent().shift(-d_plus.length())
             )
             bad = [x for x in elems if c.coeff(x) != expected]
-            if bad or not bruhat_leq(y_min, d):
-                violations.append(
-                    {
-                        "matrix": _mat_key(a_mat),
-                        "coset_rep": list(y_min.window),
-                        "bad_terms": len(bad),
-                        "coset_leq_d": bruhat_leq(y_min, d),
-                    }
-                )
-    return checked, violations
+            leq_d = bruhat_leq(y_min, d)
+            yield None if leq_d and not bad else {
+                "matrix": _mat_key(a_mat),
+                "coset_rep": list(y_min.window),
+                "bad_terms": len(bad),
+                "coset_leq_d": leq_d,
+            }
 
 
 @_target("lemma-3.6", "n", "r", band=BAND)
 def verify_lemma_36(*, n=2, r=2):
     """B <=^Bo A implies B sqsubseteq A."""
     mats = enumerate_theta_band(n, r, BAND)
-    violations = []
-    checked = 0
     for b_mat, a_mat in itertools.product(mats, mats):
-        checked += 1
-        if leq_bo(b_mat, a_mat) and not sqsubseteq(b_mat, a_mat):
-            violations.append(
-                {"B": _mat_key(b_mat), "A": _mat_key(a_mat)}
-            )
-    return checked, violations
+        ok = not leq_bo(b_mat, a_mat) or sqsubseteq(b_mat, a_mat)
+        yield None if ok else {"B": _mat_key(b_mat), "A": _mat_key(a_mat)}
 
 
 @_target("lemma-3.7", "n", "r", band=BAND)
 def verify_lemma_37(*, n=2, r=2):
     """l(y_A+) = d_A + l(w_{0, co(A)})."""
-    violations = []
-    checked = 0
     for a_mat in enumerate_theta_band(n, r, BAND):
-        checked += 1
         lhs = coset_longest(*jdelta_inv(a_mat)).length()
         rhs = a_mat.d_exponent() + Composition(a_mat.co()).longest_length()
-        if lhs != rhs:
-            violations.append(
-                {"A": _mat_key(a_mat), "lhs": lhs, "rhs": rhs}
-            )
-    return checked, violations
+        yield None if lhs == rhs else {
+            "A": _mat_key(a_mat), "lhs": lhs, "rhs": rhs
+        }
 
 
 @_target("prop-3.8", "n", "r", band=BAND)
 def verify_prop_38(*, n=2, r=2):
     """The closed-form canonical basis element is bar-invariant,
     triangular, and agrees with bar-triangular elimination."""
-    violations = []
-    checked = 0
     for a_mat in enumerate_theta_band(n, r, BAND):
-        checked += 1
         th = theta(a_mat, r)
         problems = []
         if bar(th) != th:
@@ -158,9 +152,9 @@ def verify_prop_38(*, n=2, r=2):
             problems.append("not triangular")
         if theta_by_elimination(a_mat, r) != th:
             problems.append("disagrees with elimination oracle")
-        if problems:
-            violations.append({"A": _mat_key(a_mat), "problems": problems})
-    return checked, violations
+        yield None if not problems else {
+            "A": _mat_key(a_mat), "problems": problems
+        }
 
 
 def _composable_pairs(mats):
@@ -175,23 +169,16 @@ def _composable_pairs(mats):
 
 
 def _positivity(tables):
-    """(checked, violations) over (A, B, table) triples: every value of
-    each table, in key order, must lie in N[v, v^-1]."""
-    violations = []
-    checked = 0
+    """One check per value of each (A, B, table) triple, in key order:
+    the value lies in N[v, v^-1]."""
     for a_mat, b_mat, table in tables:
         for c_mat, val in sorted(table.items(), key=lambda p: p[0].entries()):
-            checked += 1
-            if not val.is_nonneg():
-                violations.append(
-                    {
-                        "A": _mat_key(a_mat),
-                        "B": _mat_key(b_mat),
-                        "C": _mat_key(c_mat),
-                        "value": val.to_json(),
-                    }
-                )
-    return checked, violations
+            yield None if val.is_nonneg() else {
+                "A": _mat_key(a_mat),
+                "B": _mat_key(b_mat),
+                "C": _mat_key(c_mat),
+                "value": val.to_json(),
+            }
 
 
 @_target("cor-4.9", "n", "r", band=BAND)
@@ -207,27 +194,20 @@ def verify_cor_49(*, n=2, r=2):
 def verify_lemma_46(*, n=2, r=2):
     """Right and left multiplication by the shifted idempotent realizes
     eta_m on canonical basis elements."""
-    violations = []
-    checked = 0
     for a_mat in enumerate_theta_band(n, r, BAND):
         for m in LEMMA_46_MS:
-            checked += 1
             th = theta(a_mat, r)
             target = theta(transfer.eta(a_mat, m), r)
             right_idem = transfer.rho_idempotent(Composition(a_mat.co()), m)
             left_idem = transfer.rho_idempotent(Composition(a_mat.ro()), m)
             ok_right = mult(th, theta(right_idem, r)) == target
             ok_left = mult(theta(left_idem, r), th) == target
-            if not (ok_right and ok_left):
-                violations.append(
-                    {
-                        "A": _mat_key(a_mat),
-                        "m": m,
-                        "right": ok_right,
-                        "left": ok_left,
-                    }
-                )
-    return checked, violations
+            yield None if ok_right and ok_left else {
+                "A": _mat_key(a_mat),
+                "m": m,
+                "right": ok_right,
+                "left": ok_left,
+            }
 
 
 def _sample_pairs(pairs, samples):
@@ -256,25 +236,18 @@ def verify_thm_48(*, n=2, r=2, big_n=3, ks=(-1, 1), samples=None):
     support, which must hold exactly the expected constants; the
     weight-independence assertion is exercised by the thm-4.10 and
     cor-4.11 suites."""
-    violations = []
-    checked = 0
     for a_mat, b_mat in _sample_pairs(
         _composable_pairs(enumerate_theta_band(n, r, BAND)), samples
     ):
         g = g_constants(a_mat, b_mat, r)
         for k in ks:
-            checked += 1
             big = g_constants(*_embedded(k, big_n, a_mat, b_mat), r)
-            if big != transfer.embed_table(g, 2 * k, big_n):
-                violations.append(
-                    {
-                        "part": 1,
-                        "A": _mat_key(a_mat),
-                        "B": _mat_key(b_mat),
-                        "k": k,
-                    }
-                )
-        checked += 1
+            yield None if big == transfer.embed_table(g, 2 * k, big_n) else {
+                "part": 1,
+                "A": _mat_key(a_mat),
+                "B": _mat_key(b_mat),
+                "k": k,
+            }
         k = transfer.find_k0(a_mat, b_mat, g)
         expected = transfer.embed_table(g, 2 * k, big_n)
         f_tab = transfer.f_constants(
@@ -282,11 +255,9 @@ def verify_thm_48(*, n=2, r=2, big_n=3, ks=(-1, 1), samples=None):
             keys=list(expected),
             check=False,
         ).table
-        if f_tab != expected:
-            violations.append(
-                {"part": 2, "A": _mat_key(a_mat), "B": _mat_key(b_mat)}
-            )
-    return checked, violations
+        yield None if f_tab == expected else {
+            "part": 2, "A": _mat_key(a_mat), "B": _mat_key(b_mat)
+        }
 
 
 def _f_pair_scope(n):
@@ -294,19 +265,16 @@ def _f_pair_scope(n):
     F_SIGMA_CAP: every pair at unit segment length, plus pairs of total
     mass at most 3 with segments up to F_MAX_LEN.  Maximal-mass pairs of
     long segments force padded levels where the KL recursion is out of
-    reach."""
-    pairs = []
-    seen = set()
+    reach.  The long pairs come first, each pair once."""
     long_mats = enumerate_theta_plus(n, F_SIGMA_CAP, F_MAX_LEN)
-    for a_mat, b_mat in itertools.product(long_mats, long_mats):
-        if a_mat.sigma() + b_mat.sigma() <= 3:
-            pairs.append((a_mat, b_mat))
-            seen.add((a_mat, b_mat))
     short_mats = enumerate_theta_plus(n, F_SIGMA_CAP, 1)
-    for a_mat, b_mat in itertools.product(short_mats, short_mats):
-        if (a_mat, b_mat) not in seen:
-            pairs.append((a_mat, b_mat))
-    return pairs
+    long_pairs = (
+        (a_mat, b_mat)
+        for a_mat, b_mat in itertools.product(long_mats, long_mats)
+        if a_mat.sigma() + b_mat.sigma() <= 3
+    )
+    short_pairs = itertools.product(short_mats, short_mats)
+    return list(dict.fromkeys(itertools.chain(long_pairs, short_pairs)))
 
 
 @_target("thm-4.10", "n", "big_n", sigma_cap=F_SIGMA_CAP, max_len=F_MAX_LEN)
@@ -318,10 +286,7 @@ def verify_thm_410(*, n=2, big_n=3):
     of those weights is certified; candidates needing a strictly larger
     weight are not enumerated (their levels are out of reach anyway).
     """
-    violations = []
-    checked = 0
     for a_mat, b_mat in _f_pair_scope(n):
-        checked += 1
         small = transfer.f_constants(a_mat, b_mat).table
         expected = transfer.embed_table(small, 0, big_n)
         big = transfer.f_constants(
@@ -329,9 +294,9 @@ def verify_thm_410(*, n=2, big_n=3):
             transfer.tilde(b_mat, big_n),
             keys=list(expected),
         ).table
-        if big != expected:
-            violations.append({"A": _mat_key(a_mat), "B": _mat_key(b_mat)})
-    return checked, violations
+        yield None if big == expected else {
+            "A": _mat_key(a_mat), "B": _mat_key(b_mat)
+        }
 
 
 @_target("cor-4.11", "n", sigma_cap=F_SIGMA_CAP, max_len=F_MAX_LEN)
@@ -345,18 +310,16 @@ def verify_cor_411(*, n=2):
 
 def _stripped_aperiodic(n, sigma_cap):
     """Aperiodic matrices with minimal diagonal zero and sigma at most
-    sigma_cap, by band truncation."""
-    out = []
-    seen = set()
-    for r in range(1, sigma_cap + 1):
-        for a_mat in enumerate_theta_band(n, r, BAND):
-            c_mat, _ = transfer.strip_E(a_mat)
-            if c_mat.sigma() == 0 or not c_mat.is_aperiodic():
-                continue
-            if c_mat not in seen:
-                seen.add(c_mat)
-                out.append(c_mat)
-    return sorted(out, key=lambda m: (m.sigma(), m.entries()))
+    sigma_cap, by band truncation, sorted by (sigma, entries)."""
+    stripped = (
+        transfer.strip_E(a_mat)[0]
+        for r in range(1, sigma_cap + 1)
+        for a_mat in enumerate_theta_band(n, r, BAND)
+    )
+    return sorted(
+        {c for c in stripped if c.sigma() and c.is_aperiodic()},
+        key=lambda m: (m.sigma(), m.entries()),
+    )
 
 
 def _h_pairs(n, samples):
@@ -380,31 +343,18 @@ def _h_pairs(n, samples):
 def verify_thm_54(*, n=2, samples=20):
     """h-tables stabilize between consecutive admissible levels, with
     aperiodic E-stripped keys throughout."""
-    violations = []
-    checked = 0
     for a_mat, b_mat in _h_pairs(n, samples):
-        checked += 1
+        pair = {"A": _mat_key(a_mat), "B": _mat_key(b_mat)}
         try:
             table = transfer.h_constants(a_mat, b_mat).table
         except AssertionError as exc:
-            violations.append(
-                {
-                    "A": _mat_key(a_mat),
-                    "B": _mat_key(b_mat),
-                    "error": str(exc),
-                }
-            )
-            continue
-        for c_mat in table:
-            if not c_mat.is_aperiodic() or transfer.strip_E(c_mat)[1] != 0:
-                violations.append(
-                    {
-                        "A": _mat_key(a_mat),
-                        "B": _mat_key(b_mat),
-                        "bad_key": _mat_key(c_mat),
-                    }
-                )
-    return checked, violations
+            yield {**pair, "error": str(exc)}
+        else:
+            yield [
+                {**pair, "bad_key": _mat_key(c_mat)}
+                for c_mat in table
+                if not c_mat.is_aperiodic() or transfer.strip_E(c_mat)[1] != 0
+            ]
 
 
 @_target(
@@ -424,29 +374,22 @@ def verify_thm_63(*, n=2, r=2, samples=10):
     g-key at level r strips to an h-key with the same coefficient, and
     all coefficients are nonnegative."""
     mats = [m for m in _stripped_aperiodic(n, r) if m.sigma() == r]
-    violations = []
-    checked = 0
     for a_mat, b_mat in _sample_pairs(_composable_pairs(mats), samples):
         g = g_constants(a_mat, b_mat, r)
         h_table = transfer.h_constants(a_mat, b_mat).table
         for c_pad, val in sorted(g.items(), key=lambda p: p[0].entries()):
-            checked += 1
             c_mat, _ = transfer.strip_E(c_pad)
             problems = []
             if not val.is_nonneg():
                 problems.append("negative coefficient")
             if h_table.get(c_mat) != val:
                 problems.append("g and h disagree")
-            if problems:
-                violations.append(
-                    {
-                        "A": _mat_key(a_mat),
-                        "B": _mat_key(b_mat),
-                        "C": _mat_key(c_mat),
-                        "problems": problems,
-                    }
-                )
-    return checked, violations
+            yield None if not problems else {
+                "A": _mat_key(a_mat),
+                "B": _mat_key(b_mat),
+                "C": _mat_key(c_mat),
+                "problems": problems,
+            }
 
 
 @_target(
@@ -459,22 +402,16 @@ def verify_thm_63(*, n=2, r=2, samples=10):
 def verify_zeta(*, cap_dim=10):
     """The Hall-to-Schur comparison: products computed by submodule
     counting match products computed in the Hecke endomorphism model."""
-    violations = []
-    checked = 0
     for n in ZETA_NS:
         mats = enumerate_theta_plus(n, ZETA_SIGMA_CAP, ZETA_MAX_LEN)
         for a_mat, b_mat in itertools.product(mats, mats):
             if a_mat.sigma() + b_mat.sigma() > ZETA_SIGMA_CAP:
                 continue
             for r in range(2, ZETA_R_CAP + 1):
-                checked += 1
-                if not hall.zeta_check(a_mat, b_mat, r, cap_dim=cap_dim):
-                    violations.append(
-                        {
-                            "n": n,
-                            "A": _mat_key(a_mat),
-                            "B": _mat_key(b_mat),
-                            "r": r,
-                        }
-                    )
-    return checked, violations
+                ok = hall.zeta_check(a_mat, b_mat, r, cap_dim=cap_dim)
+                yield None if ok else {
+                    "n": n,
+                    "A": _mat_key(a_mat),
+                    "B": _mat_key(b_mat),
+                    "r": r,
+                }

@@ -340,6 +340,38 @@ def test_unusable_out_or_cache_path_exits_2(tmp_path, capsys, flag, make_path):
     assert list(tmp_path.rglob("*.tmp")) == []
 
 
+UNUSABLE_OUT = {
+    "in-missing-dir": lambda tmp: tmp / "missing" / "report.json",
+    "a-dir": lambda tmp: tmp,
+}
+
+
+@pytest.mark.parametrize("make_path", UNUSABLE_OUT.values(), ids=UNUSABLE_OUT)
+def test_unusable_out_is_refused_before_any_work(
+    tmp_path, capsys, monkeypatch, make_path
+):
+    from affschur import transfer
+
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("ran")
+
+    monkeypatch.setitem(DRIVERS, "zeta", spy)
+    monkeypatch.setattr(transfer, "g_table", spy)
+    path = make_path(tmp_path)
+    for argv in (
+        ["verify", "zeta"],
+        ["g-table", "--n", "2", "--r", "2", "--a", CROSS, "--b", CROSS],
+    ):
+        code, out, err = run(capsys, *argv, "--out", str(path))
+        assert (code, out, calls) == (2, "", [])
+        assert err.startswith("error: --out %s: " % path)
+        assert err.count("\n") == 1
+    assert list(tmp_path.rglob("*")) == []
+
+
 def test_matrix_from_file(tmp_path, capsys):
     mat_path = tmp_path / "a.json"
     mat_path.write_text(CROSS)

@@ -1,5 +1,6 @@
 """The command-line scripts under scripts/, each run once at a tiny size."""
 
+import errno
 import hashlib
 import importlib.util
 import json
@@ -92,6 +93,28 @@ def test_run_verification_ends_an_internal_failure_with_exit_2(
         "error: lemma-3.7: Hall polynomials fail the Riedtmann sum\n"
     )
     assert not out.exists()
+
+
+def test_run_verification_ends_a_failed_json_write_with_exit_2(
+    tmp_path, monkeypatch, capsys
+):
+    def disk_full(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    script = load_script("run_verification")
+    monkeypatch.setattr(pathlib.Path, "write_text", disk_full)
+    out = tmp_path / "reports.json"
+    monkeypatch.setattr(
+        sys, "argv", ["run_verification.py", "lemma-3.7", "--json", str(out)]
+    )
+    assert script.main() == 2
+    captured = capsys.readouterr()
+    assert [line.split()[:2] for line in captured.out.splitlines()] == [
+        ["lemma-3.7", "pass"]
+    ]
+    assert captured.err == (
+        "error: --json %s: No space left on device\n" % out
+    )
 
 
 def test_kl_survey():
@@ -295,6 +318,42 @@ def test_dump_structure_tables_refuses_bad_input(tmp_path, args, named):
     assert proc.stderr.startswith("error: ") and named in proc.stderr
     assert proc.stderr.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "script, flag",
+    [("dump_structure_tables", "--out"), ("run_verification", "--json")],
+)
+@pytest.mark.parametrize(
+    "make_path",
+    [lambda tmp: tmp / "missing" / "out.json", lambda tmp: tmp],
+    ids=["in-missing-dir", "a-dir"],
+)
+def test_unusable_out_is_refused_before_any_table(
+    tmp_path, monkeypatch, capsys, script, flag, make_path
+):
+    from affschur import transfer, verify
+
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("ran")
+
+    monkeypatch.setattr(transfer, "g_table", spy)
+    for name in verify.DRIVERS:
+        monkeypatch.setitem(verify.DRIVERS, name, spy)
+    path = make_path(tmp_path)
+    monkeypatch.setattr(sys, "argv", [script, flag, str(path)])
+    try:
+        code = load_script(script).main()
+    except SystemExit as exc:  # argparse's parser.error
+        code = exc.code
+    assert (code, calls) == (2, [])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "%s %s: " % (flag, path) in captured.err
+    assert list(tmp_path.rglob("*")) == []
 
 
 def test_bench_compare_smoke(tmp_path):
